@@ -491,9 +491,6 @@ def solve_stokes(mesh, alpha, f, system=None):
         "div_residual": float(div_resid),
         "pressure_at": pressure_at,
         "q_weighted_norm": float(np.sqrt(q @ (sys_.Mw @ q))),
-        "q_unweighted_mean": float(
-            _assemble_p1_mass(mesh, np.ones(quad[1].shape), quad)
-            @ q @ np.ones(mesh.num_vertices)) if False else 0.0,
     }
     # unweighted mean of q, recorded as a diagnostic
     M1 = _assemble_p1_mass(mesh, np.ones(quad[1].shape), quad)

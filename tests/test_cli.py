@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import cuspdiv
 from cuspdiv import cli
 
 
@@ -116,3 +120,14 @@ def test_div_solve_unknown_method(tmp_path):
     code = run_cli(["div-solve", "--alpha", "0.75", "--method", "magic",
                     "--outdir", str(tmp_path)])
     assert code == 1
+
+
+def test_python_dash_m_entry_point():
+    src = str(Path(cuspdiv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "cuspdiv", "--help"],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cuspdiv import geometry
 from cuspdiv.geometry import CuspDomain
+from cuspdiv.whitney import default_box
 
 
 def dense_boundary_distance(domain, pts, n=400_000):
@@ -52,6 +55,80 @@ def test_distance_is_one_lipschitz():
     dq = geometry.distance(dom, q)
     gap = np.hypot(*(p - q).T)
     assert np.all(np.abs(dp - dq) <= gap + 1e-12)
+
+
+def _near_and_box_points(dom, n, seed):
+    """Points within ~1e-3 relative of the arcs, and uniform over the box."""
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, 1.0, n) ** 3
+    near = np.column_stack([t * (1.0 + 1e-3 * rng.normal(size=n)),
+                            t**dom.gamma * (1.0 + 1e-3 * rng.normal(size=n))])
+    box = default_box()
+    uniform = rng.uniform([box.x0, box.y0],
+                          [box.x0 + box.side, box.y0 + box.side], size=(n, 2))
+    return np.vstack([near, uniform])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
+def test_curve_distance_matches_grid_search(alpha):
+    dom = CuspDomain(alpha)
+    pts = _near_and_box_points(dom, 3000, seed=int(100 * alpha))
+    x, y = pts[:, 0], np.abs(pts[:, 1])
+    d = geometry._curve_distance(dom, x, y)
+    ref = geometry._grid_curve_distance(dom, x, y)
+    assert np.all(np.abs(d - ref) <= 1e-12 * ref + 1e-14)
+
+
+def test_curve_distance_ulp_stop_regression():
+    # points whose last Newton iterates straddle the root a few ulp apart, so
+    # a relative step test |dt| <= 2e-16 t can cycle forever: a drawn point of
+    # test_coverage_of_points_away_from_the_set, a box point of the oracle
+    # test above and three A_p ball-plan nodes
+    dom = CuspDomain(0.5)
+    x = np.array([0.01874710903341914, 0.03286508136968913,
+                  0.00833256286982248, 0.03331044399207797,
+                  0.002148437499999989])
+    y = np.array([0.45974386697338576, 0.39721889060820104,
+                  0.24521083984716924, 0.24934252903057527, 0.2463671875])
+    d = geometry._curve_distance(dom, x, y)
+    ref = geometry._grid_curve_distance(dom, x, y)
+    assert np.all(np.abs(d - ref) <= 1e-12 * ref)
+
+
+def test_curve_distance_raises_when_unconverged():
+    dom = CuspDomain(0.5)
+    with pytest.raises(RuntimeError):
+        geometry._curve_distance(dom, np.array([0.4]), np.array([0.1]),
+                                 max_iter=1)
+
+
+_box = default_box()
+_bx = st.floats(_box.x0, _box.x0 + _box.side)
+_by = st.floats(_box.y0, _box.y0 + _box.side)
+_step = st.floats(-0.05, 0.05)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.sampled_from([0.3, 0.5, 0.75, 1.0]),
+       p=st.tuples(_bx, _by), step=st.tuples(_step, _step))
+@example(alpha=0.5, p=(0.0, 0.0), step=(0.01, 0.001))
+def test_distance_is_one_lipschitz_property(alpha, p, step):
+    dom = CuspDomain(alpha)
+    q = (p[0] + step[0], p[1] + step[1])
+    dp, dq = geometry.distance(dom, np.array([p, q]))
+    assert abs(dp - dq) <= np.hypot(p[0] - q[0], p[1] - q[1]) + 1e-14
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.sampled_from([0.3, 0.5, 0.75, 1.0]),
+       t=st.floats(0.0, 1.0), s=st.floats(-1.0, 1.0),
+       sign=st.sampled_from([-1.0, 1.0]))
+@example(alpha=0.5, t=0.0, s=0.0, sign=1.0)
+def test_distance_zero_on_boundary_property(alpha, t, s, sign):
+    dom = CuspDomain(alpha)
+    tt = np.array([t])
+    on = np.array([[t, sign * (tt**dom.gamma)[0]], [1.0, s], [0.0, 0.0]])
+    assert np.all(geometry.distance(dom, on) == 0.0)
 
 
 def test_surrogate_bounds_distance():
