@@ -247,3 +247,9 @@ def test_cli_determinism(tmp_path):
     run_twice(["ap-check", "--alpha", "0.5", "--mu", "0.5",
                "--resolution", "512", "--seed", "3"],
               ["ap_alpha0.5_mu0.5_p2.csv"])
+    # the second level is the 4,055-dof Poincare problem; both sweeps pin the
+    # seeded start vector of the eigensolve
+    for sweep in ("korn", "poincare"):
+        run_twice([f"{sweep}-sweep", "--alpha", "0.75", "--levels", "2",
+                   "--h", "0.2"],
+                  [f"{sweep}_alpha0.75_beta0.75.csv"])

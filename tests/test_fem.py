@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import linalg as dla
 
-from cuspdiv import fem, weights
+from cuspdiv import cli, fem, weights
 from cuspdiv.fem import (
     P2Space,
     assemble,
@@ -107,10 +107,10 @@ def test_bordered_solve_weight_scaling_invariance(system075):
     rng = np.random.default_rng(2)
     g = rng.standard_normal(nv)
     g -= c_vec * (c_vec @ g) / (c_vec @ c_vec)
-    u1, q1, _ = fem._bordered_solve(Af, Bf, c_vec, np.zeros(Af.shape[0]), g)
+    u1, q1, _ = fem._bordered_solver(Af, Bf, c_vec)(np.zeros(Af.shape[0]), g)
     s = 7.5
-    u2, q2, _ = fem._bordered_solve(Af, s * Bf, s * c_vec,
-                                    np.zeros(Af.shape[0]), s * g)
+    u2, q2, _ = fem._bordered_solver(Af, s * Bf, s * c_vec)(
+        np.zeros(Af.shape[0]), s * g)
     assert np.allclose(u1, u2, atol=1e-10 * max(np.linalg.norm(u1), 1.0))
     assert np.allclose(q1, s * q2, atol=1e-10 * max(np.linalg.norm(q1), 1.0))
 
@@ -138,11 +138,6 @@ def test_discrete_infsup_matches_dense_oracle(mesh075, system075):
     assert 0.0 < got < 1.5
 
 
-def test_discrete_infsup_rejects_oversized_problem(mesh075, system075):
-    with pytest.raises(ValueError):
-        discrete_infsup(mesh075, 0.75, system=system075, dense_limit=1)
-
-
 def test_stokes_identities(mesh075, system075):
     f = lambda p: np.column_stack([np.ones(len(p)), p[:, 0]])
     u, q, info = solve_stokes(mesh075, 0.75, f, system=system075)
@@ -154,6 +149,17 @@ def test_stokes_identities(mesh075, system075):
     assert abs(c @ q.coeffs) < 1e-10 * max(np.linalg.norm(q.coeffs), 1e-30)
     p = info["pressure_at"](np.array([[0.7, 0.0], [0.4, 0.1]]))
     assert np.all(np.isfinite(p))
+
+
+def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
+    v = mesh075.vertices
+    q = 2.0 + 3.0 * v[:, 0] - v[:, 1]
+    pts = fem._quad_data(mesh075)[0].reshape(-1, 2)[::5]
+    got = fem._eval_p1(mesh075, q, pts)
+    assert np.allclose(got, 2.0 + 3.0 * pts[:, 0] - pts[:, 1],
+                       rtol=0.0, atol=1e-12)
+    with pytest.raises(ValueError):
+        fem._eval_p1(mesh075, q, np.array([[0.7, 0.0], [0.5, 0.9]]))
 
 
 def test_pressure_lr_norm_unit_weight_case():
@@ -186,6 +192,71 @@ def test_poincare_constant_finite_with_residual(mesh075):
     est = improved_poincare_constant(mesh075, 0.75, 0.75)
     assert 0.0 < est.constant < 50.0
     assert est.residual < 1e-8
+
+
+def test_korn_constant_matches_dense_oracle(mesh075):
+    alpha = beta = 0.75
+    quad, sp = fem._quad_data(mesh075), P2Space(mesh075)
+    ball = default_ball(alpha)
+    w_grad = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 - beta))
+    w_eps = fem._distance_weight(mesh075, quad[0], 2.0 * (alpha - beta))
+    K = fem._assemble_p2(mesh075, sp, w_grad, "stiffness", quad).toarray()
+    Mb = fem._assemble_p2(mesh075, sp, fem._ball_indicator(quad[0], ball),
+                          "mass", quad).toarray()
+    E = fem._assemble_eps(mesh075, sp, w_eps, quad).toarray()
+    G, MB = dla.block_diag(K, K), dla.block_diag(Mb, Mb)
+    ref = math.sqrt(dla.eigh(G, E + MB, eigvals_only=True)[-1])
+    got = korn_best_constant(mesh075, alpha, beta).constant
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_poincare_constant_matches_dense_oracle(mesh075):
+    alpha = beta = 0.75
+    quad, sp = fem._quad_data(mesh075), P2Space(mesh075)
+    (cx, cy), r = default_ball(alpha)
+    w_m = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 - beta))
+    w_s = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 + alpha - beta))
+    M = fem._assemble_p2(mesh075, sp, w_m, "mass", quad).toarray()
+    S = fem._assemble_p2(mesh075, sp, w_s, "stiffness", quad).toarray()
+    bump = np.maximum(0.0, 1.0 - np.hypot(quad[0][..., 0] - cx,
+                                          quad[0][..., 1] - cy) / r)
+    c = np.zeros(sp.n_dofs)
+    np.add.at(c, sp.tri_dofs.ravel(),
+              np.einsum("tq,qm->tm", quad[1] * bump, fem._P2_N).ravel())
+    # orthonormal basis of {x : c.x = 0} from an SVD of the projector
+    U, _, _ = np.linalg.svd(np.eye(len(c)) - np.outer(c, c) / (c @ c))
+    T = U[:, : len(c) - 1]
+    ref = math.sqrt(dla.eigh(T.T @ M @ T, T.T @ S @ T, eigvals_only=True)[-1])
+    got = improved_poincare_constant(mesh075, alpha, beta).constant
+    assert got == pytest.approx(ref, rel=1e-10)
+
+
+def test_unconverged_eigensolve_raises(mesh075, tmp_path, monkeypatch):
+    # one restart of the default 20-vector Lanczos basis already converges
+    # these well-separated problems, so the basis is cut to 3 vectors as well
+    eigsh = fem.eigsh
+    monkeypatch.setattr(fem, "eigsh", lambda *a, **kw: eigsh(
+        *a, **{**kw, "maxiter": 1, "ncv": 3}))
+    for estimate in (korn_best_constant, improved_poincare_constant):
+        with pytest.raises(RuntimeError):
+            estimate(mesh075, 0.75, 0.75)
+    with pytest.raises(RuntimeError):
+        discrete_infsup(mesh075, 0.75)
+    assert cli.main(["poincare-sweep", "--alpha", "0.75", "--levels", "1",
+                     "--h", "0.25", "--outdir", str(tmp_path)]) == 1
+
+
+def test_inaccurate_eigenvector_raises(mesh075, monkeypatch):
+    # the residual check of _min_eig, not ARPACK, must reject this vector
+    eigsh = fem.eigsh
+
+    def perturbed(*a, **kw):
+        vals, vecs = eigsh(*a, **kw)
+        return vals, vecs + 1e-6 * np.linalg.norm(vecs)
+
+    monkeypatch.setattr(fem, "eigsh", perturbed)
+    with pytest.raises(RuntimeError, match="not converged"):
+        improved_poincare_constant(mesh075, 0.75, 0.75)
 
 
 def test_default_ball_inside_domain():
