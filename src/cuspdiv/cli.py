@@ -126,7 +126,11 @@ def _cmd_ap_check(cfg, outdir, manifest_name):
 
 def _load_or_generate_mesh(cfg, alpha):
     if "mesh" in cfg.params:
-        return load_mesh(cfg.params["mesh"])
+        mesh = load_mesh(cfg.params["mesh"])
+        if mesh.alpha != alpha:
+            raise ValueError(f"mesh file {cfg.params['mesh']} is for alpha "
+                             f"{mesh.alpha!r}, not {alpha!r}")
+        return mesh
     dom = geometry.CuspDomain(alpha)
     kwargs = {}
     if "x_tip" in cfg.params:

@@ -19,7 +19,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import geometry
-from .mesh import TriangulatedMesh
+from .mesh import TriangulatedMesh, _edge_keys
 
 __all__ = [
     "DiscreteField",
@@ -80,39 +80,30 @@ _P1_G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # (3, 2) constant
 
 
 class P2Space:
-    """Continuous piecewise-quadratic scalar space: vertex + edge-midpoint dofs."""
+    """Continuous piecewise-quadratic scalar space: vertex + edge-midpoint dofs.
+
+    Vertex v is dof v; edge k of ``edges`` (the mesh's edge numbering) is dof
+    ``num_vertices + k``.
+    """
 
     def __init__(self, mesh: TriangulatedMesh):
         self.mesh = mesh
-        edges = mesh.edges()
-        self.edge_index = {tuple(e): mesh.num_vertices + k
-                           for k, e in enumerate(edges)}
-        t = mesh.triangles
-        local_edges = [(0, 1), (1, 2), (2, 0)]
-        dofs = np.empty((len(t), 6), dtype=int)
-        dofs[:, :3] = t
-        for le, (a, b) in enumerate(local_edges):
-            keys = np.sort(t[:, [a, b]], axis=1)
-            dofs[:, 3 + le] = [self.edge_index[tuple(k)] for k in keys]
-        self.tri_dofs = dofs
-        self.n_dofs = mesh.num_vertices + len(edges)
+        nv = mesh.num_vertices
+        self.edges, sides = mesh.edge_numbering()
+        self.tri_dofs = np.hstack([mesh.triangles, nv + sides])
+        self.n_dofs = nv + len(self.edges)
 
     def dof_coords(self):
-        mesh = self.mesh
-        coords = np.empty((self.n_dofs, 2))
-        coords[: mesh.num_vertices] = mesh.vertices
-        for (a, b), k in self.edge_index.items():
-            coords[k] = 0.5 * (mesh.vertices[a] + mesh.vertices[b])
-        return coords
+        v = self.mesh.vertices
+        mids = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
+        return np.concatenate([v, mids])
 
     def boundary_dofs(self):
-        mesh = self.mesh
-        idx = set()
-        for v0, v1, _ in mesh.boundary_edges:
-            idx.add(v0)
-            idx.add(v1)
-            idx.add(self.edge_index[(min(v0, v1), max(v0, v1))])
-        return np.array(sorted(idx), dtype=int)
+        nv = self.mesh.num_vertices
+        ends = np.array([(v0, v1) for v0, v1, _ in self.mesh.boundary_edges])
+        mids = nv + np.searchsorted(_edge_keys(self.edges, nv),
+                                    _edge_keys(ends, nv))
+        return np.unique(np.concatenate([ends.ravel(), mids]))
 
 
 @dataclass

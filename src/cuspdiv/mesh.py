@@ -2,11 +2,14 @@
 
 The generator lays out vertical node columns with abscissas graded toward
 the cusp tip, places the top and bottom node of every column exactly on the
-boundary curves, and zipper-triangulates adjacent columns.  For alpha < 1 a
-shape-regular triangulation cannot reach the tip itself (the cusp opening
-angle vanishes), so the mesh stops at a tiny abscissa x_tip chosen so the
-omitted sliver area is below both h^2 and 0.1% of |Omega|; the resulting
-short vertical boundary edge is tagged 'tip'.
+boundary curves, and zipper-triangulates adjacent columns.  The nodes are
+written straight into one vertex array; for each strip the minimum-angle
+quality of both candidate triangles at every (left, right) node pair is one
+array operation, and the zipper walk reads its choices from that table.
+For alpha < 1 a shape-regular triangulation cannot reach the tip itself
+(the cusp opening angle vanishes), so the mesh stops at a tiny abscissa
+x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
+|Omega|; the resulting short vertical boundary edge is tagged 'tip'.
 """
 
 from __future__ import annotations
@@ -63,29 +66,37 @@ class TriangulatedMesh:
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
         p = self.vertices[self.triangles]
-        angles = []
-        for i in range(3):
-            a = p[:, (i + 1) % 3] - p[:, i]
-            b = p[:, (i + 2) % 3] - p[:, i]
-            cosang = np.einsum("ij,ij->i", a, b) / (
-                np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
-            )
-            angles.append(np.degrees(np.arccos(np.clip(cosang, -1.0, 1.0))))
-        return float(np.min(angles))
+        return float(np.degrees(_min_angles(p[:, 0], p[:, 1], p[:, 2]).min()))
 
-    def boundary_vertex_indices(self) -> np.ndarray:
-        idx = set()
-        for v0, v1, _ in self.boundary_edges:
-            idx.add(v0)
-            idx.add(v1)
-        return np.array(sorted(idx), dtype=int)
+    def edge_numbering(self):
+        """Unique undirected edges and the edge number of each triangle side.
+
+        Returns the (ne, 2) edges (lower index first, in lexicographic
+        order) and an (nt, 3) array numbering the (0,1), (1,2) and (2,0)
+        side of every triangle.
+        """
+        nv = self.num_vertices
+        keys, sides = np.unique(_edge_keys(_sides(self.triangles), nv),
+                                return_inverse=True)
+        return np.column_stack(np.divmod(keys, nv)), sides.reshape(-1, 3)
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (ne, 2) index array."""
-        t = self.triangles
-        e = np.concatenate([t[:, [0, 1]], t[:, [1, 2]], t[:, [2, 0]]])
-        e.sort(axis=1)
-        return np.unique(e, axis=0)
+        return self.edge_numbering()[0]
+
+
+def _sides(triangles):
+    """The (0,1), (1,2), (2,0) vertex pairs of every triangle, (nt, 3, 2)."""
+    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+
+
+def _edge_keys(pairs, nv):
+    """Integer key lo * nv + hi of each undirected vertex pair (..., 2).
+
+    Keys order edges lexicographically by (lo, hi).
+    """
+    p = np.sort(pairs, axis=-1)
+    return (p[..., 0] * nv + p[..., 1]).ravel()
 
 
 def _tip_abscissa(domain: CuspDomain, h: float) -> float:
@@ -180,22 +191,19 @@ def _build(domain, h, grading, aspect_cap, x_tip=None):
     xs, x_tip = _column_abscissas(domain, h, grading, aspect_cap, x_tip)
     m = _column_cell_counts(domain, xs)
 
-    columns = []
-    verts = []
+    # column k holds vertices start[k] .. start[k + 1] - 1, bottom to top
+    start = np.concatenate([[0], np.cumsum(m + 1)])
+    vertices = np.empty((start[-1], 2))
     for k, x in enumerate(xs):
-        hgt = x**domain.gamma
-        ys = hgt * np.linspace(-1.0, 1.0, m[k] + 1)
-        ids = []
-        for y in ys:
-            ids.append(len(verts))
-            verts.append((x, y))
-        columns.append(ids)
+        col = vertices[start[k]:start[k + 1]]
+        col[:, 0] = x
+        col[:, 1] = x**domain.gamma * np.linspace(-1.0, 1.0, m[k] + 1)
+    columns = [list(range(a, b)) for a, b in zip(start[:-1], start[1:])]
 
     tris = []
     for left, right in zip(columns[:-1], columns[1:]):
-        tris.extend(_zip_columns(left, right, verts))
+        tris.extend(_zip_columns(left, right, vertices))
 
-    vertices = np.array(verts, dtype=float)
     triangles = np.array(tris, dtype=int)
     # enforce CCW orientation
     p = vertices[triangles]
@@ -220,39 +228,44 @@ def _build(domain, h, grading, aspect_cap, x_tip=None):
                             h=h, grading=grading, x_tip=x_tip)
 
 
-def _tri_quality(pa, pb, pc):
-    """Smallest angle of a triangle (radians); 0 for degenerate input."""
-    best = np.inf
-    pts = (np.asarray(pa), np.asarray(pb), np.asarray(pc))
+def _min_angles(pa, pb, pc):
+    """Smallest angle (radians) of triangles (pa, pb, pc), broadcast over the
+    leading axes of the (..., 2) corner arrays; 0 for degenerate ones."""
+    pts = (pa, pb, pc)
+    best = None
+    degenerate = False
     for k in range(3):
         u = pts[(k + 1) % 3] - pts[k]
         v = pts[(k + 2) % 3] - pts[k]
-        nu, nv = np.hypot(*u), np.hypot(*v)
-        if nu == 0.0 or nv == 0.0:
-            return 0.0
-        best = min(best, np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1, 1)))
-    return best
+        nu = np.hypot(u[..., 0], u[..., 1])
+        nv = np.hypot(v[..., 0], v[..., 1])
+        degenerate = degenerate | (nu == 0.0) | (nv == 0.0)
+        dot = np.vecdot(u, v)     # the kernel of np.dot, so same rounding
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ang = np.arccos(np.clip(dot / (nu * nv), -1, 1))
+        best = ang if best is None else np.minimum(best, ang)
+    return np.where(degenerate, 0.0, best)
 
 
-def _zip_columns(left, right, verts):
+def _zip_columns(left, right, vertices):
     """Triangulate the strip between two node columns (bottom to top).
 
     At each step both admissible triangles are compared and the one with the
     larger minimum angle is taken, which picks diagonals aligned against the
-    local shear of the boundary-following rows.
+    local shear of the boundary-following rows.  Both qualities are computed
+    up front for every pair (i, j) of left and right nodes, as an (nl, nr)
+    table, so the walk itself only reads booleans.
     """
+    nl, nr = len(left) - 1, len(right) - 1
+    pl, pr = vertices[left], vertices[right]
+    pa, pb = pl[:-1, None], pr[None, :-1]
+    qi = _min_angles(pa, pb, pl[1:, None])
+    qj = _min_angles(pa, pb, pr[None, 1:])
+    adv = (qi >= qj).tolist()
     tris = []
     i, j = 0, 0
-    nl, nr = len(left) - 1, len(right) - 1
     while i < nl or j < nr:
-        can_i, can_j = i < nl, j < nr
-        if can_i and can_j:
-            qi = _tri_quality(verts[left[i]], verts[right[j]], verts[left[i + 1]])
-            qj = _tri_quality(verts[left[i]], verts[right[j]], verts[right[j + 1]])
-            adv_left = qi >= qj
-        else:
-            adv_left = can_i
-        if adv_left:
+        if i < nl and (j == nr or adv[i][j]):
             tris.append((left[i], right[j], left[i + 1]))
             i += 1
         else:
@@ -262,47 +275,47 @@ def _zip_columns(left, right, verts):
 
 
 def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
-    """Uniform 1-to-4 refinement with boundary midpoints snapped to the arcs."""
+    """Uniform 1-to-4 refinement with boundary midpoints snapped to the arcs.
+
+    Midpoints are numbered in order of first appearance when the triangles'
+    (0,1), (1,2), (2,0) sides are visited triangle by triangle.
+    """
     domain = CuspDomain(mesh.alpha)
-    verts = list(map(tuple, mesh.vertices))
-    edge_mid = {}
-    bkind = {}
-    for v0, v1, kind in mesh.boundary_edges:
-        bkind[(min(v0, v1), max(v0, v1))] = kind
+    nv = mesh.num_vertices
+    keys, first, sides = np.unique(_edge_keys(_sides(mesh.triangles), nv),
+                                   return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    mids = nv + rank[sides].reshape(-1, 3)
+    a, b = np.divmod(keys[order], nv)
+    verts = np.concatenate(
+        [mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
 
-    def midpoint(a, b):
-        key = (min(a, b), max(a, b))
-        if key in edge_mid:
-            return edge_mid[key]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        mx, my = 0.5 * (pa[0] + pb[0]), 0.5 * (pa[1] + pb[1])
-        kind = bkind.get(key)
-        if kind == "upper-curve":
-            my = mx**domain.gamma
-        elif kind == "lower-curve":
-            my = -(mx**domain.gamma)
-        elif kind == "right-edge":
-            mx = 1.0
-        elif kind == "tip":
-            mx = mesh.x_tip
-        idx = len(verts)
-        verts.append((mx, my))
-        edge_mid[key] = idx
-        return idx
-
-    tris = []
-    for a, b, c in mesh.triangles:
-        ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-        tris.extend([(a, ab, ca), (ab, b, bc), (ca, bc, c), (ab, bc, ca)])
-
+    ends = np.array([(v0, v1) for v0, v1, _ in mesh.boundary_edges])
+    bmids = (nv + rank[np.searchsorted(keys, _edge_keys(ends, nv))]).tolist()
     boundary = []
-    for v0, v1, kind in mesh.boundary_edges:
-        mid = edge_mid[(min(v0, v1), max(v0, v1))]
+    # scalar powers: numpy's array power may round differently by an ulp
+    for (v0, v1, kind), mid in zip(mesh.boundary_edges, bmids):
+        mx = verts[mid, 0]
+        if kind == "upper-curve":
+            verts[mid, 1] = mx**domain.gamma
+        elif kind == "lower-curve":
+            verts[mid, 1] = -(mx**domain.gamma)
+        elif kind == "right-edge":
+            verts[mid, 0] = 1.0
+        elif kind == "tip":
+            verts[mid, 0] = mesh.x_tip
         boundary.append((v0, mid, kind))
         boundary.append((mid, v1, kind))
 
+    t = mesh.triangles
+    ab, bc, ca = mids.T
+    tris = np.stack([t[:, 0], ab, ca, ab, t[:, 1], bc, ca, bc, t[:, 2],
+                     ab, bc, ca], axis=1).reshape(-1, 3)
+
     return TriangulatedMesh(
-        np.array(verts, dtype=float), np.array(tris, dtype=int), boundary,
+        verts, tris, boundary,
         mesh.alpha, h=mesh.h / 2.0, grading=mesh.grading, x_tip=mesh.x_tip,
     )
 

@@ -8,6 +8,8 @@ import pytest
 
 import cuspdiv
 from cuspdiv import cli
+from cuspdiv.geometry import CuspDomain
+from cuspdiv.mesh import generate_graded_mesh, save_mesh
 
 
 def run_cli(args):
@@ -95,6 +97,23 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     code = run_cli(["stokes", "--alpha", "0.4", "--outdir", str(tmp_path)])
     assert code == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_mesh_file_must_match_alpha(tmp_path, capsys):
+    path = tmp_path / "mesh05.txt"
+    save_mesh(generate_graded_mesh(CuspDomain(0.5), 0.3), path)
+    code = run_cli(["stokes", "--alpha", "0.75", "--mesh", str(path),
+                    "--outdir", str(tmp_path)])
+    assert code == 1
+    assert "alpha" in capsys.readouterr().err
+    assert not (tmp_path / "stokes_summary.json").exists()
+    # a file for the requested alpha is used as it is
+    m075 = generate_graded_mesh(CuspDomain(0.75), 0.3)
+    save_mesh(m075, path)
+    assert run_cli(["stokes", "--alpha", "0.75", "--mesh", str(path),
+                    "--outdir", str(tmp_path)]) == 0
+    summary = json.loads(read(tmp_path / "stokes_summary.json"))
+    assert summary["vertices"] == m075.num_vertices
 
 
 def test_mset_check_summary(tmp_path):

@@ -35,12 +35,29 @@ def test_p2_space_dof_bookkeeping(mesh075):
     sp = P2Space(mesh075)
     assert sp.n_dofs == mesh075.num_vertices + len(mesh075.edges())
     coords = sp.dof_coords()
-    for (a, b), k in sp.edge_index.items():
+    for k, (a, b) in enumerate(sp.edges):
         mid = 0.5 * (mesh075.vertices[a] + mesh075.vertices[b])
-        assert np.allclose(coords[k], mid)
+        assert np.allclose(coords[mesh075.num_vertices + k], mid)
     bd = sp.boundary_dofs()
     assert len(bd) == len(set(bd))
     assert np.all(bd < sp.n_dofs)
+
+
+def test_p2_dof_map_indexes_edges(mesh075):
+    sp = P2Space(mesh075)
+    nv = mesh075.num_vertices
+    t = mesh075.triangles
+    assert np.array_equal(sp.tri_dofs[:, :3], t)
+    assert np.all(sp.tri_dofs[:, 3:] >= nv)
+    for col, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
+        e = sp.edges[sp.tri_dofs[:, 3 + col] - nv]
+        assert np.array_equal(e, np.sort(t[:, [a, b]], axis=1))
+    # boundary dofs: the boundary vertices and the dofs of boundary edges
+    edge_dof = {tuple(e): nv + k for k, e in enumerate(sp.edges.tolist())}
+    ref = set()
+    for v0, v1, _ in mesh075.boundary_edges:
+        ref |= {v0, v1, edge_dof[min(v0, v1), max(v0, v1)]}
+    assert sp.boundary_dofs().tolist() == sorted(ref)
 
 
 def test_assemble_rejects_small_alpha(mesh075):

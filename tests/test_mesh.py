@@ -1,11 +1,16 @@
+import hashlib
 import io
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspdiv import geometry, mesh as meshmod
 from cuspdiv.geometry import CuspDomain
-from cuspdiv.mesh import generate_graded_mesh, load_mesh, refine, save_mesh
+from cuspdiv.mesh import (MeshQualityError, generate_graded_mesh, load_mesh,
+                          refine, save_mesh)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +115,86 @@ def test_edges_unique_and_sorted(mesh05):
     assert len(np.unique(e, axis=0)) == len(e)
     # Euler: V - E + T = 1 for a disk-like surface
     assert mesh05.num_vertices - len(e) + mesh05.num_triangles == 1
+
+
+# sha256 of the save_mesh text, recorded from the loop implementation of the
+# generator (scalar zipper quality per step, midpoint dict in refine)
+GOLDEN = {
+    (0.5, 0.1, None):
+        "311bb38e22eec4ac842ba43504c4f8df6d0a5a2d32c02da19033cc2a21e2766e",
+    (0.75, 0.05, None):
+        "cf67030f56c2357f745461d34a1192c7b5d05758748b0bd0abf0c6434cedef39",
+    (1.0, 0.05, None):
+        "41627df5d4a86d6c6d01d9c9f8cce0e936d27c7d1d3904758913a3e7db59d13a",
+    (0.5, 0.2, 0.00625):
+        "a20e92813a7534b9d51e4fd4b98dc4a6b7226260ec211ff985159428fbdf9514",
+}
+GOLDEN_REFINED = \
+    "5102211b77b451dcf24c367574dd602c9e6788e913b0a9c9f5ac5bdb8e4b3f61"
+
+
+def mesh_sha256(m):
+    buf = io.StringIO()
+    save_mesh(m, buf)
+    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+
+
+@pytest.mark.parametrize("alpha,h,x_tip", list(GOLDEN))
+def test_golden_mesh_bytes(alpha, h, x_tip):
+    m = generate_graded_mesh(CuspDomain(alpha), h, x_tip=x_tip)
+    assert mesh_sha256(m) == GOLDEN[alpha, h, x_tip]
+    if (alpha, h, x_tip) == (0.5, 0.1, None):
+        assert mesh_sha256(refine(m)) == GOLDEN_REFINED
+
+
+def _scalar_quality(pa, pb, pc):
+    best = np.inf
+    pts = (np.asarray(pa), np.asarray(pb), np.asarray(pc))
+    for k in range(3):
+        u = pts[(k + 1) % 3] - pts[k]
+        v = pts[(k + 2) % 3] - pts[k]
+        nu, nv = np.hypot(*u), np.hypot(*v)
+        if nu == 0.0 or nv == 0.0:
+            return 0.0
+        best = min(best, np.arccos(np.clip(np.dot(u, v) / (nu * nv), -1, 1)))
+    return best
+
+
+def test_min_angles_matches_scalar_formula():
+    rng = np.random.default_rng(3)
+    p = rng.standard_normal((200, 3, 2))
+    p[:5, 2] = p[:5, 1]               # degenerate: two equal corners
+    q = meshmod._min_angles(p[:, 0], p[:, 1], p[:, 2])
+    ref = [_scalar_quality(*t) for t in p]
+    assert np.array_equal(q[:5], np.zeros(5))
+    assert np.array_equal(q, ref)
+
+
+def assert_conforming(m):
+    sides = Counter()
+    for tri in m.triangles.tolist():
+        for k in range(3):
+            a, b = tri[k], tri[(k + 1) % 3]
+            sides[min(a, b), max(a, b)] += 1
+    assert set(sides.values()) <= {1, 2}
+    once = {e for e, n in sides.items() if n == 1}
+    bnd = [(min(a, b), max(a, b)) for a, b, _ in m.boundary_edges]
+    assert len(bnd) == len(set(bnd))
+    assert once == set(bnd)
+    p = m.vertices[m.triangles]
+    signed = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    assert np.all(signed > 0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.5, 1.0), h=st.floats(0.08, 0.3))
+def test_meshes_are_conforming(alpha, h):
+    dom = CuspDomain(alpha)
+    try:
+        m = generate_graded_mesh(dom, h)
+    except MeshQualityError:
+        # conformity does not depend on the angle target
+        m = generate_graded_mesh(dom, h, min_angle_deg=0.0)
+    assert_conforming(m)
+    assert_conforming(refine(m))
