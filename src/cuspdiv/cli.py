@@ -93,7 +93,8 @@ def _cmd_whitney(cfg, outdir, manifest_name):
                             whitney.default_box(), kmax)
     name = f"whitney_alpha{alpha:g}_k{kmax}.txt"
     whitney.save_decomposition(dec, str(Path(outdir) / name))
-    gens = {str(k): len(v) for k, v in sorted(dec.by_generation().items())}
+    ks, counts = np.unique(dec.cubes[:, 0], return_counts=True)
+    gens = {str(k): n for k, n in zip(ks.tolist(), counts.tolist())}
     summary = {"alpha": alpha, "kmax": kmax, "cubes": len(dec.cubes),
                "per_generation": gens, "decomposition_file": name}
     return summary, [name]

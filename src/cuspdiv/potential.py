@@ -108,7 +108,7 @@ def _grad_cell_exact(u0, u1, v0, v1):
         return F(a1, b1) - F(a1, b0) - F(a0, b1) + F(a0, b0)
 
     gu = box(A, u0, u1, v0, v1)
-    gv = box(lambda v, u: A(u, v), v0, v1, u0, u1)
+    gv = box(A, v0, v1, u0, u1)
     return gu, gv
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "ys_quadrature_grid",
     "ball_grid",
     "ApEstimate",
-    "ap_ratio",
     "build_ball_plan",
     "default_sampling",
     "estimate_ap_constant",
@@ -54,15 +53,13 @@ class WeightSpec:
         if self.mode not in ("exact", "surrogate"):
             raise ValueError(f"unknown weight mode {self.mode!r}")
 
-    def distance_values(self, domain, pts, distance_fn=None):
-        if distance_fn is not None:
-            return np.asarray(distance_fn(pts), dtype=float)
+    def distance_values(self, domain, pts):
         if self.mode == "surrogate":
             return np.atleast_1d(geometry.surrogate_distance(domain, pts))
         return np.atleast_1d(geometry.distance(domain, pts))
 
-    def evaluate(self, domain, pts, distance_fn=None):
-        d = self.distance_values(domain, pts, distance_fn)
+    def evaluate(self, domain, pts):
+        d = self.distance_values(domain, pts)
         if self.mu == 0.0:
             return np.ones_like(d)
         return d**self.mu
@@ -364,23 +361,6 @@ def ball_grid(distance_fn, center, r, delta_min, *,
 _SQ2 = float(np.sqrt(2.0))
 
 
-def ap_ratio(center, r, weight: WeightSpec, p, grid, *, domain=None,
-             distance_fn=None) -> float:
-    """(avg_B w) * (avg_B w^{-1/(p-1)})**(p-1) with quadrature averages.
-
-    The averages share one node set, so the ratio is exactly 1 for mu = 0
-    and at least 1 in general (discrete Jensen inequality).
-    """
-    if len(grid.weights) == 0:
-        raise ValueError("ball does not intersect the quadrature support")
-    d = weight.distance_values(domain, grid.nodes, distance_fn)
-    d = np.maximum(d, 1e-300)
-    total = grid.total_weight()
-    avg_w = grid.integrate(d**weight.mu) / total
-    avg_wm = grid.integrate(d ** (-weight.mu / (p - 1.0))) / total
-    return float(avg_w * avg_wm ** (p - 1.0))
-
-
 @dataclass
 class ApEstimate:
     value: float                 # supremum of the per-ball ratios
@@ -413,7 +393,7 @@ def default_sampling(alpha):
     }
 
 
-def build_ball_plan(domain, sampling=None, distance_fn=None):
+def build_ball_plan(domain, sampling=None):
     """Precompute quadrature weights and node distances for every plan ball.
 
     The grids depend only on geometry and resolution, so one plan serves any
@@ -423,8 +403,7 @@ def build_ball_plan(domain, sampling=None, distance_fn=None):
     """
     if sampling is None:
         sampling = default_sampling(domain.alpha)
-    if distance_fn is None:
-        distance_fn = lambda pts: geometry.distance(domain, pts)
+    distance_fn = lambda pts: geometry.distance(domain, pts)
     delta_min = 1.0 / float(sampling["resolution"])
     radii = np.asarray(sampling["radii"], dtype=float)
     centers = np.vstack([sampling["boundary_centers"],
@@ -442,17 +421,19 @@ def build_ball_plan(domain, sampling=None, distance_fn=None):
 
 
 def estimate_ap_constant(domain, weight: WeightSpec, p,
-                         sampling=None, distance_fn=None,
-                         plan=None) -> ApEstimate:
+                         sampling=None, plan=None) -> ApEstimate:
     """Sampled A_p constant of d^mu over boundary- and interior-centered balls.
 
     The supremum over a finite plan is a lower bound for the true A_p
     constant; the trend (growth of the per-radius supremum per radius
     decade) is the diagnostic separating admissible exponents (flat) from
     inadmissible ones (divergent with scale/resolution).
+
+    Both averages of a ball share one node set, so each ratio is exactly 1
+    for mu = 0 and at least 1 in general (discrete Jensen inequality).
     """
     if plan is None:
-        plan = build_ball_plan(domain, sampling, distance_fn)
+        plan = build_ball_plan(domain, sampling)
     delta_min = 1.0 / float(plan["sampling"]["resolution"])
     records = []
     for ball in plan["balls"]:

@@ -1,11 +1,14 @@
 """Whitney decomposition of a box minus a closed set F, plus m-set checks.
 
 Cubes are dyadic squares relative to a square bounding box: generation k
-splits the box into 4**k squares of side L * 2**-k.  A cube Q with diameter
-l is accepted when l <= d(Q, F) <= 4*l.  During the recursion the cube-to-set
-distance is bracketed by d(center) -+ l/2 (valid for any 1-Lipschitz distance
-function), so acceptance is decided conservatively and the returned cubes
-satisfy the band exactly.
+splits the box into 4**k squares of side L * 2**-k, and the cube (k, i, j)
+has its lower-left corner at (x0 + i * L * 2**-k, y0 + j * L * 2**-k).  A
+cube Q with diameter l is accepted when l <= d(Q, F) <= 4*l.  During the
+recursion the cube-to-set distance is bracketed by d(center) -+ l/2 (valid
+for any 1-Lipschitz distance function), so acceptance is decided
+conservatively and the returned cubes satisfy the band exactly.  The
+accepted cubes are one (n, 3) integer array of (k, i, j) rows in
+lexicographic order, so each generation is a contiguous slice.
 """
 
 from __future__ import annotations
@@ -17,11 +20,12 @@ import numpy as np
 
 __all__ = [
     "Box",
-    "DyadicCube",
     "WhitneyDecomposition",
     "decompose",
     "count_generation",
+    "generation_count_slope",
     "verify_mset",
+    "save_decomposition",
     "default_box",
 ]
 
@@ -43,78 +47,75 @@ def default_box() -> Box:
     return Box(-0.75, -1.25, 2.5)
 
 
-@dataclass(frozen=True)
-class DyadicCube:
-    k: int
-    i: int
-    j: int
-
-    def geometry(self, box: Box):
-        s = box.side * 2.0 ** (-self.k)
-        x0 = box.x0 + self.i * s
-        y0 = box.y0 + self.j * s
-        return x0, y0, s
-
-    def center(self, box: Box):
-        x0, y0, s = self.geometry(box)
-        return np.array([x0 + s / 2.0, y0 + s / 2.0])
-
-    def side(self, box: Box) -> float:
-        return box.side * 2.0 ** (-self.k)
-
-    def diameter(self, box: Box) -> float:
-        return self.side(box) * _SQRT2
-
-
 @dataclass
 class WhitneyDecomposition:
+    """Accepted cubes as an (n, 3) int64 array of (k, i, j) rows, sorted."""
+
     box: Box
     kmax: int
-    cubes: list                      # DyadicCube, sorted by (k, i, j)
+    cubes: np.ndarray
     distance_fn: object = field(repr=False, default=None)
 
-    def by_generation(self) -> dict:
-        gens: dict[int, list] = {}
-        for c in self.cubes:
-            gens.setdefault(c.k, []).append(c)
-        return gens
+    def geometry(self, cubes=None):
+        """Lower-left corners x0, y0 and sides s of (k, i, j) rows."""
+        cubes = self.cubes if cubes is None else np.atleast_2d(cubes)
+        s = np.ldexp(self.box.side, -cubes[:, 0])
+        return self.box.x0 + cubes[:, 1] * s, self.box.y0 + cubes[:, 2] * s, s
 
-    def _index(self):
-        if not hasattr(self, "_idx"):
-            self._idx = {(c.k, c.i, c.j): c for c in self.cubes}
-        return self._idx
+    def generation(self, k: int) -> np.ndarray:
+        """The generation-k rows (a contiguous slice of cubes)."""
+        lo, hi = np.searchsorted(self.cubes[:, 0], [k, k + 1])
+        return self.cubes[lo:hi]
 
-    def covers(self, p) -> bool:
-        """True if p lies in some accepted cube (closed cubes)."""
-        x, y = float(p[0]), float(p[1])
-        idx = self._index()
+    def covers(self, p):
+        """True where p lies in some accepted cube (closed cubes).
+
+        p is one point (returns a bool) or an (n, 2) array (returns an (n,)
+        bool array).  A point can only lie in the up to four generation-k
+        cubes around its floor cell, which are looked up by key i*2**k + j.
+        """
+        p = np.asarray(p, dtype=float)
+        pts = np.atleast_2d(p)
+        x, y = pts[:, 0], pts[:, 1]
+        hit = np.zeros(len(pts), dtype=bool)
         for k in range(self.kmax + 1):
+            gen = self.generation(k)
+            if len(gen) == 0:
+                continue
+            n = 2**k
+            keys = gen[:, 1] * n + gen[:, 2]
             s = self.box.side * 2.0 ** (-k)
-            i = int(np.floor((x - self.box.x0) / s))
-            j = int(np.floor((y - self.box.y0) / s))
+            i = np.floor((x - self.box.x0) / s).astype(np.int64)
+            j = np.floor((y - self.box.y0) / s).astype(np.int64)
             for di in (0, -1):
                 for dj in (0, -1):
-                    c = idx.get((k, i + di, j + dj))
-                    if c is None:
-                        continue
-                    x0, y0, side = c.geometry(self.box)
-                    if x0 <= x <= x0 + side and y0 <= y <= y0 + side:
-                        return True
-        return False
+                    key = (i + di) * n + (j + dj)
+                    pos = np.minimum(np.searchsorted(keys, key), len(keys) - 1)
+                    # gen[pos] is that cube when it was accepted; any other
+                    # cube found (a missing or off-grid key) fails the
+                    # closed containment test or covers p anyway
+                    x0, y0, side = self.geometry(gen[pos])
+                    hit |= ((x0 <= x) & (x <= x0 + side)
+                            & (y0 <= y) & (y <= y0 + side))
+        return bool(hit[0]) if p.ndim == 1 else hit
 
-    def cube_set_distance(self, cube: DyadicCube, n: int = 5) -> float:
+    def cube_set_distance(self, cubes, n: int = 5):
         """A posteriori distance estimate: min of d over an n x n cube sample.
 
-        The sample min overestimates the true cube-set distance by at most
-        diam/8 for n=5 (half the sample-cell diagonal), which is the safety
-        margin used when checking the Whitney band.
+        cubes is one (k, i, j) row (returns a float) or an (m, 3) array
+        (returns an (m,) array).  The sample min overestimates the true
+        cube-set distance by at most diam/8 for n=5 (half the sample-cell
+        diagonal), which is the safety margin used when checking the
+        Whitney band.
         """
-        x0, y0, s = cube.geometry(self.box)
-        xs = np.linspace(x0, x0 + s, n)
-        ys = np.linspace(y0, y0 + s, n)
-        X, Y = np.meshgrid(xs, ys)
+        x0, y0, s = self.geometry(cubes)
+        xs = np.linspace(x0, x0 + s, n, axis=1)
+        ys = np.linspace(y0, y0 + s, n, axis=1)
+        X, Y = np.broadcast_arrays(xs[:, None, :], ys[:, :, None])
         pts = np.column_stack([X.ravel(), Y.ravel()])
-        return float(np.min(self.distance_fn(pts)))
+        d = np.asarray(self.distance_fn(pts), dtype=float)
+        d = d.reshape(len(s), n * n).min(axis=1)
+        return float(d[0]) if np.ndim(cubes) == 1 else d
 
 
 def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
@@ -127,7 +128,7 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
 
-    accepted: list[DyadicCube] = []
+    accepted = []
     active = np.array([[0, 0]], dtype=np.int64)
     for k in range(kmax + 1):
         if len(active) == 0:
@@ -144,22 +145,19 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
         # cubes certified farther than 4l can never yield accepted children
         # (children need d <= 1.75*l but inherit d >= d_parent - l/4)
         hopeless = d - 0.5 * ell > 4.0 * ell
-        for i, j in active[accept]:
-            accepted.append(DyadicCube(k, int(i), int(j)))
+        rows = active[accept]
+        accepted.append(np.column_stack([np.full(len(rows), k), rows]))
         if k == kmax:
             break
-        todo = active[~accept & ~hopeless]
-        if len(todo) == 0:
-            active = np.empty((0, 2), dtype=np.int64)
-            continue
-        base = todo * 2
+        base = active[~accept & ~hopeless] * 2
         active = np.concatenate(
             [base + off for off in np.array([[0, 0], [1, 0], [0, 1], [1, 1]])]
         )
-    if not accepted:
+    cubes = np.concatenate(accepted)
+    if len(cubes) == 0:
         raise RuntimeError("kmax too small: no cube was accepted")
-    accepted.sort(key=lambda c: (c.k, c.i, c.j))
-    return WhitneyDecomposition(box, kmax, accepted, distance_fn)
+    cubes = cubes[np.lexsort(cubes.T[::-1])]
+    return WhitneyDecomposition(box, kmax, cubes, distance_fn)
 
 
 def count_generation(dec: WhitneyDecomposition, center, R: float, k: int) -> int:
@@ -169,17 +167,11 @@ def count_generation(dec: WhitneyDecomposition, center, R: float, k: int) -> int
     if R <= 0.0:
         raise ValueError("R must be positive")
     cx, cy = float(center[0]), float(center[1])
-    n = 0
-    for c in dec.cubes:
-        if c.k != k:
-            continue
-        x0, y0, s = c.geometry(dec.box)
-        # farthest corner from the ball center
-        fx = max(abs(cx - x0), abs(cx - (x0 + s)))
-        fy = max(abs(cy - y0), abs(cy - (y0 + s)))
-        if np.hypot(fx, fy) <= R:
-            n += 1
-    return n
+    x0, y0, s = dec.geometry(dec.generation(k))
+    # farthest corner from the ball center
+    fx = np.maximum(np.abs(cx - x0), np.abs(cx - (x0 + s)))
+    fy = np.maximum(np.abs(cy - y0), np.abs(cy - (y0 + s)))
+    return int(np.count_nonzero(np.hypot(fx, fy) <= R))
 
 
 def generation_count_slope(dec, center, R, k_lo, k_hi):
@@ -235,12 +227,11 @@ def verify_mset(boundary_measure_fn, centers, radii):
 
 
 def save_decomposition(dec: WhitneyDecomposition, path_or_buf) -> None:
-    """Text export: one `k i j` line per cube, sorted lexicographically."""
+    """Text export: one `k i j` line per cube, in the sorted order of cubes."""
     buf = io.StringIO()
     buf.write(f"# cuspdiv whitney box=({dec.box.x0!r},{dec.box.y0!r},"
               f"{dec.box.side!r}) kmax={dec.kmax}\n")
-    for c in sorted(dec.cubes, key=lambda c: (c.k, c.i, c.j)):
-        buf.write(f"{c.k} {c.i} {c.j}\n")
+    buf.writelines(f"{k} {i} {j}\n" for k, i, j in dec.cubes.tolist())
     text = buf.getvalue()
     if hasattr(path_or_buf, "write"):
         path_or_buf.write(text)

@@ -66,17 +66,16 @@ def test_whitney_decomposition_suite():
         dec = whitney.decompose(dfn, box, kmax=9)
         # size band l <= d(Q, F) <= 4l on every accepted cube (the sampled
         # cube distance overestimates by at most diam/8)
-        for c in dec.cubes:
-            ell = c.diameter(box)
-            d = dec.cube_set_distance(c)
-            assert d >= ell - 1e-12
-            assert d - ell / 8.0 <= 4.0 * ell + 1e-12
+        ell = dec.geometry()[2] * np.sqrt(2.0)
+        d = dec.cube_set_distance(dec.cubes)
+        assert np.all(d >= ell - 1e-12)
+        assert np.all(d - ell / 8.0 <= 4.0 * ell + 1e-12)
         # exact disjointness: no accepted cube has an accepted ancestor
-        seen = {(c.k, c.i, c.j) for c in dec.cubes}
-        assert len(seen) == len(dec.cubes)
-        for c in dec.cubes:
-            i, j = c.i, c.j
-            for k in range(c.k - 1, -1, -1):
+        rows = dec.cubes.tolist()
+        seen = set(map(tuple, rows))
+        assert len(seen) == len(rows)
+        for kc, i, j in rows:
+            for k in range(kc - 1, -1, -1):
                 i >>= 1
                 j >>= 1
                 assert (k, i, j) not in seen
@@ -86,7 +85,7 @@ def test_whitney_decomposition_suite():
                           size=(4000, 2))
         d = geometry.distance(dom, pts)
         eligible = d > 6.0 * box.side * 2.0 ** (-dec.kmax)
-        covered = np.array([dec.covers(p) for p in pts[eligible]])
+        covered = dec.covers(pts[eligible])
         assert covered.mean() >= 0.999
         # generation-count slope of the boundary (a 1-set) near 1
         deep = whitney.decompose(dfn, box, kmax=12)

@@ -53,6 +53,30 @@ def test_disk_field_matches_analytic_solution():
     assert np.max(err) < 2e-4
 
 
+def test_single_cell_near_field_is_symmetric():
+    # one unit cell of side 0.1 centred at (0.05, 0.05); probes on its axes
+    # just inside the near-field radius (2.5 cells): the field along an axis
+    # of symmetry has no transverse component, and the two probes are
+    # mirror images of each other
+    sol = newtonian_solve(SourceField(0.0, 0.0, 0.1, np.ones((1, 1))))
+    v = sol.velocity(np.array([[0.29, 0.05], [0.05, 0.29]]))
+    assert v[0, 0] > 0.0
+    assert abs(v[0, 1]) <= 1e-15
+    assert abs(v[1, 0]) <= 1e-15
+    assert v[1, 1] == pytest.approx(v[0, 0], rel=1e-12)
+
+
+def test_disk_field_with_one_sided_near_field():
+    # at (0.45, -0.1) the rim of the disk (centre (0.5, 0), R = 0.2) passes
+    # through the near field on one side only, so a wrong near-field v_2
+    # does not cancel out
+    f, v_exact = disk_indicator_field((0.5, 0.0), 0.2)
+    sol = newtonian_solve(SourceField.from_function(f, 128))
+    pt = np.array([[0.45, -0.1]])
+    err = np.max(np.abs(sol.velocity(pt) - v_exact(pt)))
+    assert err / 0.1 < 1e-3       # max |v| = R/2
+
+
 def test_divergence_residual_smooth_source():
     def f(p):
         return np.exp(-10.0 * ((p[:, 0] - 0.5) ** 2 + p[:, 1] ** 2))

@@ -7,7 +7,6 @@ from cuspdiv import geometry, weights
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.weights import (
     WeightSpec,
-    ap_ratio,
     ball_grid,
     estimate_ap_constant,
     fs_family,
@@ -157,14 +156,21 @@ def test_ball_grid_montecarlo_weighted_average():
 
 def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():
     dom = CuspDomain(0.5)
-    dfn = lambda pts: geometry.distance(dom, pts)
-    g = ball_grid(dfn, (0.3, 0.3**2), 0.05, 1.0 / 512.0)
-    assert ap_ratio((0.3, 0.09), 0.05, WeightSpec(0.0), 2.0, g,
-                    domain=dom) == pytest.approx(1.0, abs=1e-12)
+    sampling = {
+        "boundary_centers": np.array([[0.3, 0.3**2], [0.0, 0.0]]),
+        "interior_centers": np.array([[0.5, 0.1]]),
+        "radii": np.array([0.1, 0.05]),
+        "resolution": 512,
+    }
+    plan = weights.build_ball_plan(dom, sampling)
+    flat = estimate_ap_constant(dom, WeightSpec(0.0), 2.0, plan=plan)
+    assert len(flat.per_ball) == 3 * 2
+    for rec in flat.per_ball:
+        assert rec["ratio"] == pytest.approx(1.0, abs=1e-12)
     for mu in (-0.5, 0.5, 1.25):
-        ratio = ap_ratio((0.3, 0.09), 0.05, WeightSpec(mu), 2.0, g,
-                         domain=dom)
-        assert ratio >= 1.0 - 1e-12
+        est = estimate_ap_constant(dom, WeightSpec(mu), 2.0, plan=plan)
+        for rec in est.per_ball:
+            assert rec["ratio"] >= 1.0 - 1e-12
 
 
 def test_estimate_ap_constant_small_plan():

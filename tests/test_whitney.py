@@ -1,12 +1,15 @@
+import hashlib
 import io
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cuspdiv import geometry, whitney
 from cuspdiv.geometry import CuspDomain
-from cuspdiv.whitney import Box, DyadicCube, decompose, default_box
+from cuspdiv.whitney import Box, decompose, default_box
 
 SQRT2 = math.sqrt(2.0)
 
@@ -46,20 +49,34 @@ def recursive_reference(distance_fn, box, kmax):
     return sorted(out)
 
 
-def rect_point_distance(cube, box, px, py):
-    """Exact distance from a point to a closed axis-aligned square."""
-    x0, y0, s = cube.geometry(box)
-    dx = max(x0 - px, 0.0, px - (x0 + s))
-    dy = max(y0 - py, 0.0, py - (y0 + s))
-    return math.hypot(dx, dy)
+def rect_point_distance(dec, px, py):
+    """Exact distance from a point to each closed square of dec.cubes."""
+    x0, y0, s = dec.geometry()
+    dx = np.maximum(np.maximum(x0 - px, 0.0), px - (x0 + s))
+    dy = np.maximum(np.maximum(y0 - py, 0.0), py - (y0 + s))
+    return np.hypot(dx, dy)
+
+
+def assert_matches_reference(dec, ref):
+    assert dec.cubes.dtype == np.int64
+    assert dec.cubes.shape == (len(ref), 3)
+    assert np.array_equal(dec.cubes, np.array(ref, dtype=np.int64))
 
 
 def test_matches_recursive_reference_for_point_set():
     box = Box(-1.0, -1.0, 2.0)
     dfn = point_distance_fn()
     dec = decompose(dfn, box, kmax=7)
-    got = [(c.k, c.i, c.j) for c in dec.cubes]
-    assert got == recursive_reference(dfn, box, 7)
+    assert_matches_reference(dec, recursive_reference(dfn, box, 7))
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+def test_matches_recursive_reference_for_cusp(alpha):
+    box = default_box()
+    dom = CuspDomain(alpha)
+    dfn = lambda p: geometry.distance(dom, p)
+    dec = decompose(dfn, box, kmax=7)
+    assert_matches_reference(dec, recursive_reference(dfn, box, 7))
 
 
 def test_band_is_exact_for_point_set():
@@ -67,21 +84,21 @@ def test_band_is_exact_for_point_set():
     # Whitney band l <= d(Q, F) <= 4l can be checked exactly
     box = Box(-1.0, -1.0, 2.0)
     dec = decompose(point_distance_fn(), box, kmax=8)
-    for c in dec.cubes:
-        ell = c.diameter(box)
-        d = rect_point_distance(c, box, 0.0, 0.0)
-        assert ell <= d <= 4.0 * ell
+    ell = dec.geometry()[2] * SQRT2
+    d = rect_point_distance(dec, 0.0, 0.0)
+    assert np.all(ell <= d)
+    assert np.all(d <= 4.0 * ell)
 
 
 def test_cubes_pairwise_disjoint_by_ancestry():
     box = default_box()
     dom = CuspDomain(0.5)
     dec = decompose(lambda p: geometry.distance(dom, p), box, kmax=8)
-    seen = {(c.k, c.i, c.j) for c in dec.cubes}
-    assert len(seen) == len(dec.cubes)
-    for c in dec.cubes:
-        i, j = c.i, c.j
-        for k in range(c.k - 1, -1, -1):
+    rows = dec.cubes.tolist()
+    seen = set(map(tuple, rows))
+    assert len(seen) == len(rows)
+    for kc, i, j in rows:
+        for k in range(kc - 1, -1, -1):
             i >>= 1
             j >>= 1
             assert (k, i, j) not in seen  # no accepted ancestor overlaps
@@ -98,7 +115,8 @@ def test_coverage_of_points_away_from_the_set():
     # points whose distance exceeds the finest resolvable band are covered
     floor = 6.0 * box.side * 2.0 ** (-dec.kmax)
     eligible = d > floor
-    covered = np.array([dec.covers(p) for p in pts[eligible]])
+    covered = dec.covers(pts[eligible])
+    assert covered.shape == (np.count_nonzero(eligible),)
     assert covered.mean() >= 0.999
 
 
@@ -106,12 +124,14 @@ def test_band_via_sampled_cube_distance():
     box = default_box()
     dom = CuspDomain(0.75)
     dec = decompose(lambda p: geometry.distance(dom, p), box, kmax=8)
-    for c in dec.cubes[:: max(1, len(dec.cubes) // 200)]:
-        ell = c.diameter(box)
-        d = dec.cube_set_distance(c)
-        # sample min overestimates d(Q, F) by at most diam/8
-        assert d >= ell - 1e-12
-        assert d - ell / 8.0 <= 4.0 * ell + 1e-12
+    sample = dec.cubes[:: max(1, len(dec.cubes) // 200)]
+    ell = dec.geometry(sample)[2] * SQRT2
+    d = dec.cube_set_distance(sample)
+    # sample min overestimates d(Q, F) by at most diam/8
+    assert np.all(d >= ell - 1e-12)
+    assert np.all(d - ell / 8.0 <= 4.0 * ell + 1e-12)
+    # one row gives the same value as a float
+    assert dec.cube_set_distance(sample[3]) == d[3]
 
 
 def test_count_generation_and_slope_for_segment():
@@ -125,6 +145,30 @@ def test_count_generation_and_slope_for_segment():
     dec = decompose(dfn, box, kmax=10)
     slope = whitney.generation_count_slope(dec, (0.5, 0.0), 0.45, 7, 10)
     assert 0.9 <= slope <= 1.1
+
+
+def test_count_generation_matches_per_cube_loop():
+    # per-cube restatement of the farthest-corner test (reference)
+    def loop_count(dec, center, R, k):
+        n = 0
+        for kc, i, j in dec.cubes.tolist():
+            if kc != k:
+                continue
+            s = dec.box.side * 2.0 ** (-kc)
+            x0, y0 = dec.box.x0 + i * s, dec.box.y0 + j * s
+            fx = max(abs(center[0] - x0), abs(center[0] - (x0 + s)))
+            fy = max(abs(center[1] - y0), abs(center[1] - (y0 + s)))
+            n += math.hypot(fx, fy) <= R
+        return n
+
+    dom = CuspDomain(0.75)
+    dec = decompose(lambda p: geometry.distance(dom, p), default_box(), 9)
+    for center, R in (((0.5, 0.5**(1 / 0.75)), 0.4), ((0.3, 0.0), 0.2),
+                      ((0.0, 0.0), 1.0)):
+        for k in range(dec.kmax + 1):
+            got = whitney.count_generation(dec, center, R, k)
+            assert type(got) is int
+            assert got == loop_count(dec, center, R, k)
 
 
 def test_count_generation_validates_input():
@@ -154,13 +198,83 @@ def test_save_decomposition_sorted_text():
     assert lines[0].startswith("#")
     rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
     assert rows == sorted(rows)
-    assert len(rows) == len(dec.cubes)
+    assert rows == list(map(tuple, dec.cubes.tolist()))
 
 
 def test_covers_uses_closed_cubes():
     box = Box(-1.0, -1.0, 2.0)
     dec = decompose(point_distance_fn(), box, kmax=6)
-    c = dec.cubes[0]
-    x0, y0, s = c.geometry(box)
-    assert dec.covers((x0, y0))           # corner belongs to the closed cube
-    assert dec.covers((x0 + s, y0 + s))
+    x0, y0, s = (float(v[0]) for v in dec.geometry(dec.cubes[0]))
+    assert dec.covers((x0, y0)) is True   # corner belongs to the closed cube
+    assert dec.covers((x0 + s, y0 + s)) is True
+    assert dec.covers((0.0, 0.0)) is False
+    got = dec.covers(np.array([[x0, y0], [x0 + s, y0 + s], [0.0, 0.0]]))
+    assert got.tolist() == [True, True, False]
+
+
+# one decomposition touching the box edges (point set) and one of the cusp
+COVER_CASES = {
+    "point": decompose(point_distance_fn(), Box(-1.0, -1.0, 2.0), kmax=6),
+    "cusp": decompose(lambda p: geometry.distance(CuspDomain(0.5), p),
+                      default_box(), kmax=7),
+}
+
+
+def test_covers_every_corner_and_edge_midpoint():
+    # points on the closed boundary of each accepted cube, including edges
+    # that no accepted neighbour shares, are covered
+    for dec in COVER_CASES.values():
+        x0, y0, s = dec.geometry()
+        for a in (0.0, 0.5, 1.0):
+            for b in (0.0, 0.5, 1.0):
+                pts = np.column_stack([x0 + a * s, y0 + b * s])
+                assert dec.covers(pts).all()
+
+
+def brute_force_covers(dec, pts):
+    x0, y0, s = dec.geometry()
+    x, y = pts[:, :1], pts[:, 1:]
+    inside = (x0 <= x) & (x <= x0 + s) & (y0 <= y) & (y <= y0 + s)
+    return inside.any(axis=1)
+
+
+@pytest.mark.parametrize("case", list(COVER_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_covers_matches_brute_force(case, data):
+    dec = COVER_CASES[case]
+    box = dec.box
+    x0, y0, s = dec.geometry()
+    # corners, edge midpoints (shared edges) and centres of accepted cubes,
+    # plus free points in and slightly around the box
+    on_cube = st.tuples(st.integers(0, len(dec.cubes) - 1),
+                        st.sampled_from([0.0, 0.5, 1.0]),
+                        st.sampled_from([0.0, 0.5, 1.0])).map(
+        lambda t: (x0[t[0]] + t[1] * s[t[0]], y0[t[0]] + t[2] * s[t[0]]))
+    free = st.tuples(
+        st.floats(box.x0 - 0.1 * box.side, box.x0 + 1.1 * box.side),
+        st.floats(box.y0 - 0.1 * box.side, box.y0 + 1.1 * box.side))
+    pts = np.array(data.draw(st.lists(st.one_of(on_cube, free),
+                                      min_size=1, max_size=40)))
+    assert np.array_equal(dec.covers(pts), brute_force_covers(dec, pts))
+    assert dec.covers(pts[0]) is bool(brute_force_covers(dec, pts[:1])[0])
+
+
+# sha256 of the save_decomposition text, recorded from the per-cube object
+# implementation (one DyadicCube per accepted cube, sorted by a key)
+GOLDEN = {
+    (0.5, 9):
+        "82f3c9d2b00d44dd6bca5ad81402c118ea6c2f1cc7c5bc5fd3d2c4244839ee6b",
+    (1.0, 9):
+        "f2de05894e3df2fe8ce0a4dee79cfd9e4a317b336a37b674d2c0d7adedd93a81",
+}
+
+
+@pytest.mark.parametrize("alpha,kmax", list(GOLDEN))
+def test_golden_decomposition_bytes(alpha, kmax):
+    dom = CuspDomain(alpha)
+    dec = decompose(lambda p: geometry.distance(dom, p), default_box(), kmax)
+    buf = io.StringIO()
+    whitney.save_decomposition(dec, buf)
+    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[
+        alpha, kmax]
