@@ -90,6 +90,22 @@ def fit_grid(T, span=5.12, n=8):
     return np.array([T - span * 2.0 ** (-i) for i in range(1, n + 1)])
 
 
+def _fs_norm(domain, beta, p, s, tol, estimate_error):
+    """(||f_s||_{L^p(Omega, beta)}, rel_err) on the grid resolving f_s."""
+    f = weights.fs_family(domain.alpha, beta, p, s)
+    grid = weights.fs_quadrature_grid(domain, beta, p, s, tol=tol)
+    return weights.weighted_lp_norm(f, domain, beta, p, grid,
+                                    estimate_error=estimate_error)
+
+
+def _ys_norm(domain, p, s, tol, estimate_error):
+    """(||y x^(-s-1)||_{L^p'(Omega)}, rel_err) on the grid resolving it."""
+    f = weights.ys_family(domain.alpha, p, s)
+    grid = weights.ys_quadrature_grid(domain, p, s, tol=tol)
+    return weights.weighted_lp_norm(f, domain, 0.0, p / (p - 1.0), grid,
+                                    estimate_error=estimate_error)
+
+
 def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     """Norm sweep of both singular families with threshold fits.
 
@@ -102,6 +118,7 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     when A != B.
     """
     domain = geometry.CuspDomain(alpha)
+    pp = p / (p - 1.0)
     A = weights.fs_norm_closed_form(alpha, beta, p, 0.0)["A"]
     B = weights.ys_norm_closed_form(alpha, p, 0.0)["B"]
     if s_grid is None:
@@ -112,14 +129,9 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
 
     records = []
     for s in s_grid:
-        fs = weights.fs_family(alpha, beta, p, s)
-        grid = weights.fs_quadrature_grid(domain, beta, p, s, tol=tol)
-        val, err = weights.weighted_lp_norm(fs, domain, beta, p, grid)
-        ys = weights.ys_family(alpha, p, s)
-        pp = p / (p - 1.0)
-        ygrid = weights.ys_quadrature_grid(domain, p, s, tol=tol)
-        yval, yerr = weights.weighted_lp_norm(ys, domain, 0.0, pp, ygrid)
-        rec = SweepRecord(
+        val, err = _fs_norm(domain, beta, p, s, tol, True)
+        yval, _ = _ys_norm(domain, p, s, tol, True)
+        records.append(SweepRecord(
             {"alpha": alpha, "beta": beta, "p": p, "s": float(s)},
             {
                 "fs_norm_p": val**p,
@@ -136,33 +148,12 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
                 "chain_rhs_core": float(s) * yval + 1.0,
             },
             "quadrature",
-        )
-        records.append(rec)
+        ))
 
-    def family_fit(threshold, norm_of):
-        grid_s = fit_grid(threshold)
-        pts = []
-        for s in grid_s:
-            pts.append((s, norm_of(s)))
-        return rate_fit(pts)
-
-    def fs_power(s):
-        f = weights.fs_family(alpha, beta, p, s)
-        g = weights.fs_quadrature_grid(domain, beta, p, s, tol=tol)
-        v, _ = weights.weighted_lp_norm(f, domain, beta, p, g,
-                                        estimate_error=False)
-        return v**p
-
-    def ys_power(s):
-        pp = p / (p - 1.0)
-        f = weights.ys_family(alpha, p, s)
-        g = weights.ys_quadrature_grid(domain, p, s, tol=tol)
-        v, _ = weights.weighted_lp_norm(f, domain, 0.0, pp, g,
-                                        estimate_error=False)
-        return v**pp
-
-    fit_A = family_fit(A, fs_power)
-    fit_B = family_fit(B, ys_power)
+    fit_A = rate_fit([(s, _fs_norm(domain, beta, p, s, tol, False)[0] ** p)
+                      for s in fit_grid(A)])
+    fit_B = rate_fit([(s, _ys_norm(domain, p, s, tol, False)[0] ** pp)
+                      for s in fit_grid(B)])
     comparison = "T_B < T_A" if fit_B.T < fit_A.T else (
         "T_A < T_B" if fit_A.T < fit_B.T else "T_A = T_B")
     fits = {

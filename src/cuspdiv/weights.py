@@ -6,12 +6,19 @@ The weighted norm is ||u||_{L^p(Omega, gamma)} = ||u d^gamma||_{L^p(Omega)}.
 Two distance modes are supported: the exact Euclidean distance to the
 boundary and the tip-adapted surrogate x**(1/alpha) - |y|, under which the
 singular-family norms below have exact closed forms.
+
+In the graded coordinates y = tau x**(1/alpha) of `tensor_grid` the
+surrogate distance is x**(1/alpha) u, u = 1 - |tau|, so the singular-family
+integrands, their weight and the Jacobian factor into a function of x times
+one of u, and their norms are products of two 1-D sums (Fubini).  Other
+integrands are evaluated on the 2-D nodes, which are built when first read.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +27,7 @@ from . import geometry
 __all__ = [
     "WeightSpec",
     "QuadratureGrid",
+    "TensorGrid",
     "tensor_grid",
     "fs_quadrature_grid",
     "ys_quadrature_grid",
@@ -65,7 +73,6 @@ class WeightSpec:
         return d**self.mu
 
 
-@dataclass
 class QuadratureGrid:
     """Positive-weight quadrature nodes over a planar region.
 
@@ -73,9 +80,10 @@ class QuadratureGrid:
     is used for one-step error estimation.
     """
 
-    nodes: np.ndarray           # (n, 2)
-    weights: np.ndarray         # (n,)
-    refiner: object = field(default=None, repr=False)
+    def __init__(self, nodes, weights, refiner=None):
+        self.nodes = nodes          # (n, 2)
+        self.weights = weights      # (n,)
+        self.refiner = refiner
 
     def total_weight(self) -> float:
         return float(np.sum(self.weights))
@@ -89,6 +97,34 @@ class QuadratureGrid:
         return self.refiner()
 
 
+class TensorGrid(QuadratureGrid):
+    """Product grid over Omega in the coordinates (x, u = 1 - |tau|).
+
+    x, log_wx: x-nodes and log weights, the Jacobian x**(1/alpha) included;
+    u, log_wu: u-nodes and log weights of one half tau > 0, log 2 included
+    for the mirror half, so that sums over them integrate functions of |y|.
+    The 2-D nodes and weights are built by `build` on first read.
+    """
+
+    def __init__(self, x, log_wx, u, log_wu, build, refiner):
+        self.x, self.log_wx = x, log_wx
+        self.u, self.log_wu = u, log_wu
+        self._build = build
+        self.refiner = refiner
+
+    @cached_property
+    def _arrays(self):
+        return self._build()
+
+    @property
+    def nodes(self):
+        return self._arrays[0]
+
+    @property
+    def weights(self):
+        return self._arrays[1]
+
+
 def _gauss_panels(breaks, order):
     """Gauss-Legendre nodes/weights over consecutive panels of `breaks`."""
     xg, wg = np.polynomial.legendre.leggauss(order)
@@ -100,7 +136,7 @@ def _gauss_panels(breaks, order):
 
 
 def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
-                x_min=1e-12, tau_min=1e-10) -> QuadratureGrid:
+                x_min=1e-12, tau_min=1e-10) -> TensorGrid:
     """Tensor quadrature over Omega in the graded coordinates (x, tau).
 
     Substituting y = tau * x**(1/alpha) maps Omega to (0,1) x (-1,1) with
@@ -109,27 +145,35 @@ def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
     power singularities at the tip and at the curved boundary are integrated
     with scale-independent per-panel accuracy.  Truncation omits the slivers
     {x < x_min} and {1 - |tau| < tau_min}.
+
+    The u-factor carries the same panels in u = 1 - |tau|, where a margin
+    below the spacing of doubles near 1 stays representable; the 2-D arrays
+    place the tau-nodes at 1 - u rounded, and their weights underflow once
+    x**(1 + 1/alpha) drops below the smallest double.
     """
     g = domain.gamma
     # geometric breakpoints 1, 1/2, ..., down to x_min (log-equispaced)
     xb = np.geomspace(1.0, x_min, n_x + 1)
     xn, xw = _gauss_panels(xb[::-1].copy(), order)
     ub = np.geomspace(1.0, tau_min, n_tau + 1)      # u = 1 - tau, tau > 0
-    tb = 1.0 - ub                                    # 0 ... 1 - tau_min
-    tn_pos, tw_pos = _gauss_panels(tb, order)
-    tn = np.concatenate([-tn_pos[::-1], tn_pos])
-    tw = np.concatenate([tw_pos[::-1], tw_pos])
+    un, uw = _gauss_panels(ub[::-1].copy(), order)
 
-    X, T = np.meshgrid(xn, tn, indexing="ij")
-    WX, WT = np.meshgrid(xw, tw, indexing="ij")
-    nodes = np.column_stack([X.ravel(), (T * X**g).ravel()])
-    weights = (WX * WT * X**g).ravel()
+    def build():
+        tb = 1.0 - ub                                # 0 ... 1 - tau_min
+        tn_pos, tw_pos = _gauss_panels(tb, order)
+        tn = np.concatenate([-tn_pos[::-1], tn_pos])
+        tw = np.concatenate([tw_pos[::-1], tw_pos])
+        X, T = np.meshgrid(xn, tn, indexing="ij")
+        WX, WT = np.meshgrid(xw, tw, indexing="ij")
+        nodes = np.column_stack([X.ravel(), (T * X**g).ravel()])
+        return nodes, (WX * WT * X**g).ravel()
 
     def refine():
         return tensor_grid(domain, order=order + 4, n_x=2 * n_x,
                            n_tau=2 * n_tau, x_min=x_min, tau_min=tau_min)
 
-    return QuadratureGrid(nodes, weights, refine)
+    return TensorGrid(xn, np.log(xw) + g * np.log(xn),
+                      un, math.log(2.0) + np.log(uw), build, refine)
 
 
 def fs_quadrature_grid(domain, beta, p, s, *, tol=1e-3, order=12):
@@ -170,6 +214,12 @@ def ys_quadrature_grid(domain, p, s, *, tol=1e-3, order=12):
                        x_min=x_min, tau_min=1e-8)
 
 
+def _log_sum_exp(v):
+    # scipy.special.logsumexp takes ~8x longer on these 1-D factor arrays
+    m = float(np.max(v))
+    return m + math.log(float(np.sum(np.exp(v - m))))
+
+
 def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
                      estimate_error=True):
     """||f d^gamma||_{L^p(Omega)} by quadrature.
@@ -177,11 +227,26 @@ def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
     Returns (value, rel_err) where rel_err compares against one refinement
     step of the grid (0.0 when the grid does not support refinement or
     estimate_error is False).
+
+    In surrogate mode a family with `log_abs_factors` on a `TensorGrid` is
+    summed as a product of its x- and u-sums; any other integrand is
+    evaluated at the 2-D nodes.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
 
+    def product(g):
+        # d = x**(1/alpha) u, so log |f d^gamma|^p w splits into a term in
+        # x and a term in u
+        log_fx, log_fu = f.log_abs_factors
+        lx = p * (log_fx(g.x) + gamma * domain.gamma * np.log(g.x)) + g.log_wx
+        lu = p * (log_fu(g.u) + gamma * np.log(g.u)) + g.log_wu
+        return math.exp((_log_sum_exp(lx) + _log_sum_exp(lu)) / p)
+
     def evaluate(g):
+        if (mode == "surrogate" and isinstance(g, TensorGrid)
+                and hasattr(f, "log_abs_factors")):
+            return product(g)
         # accumulate log |f d^gamma|^p w: the pointwise power |f|^p (or f
         # itself for strongly singular families) can overflow near the tip
         # although every weighted contribution is tiny, so families may
@@ -213,8 +278,12 @@ def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
 # singular family of the optimality construction
 # ---------------------------------------------------------------------------
 
-def fs_family(alpha, beta, p, s, mode="surrogate"):
-    """The field f_s(x, y) = x**(-s/(p-1)) * d(x, y)**(-p' beta)."""
+def fs_family(alpha, beta, p, s):
+    """The field f_s(x, y) = x**(-s/(p-1)) * d(x, y)**(-p' beta).
+
+    d is the surrogate distance x**(1/alpha) u, u = 1 - |y| / x**(1/alpha);
+    log_abs_factors gives log |f_s| as a function of x plus one of u.
+    """
     pp = _pprime(p)
     if beta * pp >= 1.0:
         raise ValueError("beta * p' must be below 1")
@@ -222,7 +291,7 @@ def fs_family(alpha, beta, p, s, mode="surrogate"):
     if s >= A:
         raise ValueError(f"s must be below A = {A}")
     domain = geometry.CuspDomain(alpha)
-    spec = WeightSpec(-pp * beta, mode)
+    spec = WeightSpec(-pp * beta, "surrogate")
 
     def f(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -240,7 +309,14 @@ def fs_family(alpha, beta, p, s, mode="surrogate"):
             la = la + (-pp * beta) * np.log(d)
         return la
 
+    def log_abs_x(x):
+        return (-s / (p - 1.0) - pp * beta / alpha) * np.log(x)
+
+    def log_abs_u(u):
+        return (-pp * beta) * np.log(u)
+
     f.log_abs = log_abs
+    f.log_abs_factors = (log_abs_x, log_abs_u)
     return f
 
 
@@ -249,7 +325,8 @@ def ys_family(alpha, p, s):
 
     Written as (y / x**(1/alpha)) * x**(1/alpha - s - 1) so that tip nodes
     with extremely small x do not overflow before the bounded combination is
-    formed.
+    formed; log_abs_factors splits log |y x**(-s-1)| into
+    (1/alpha - s - 1) log x plus log(1 - u), u = 1 - |y| / x**(1/alpha).
     """
     g = 1.0 / alpha
 
@@ -264,7 +341,14 @@ def ys_family(alpha, p, s):
         with np.errstate(over="ignore"):
             return np.sign(pts[:, 1]) * np.exp(log_abs(pts))
 
+    def log_abs_x(x):
+        return (g - s - 1.0) * np.log(x)
+
+    def log_abs_u(u):
+        return np.log1p(-u)
+
     f.log_abs = log_abs
+    f.log_abs_factors = (log_abs_x, log_abs_u)
     return f
 
 

@@ -252,3 +252,6 @@ def test_cli_determinism(tmp_path):
         run_twice([f"{sweep}-sweep", "--alpha", "0.75", "--levels", "2",
                    "--h", "0.2"],
                   [f"{sweep}_alpha0.75_beta0.75.csv"])
+    run_twice(["optimality-sweep", "--alpha", "0.75", "--beta", "0",
+               "--p", "3"],
+              ["optimality_alpha0.75_beta0_p3.csv"])

@@ -135,6 +135,16 @@ def test_div_solve_fem_method(tmp_path):
     assert summary["weighted_ratio"] > 0.0
 
 
+def test_optimality_sweep_positive_beta(tmp_path):
+    # f_s needs the margin 1 - |tau| down to 3.2e-21 here, below the spacing
+    # of doubles next to tau = 1
+    code = run_cli(["optimality-sweep", "--alpha", "0.5", "--beta", "0.4",
+                    "--p", "2", "--outdir", str(tmp_path)])
+    assert code == 0
+    summary = json.loads(read(tmp_path / "optimality-sweep_summary.json"))
+    assert summary["T_A"] == pytest.approx(summary["A_exact"], rel=0.01)
+
+
 def test_div_solve_unknown_method(tmp_path):
     code = run_cli(["div-solve", "--alpha", "0.75", "--method", "magic",
                     "--outdir", str(tmp_path)])

@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuspdiv import geometry, weights
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.weights import (
+    QuadratureGrid,
     WeightSpec,
     ball_grid,
     estimate_ap_constant,
@@ -40,6 +43,14 @@ def test_tensor_grid_integrates_area_and_moments():
     assert g.integrate(g.nodes[:, 0]) == pytest.approx(0.5, rel=1e-9)
     # odd in y
     assert abs(g.integrate(g.nodes[:, 1])) < 1e-14
+
+
+def test_tensor_grid_u_factor_resolves_tiny_margins():
+    # 2 * int_{tau_min}^1 u^(-1/2) du with tau_min far below the spacing of
+    # doubles next to tau = 1, where 1 - u rounds to 1
+    g = tensor_grid(CuspDomain(0.5), order=12, n_tau=100, tau_min=1e-30)
+    total = float(np.sum(np.exp(g.log_wu) * g.u ** -0.5))
+    assert total == pytest.approx(4.0 * (1.0 - 1e-15), rel=1e-12)
 
 
 def test_tensor_grid_handles_integrable_tip_singularity():
@@ -77,6 +88,9 @@ def test_weighted_lp_norm_rejects_nonfinite_integrand():
     (0.5, 0.2, 2.0, 0.1),
     (0.75, -0.25, 2.0, 0.25),
     (0.5, 0.1, 3.0, 0.05),
+    # margins 3.2e-21 and 1.0e-39: below the spacing of doubles near tau = 1
+    (0.5, 0.4, 2.0, 0.25),
+    (1.0, 0.45, 2.0, 0.02),
 ])
 def test_fs_norm_matches_closed_form(alpha, beta, p, gap):
     dom = CuspDomain(alpha)
@@ -118,8 +132,111 @@ def test_family_log_abs_consistent_with_values():
     f = fs_family(0.5, 0.1, 2.0, 0.0)
     y = ys_family(0.5, 2.0, 0.0)
     pts = np.array([[0.5, 0.1], [0.2, -0.02], [0.9, 0.5]])
-    assert np.allclose(np.exp(f.log_abs(pts)), np.abs(f(pts)), rtol=1e-12)
-    assert np.allclose(np.exp(y.log_abs(pts)), np.abs(y(pts)), rtol=1e-12)
+    u = 1.0 - np.abs(pts[:, 1]) / pts[:, 0] ** 2.0
+    for fam in (f, y):
+        assert np.allclose(np.exp(fam.log_abs(pts)), np.abs(fam(pts)),
+                           rtol=1e-12)
+        log_x, log_u = fam.log_abs_factors
+        assert np.allclose(log_x(pts[:, 0]) + log_u(u), fam.log_abs(pts),
+                           rtol=1e-12, atol=1e-12)
+
+
+def _family_norm(fam, alpha, beta, p, gap):
+    """(f, domain, gamma, q, grid, exact ||f||^q) at s = T - gap, where the
+    norm is that of L^q(Omega, gamma)."""
+    dom = CuspDomain(alpha)
+    if fam == "fs":
+        s = fs_norm_closed_form(alpha, beta, p, 0.0)["A"] - gap
+        grid = fs_quadrature_grid(dom, beta, p, s)
+        f, gamma, q = fs_family(alpha, beta, p, s), beta, p
+        exact = fs_norm_closed_form(alpha, beta, p, s)["value"]
+    else:
+        s = ys_norm_closed_form(alpha, p, 0.0)["B"] - gap
+        grid = ys_quadrature_grid(dom, p, s)
+        f, gamma, q = ys_family(alpha, p, s), 0.0, p / (p - 1.0)
+        exact = ys_norm_closed_form(alpha, p, s)["value"]
+    return f, dom, gamma, q, grid, exact
+
+
+@pytest.mark.parametrize("fam,beta", [("fs", 0.0), ("fs", 0.1), ("ys", 0.0)])
+def test_norm_keeps_tip_mass(fam, beta):
+    # the 2-D weights x-weight * tau-weight * x**(1/alpha) underflow to 0
+    # once x**(1 + 1/alpha) < 1e-308; the 2-D path then drops the tip's
+    # contribution (relative error -6.3e-4, which its refined grid drops
+    # too), while the factors keep it up to the 0.2 * tol truncation tail
+    f, dom, gamma, q, grid, exact = _family_norm(fam, 0.5, beta, 3.0, 0.02)
+    val, rel = weighted_lp_norm(f, dom, gamma, q, grid)
+    assert rel < 1e-3
+    assert abs(val**q / exact - 1.0) <= 3e-4
+
+
+def _flat(grid):
+    """The same grid as plain 2-D arrays, refining to plain arrays."""
+    def refine():
+        fine = grid.refined()
+        return QuadratureGrid(fine.nodes, fine.weights)
+
+    return QuadratureGrid(grid.nodes, grid.weights, refine)
+
+
+@settings(max_examples=30, deadline=None)
+@given(fam=st.sampled_from(["fs", "ys"]), alpha=st.floats(0.5, 1.0),
+       p=st.sampled_from([2.0, 3.0]), beta_frac=st.floats(0.0, 0.95),
+       gap=st.floats(0.02, 0.5))
+def test_product_norm_matches_2d_oracle(fam, alpha, p, beta_frac, gap):
+    # beta from alpha - 1 up to 95% of the bound 1/p'
+    beta = (alpha - 1.0) + beta_frac * (1.0 - 1.0 / p - (alpha - 1.0))
+    f, dom, gamma, q, grid, _ = _family_norm(fam, alpha, beta, p, gap)
+    # where the 2-D arrays are exact (checked at the smallest x- and
+    # u-nodes): no tip weight underflows, and the tau-nodes 1 - u resolve
+    # the margin.  Their absolute rounding eps moves
+    # the integrand u**e (e = -beta p' for f_s, 0 for y x^(-s-1)) by a
+    # relative eps * u_min**e; at u_min = 1e-13, e = -0.66 the 2-D path is
+    # 3.4e-9 off the exact u-integral, which the u-panels hit to rounding
+    e = -beta * p / (p - 1.0) if fam == "fs" else 0.0
+    assume(grid.x[0] ** (1.0 + 1.0 / alpha) >= 1e-300)
+    assume(grid.u[0] >= 1e-14
+           and np.finfo(float).eps * grid.u[0] ** min(e, 0.0) <= 1e-12)
+    # cost: the refined 2-D oracle has 4 (16/12)^2 times the nodes
+    assume(len(grid.x) * 2 * len(grid.u) <= 400_000)
+    for est in (False, True):
+        val, rel = weighted_lp_norm(f, dom, gamma, q, grid,
+                                    estimate_error=est)
+        ref, ref_rel = weighted_lp_norm(f, dom, gamma, q, _flat(grid),
+                                        estimate_error=est)
+        assert val == pytest.approx(ref, rel=1e-12)
+        assert rel == pytest.approx(ref_rel, abs=1e-12)
+
+
+def _reference_tensor_arrays(domain, order, n_x, n_tau, x_min, tau_min):
+    """Nodes and weights of the eager 2-D construction of tensor_grid."""
+    g = domain.gamma
+    xb = np.geomspace(1.0, x_min, n_x + 1)
+    xn, xw = weights._gauss_panels(xb[::-1].copy(), order)
+    tb = 1.0 - np.geomspace(1.0, tau_min, n_tau + 1)
+    tn_pos, tw_pos = weights._gauss_panels(tb, order)
+    tn = np.concatenate([-tn_pos[::-1], tn_pos])
+    tw = np.concatenate([tw_pos[::-1], tw_pos])
+    X, T = np.meshgrid(xn, tn, indexing="ij")
+    WX, WT = np.meshgrid(xw, tw, indexing="ij")
+    nodes = np.column_stack([X.ravel(), (T * X**g).ravel()])
+    return nodes, (WX * WT * X**g).ravel()
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.3, 1.0), order=st.integers(2, 12),
+       n_x=st.integers(2, 40), n_tau=st.integers(2, 30),
+       x_exp=st.floats(1.0, 240.0), tau_exp=st.floats(1.0, 40.0))
+def test_lazy_tensor_arrays_match_eager_construction(alpha, order, n_x, n_tau,
+                                                     x_exp, tau_exp):
+    dom = CuspDomain(alpha)
+    x_min, tau_min = 10.0 ** -x_exp, 10.0 ** -tau_exp
+    grid = tensor_grid(dom, order=order, n_x=n_x, n_tau=n_tau, x_min=x_min,
+                       tau_min=tau_min)
+    nodes, w = _reference_tensor_arrays(dom, order, n_x, n_tau, x_min,
+                                        tau_min)
+    assert np.array_equal(grid.nodes, nodes)
+    assert np.array_equal(grid.weights, w)
 
 
 def test_family_parameter_validation():
