@@ -177,8 +177,13 @@ def generate_graded_mesh(domain: CuspDomain, h: float, grading: float = None,
         raise ValueError("grading must be >= 1")
 
     last_err = None
+    tried = None
     for aspect_cap in (2.0, 1.4, 1.0):
-        mesh = _build(domain, h, grading, aspect_cap, x_tip)
+        xs, tip = _column_abscissas(domain, h, grading, aspect_cap, x_tip)
+        if tried is not None and np.array_equal(xs, tried):
+            continue            # same columns, same mesh: nothing to retry
+        tried = xs
+        mesh = _build(domain, h, grading, xs, tip)
         if mesh.min_angle() >= min_angle_deg:
             return mesh
         last_err = mesh.min_angle()
@@ -187,8 +192,7 @@ def generate_graded_mesh(domain: CuspDomain, h: float, grading: float = None,
     )
 
 
-def _build(domain, h, grading, aspect_cap, x_tip=None):
-    xs, x_tip = _column_abscissas(domain, h, grading, aspect_cap, x_tip)
+def _build(domain, h, grading, xs, x_tip):
     m = _column_cell_counts(domain, xs)
 
     # column k holds vertices start[k] .. start[k + 1] - 1, bottom to top

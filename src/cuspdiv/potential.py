@@ -3,9 +3,12 @@
 Extend the source f by zero, form the logarithmic Newtonian potential
 phi(x) = (1/2pi) integral log|x-y| f(y) dy and return v = grad(phi), so that
 div v = Delta phi = f.  Sources are piecewise constant on a regular cell
-grid; near-field cell integrals of the kernel and its gradient use exact
-closed-form antiderivatives over rectangles, far-field cells a midpoint
-rule.
+grid; each cell contributes the cell integrals of the kernel, its gradient
+and its Hessian, by exact closed-form antiderivatives over rectangles for
+near cells and a midpoint rule for far cells.  One summation pass gives v
+and its exact gradient (the Hessian of the discrete potential, whose trace
+is the source's cell value), which the weighted W^{1,p} estimate uses
+without finite differences.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import geometry
+from . import weights
 
 __all__ = [
     "SourceField",
@@ -71,50 +74,42 @@ class SourceField:
         return SourceField(self.x0, self.y0, self.h / 2.0, vals)
 
 
-def _phi_cell_exact(u0, u1, v0, v1):
-    """Integral of log sqrt(u^2+v^2) over [u0,u1]x[v0,v1] (exact).
+def _cell_integrals(u0, u1, v0, v1):
+    """Exact integrals of log r and its first and second derivatives over
+    the rectangles [u0,u1]x[v0,v1], r = sqrt(u^2+v^2).
 
-    Uses the antiderivative H with d2H/dudv = log r:
-    H(u,v) = uv (log(u^2+v^2) - 3)/2 + (u^2/2) atan(v/u) + (v^2/2) atan(u/v).
+    Each is the corner sum F(u1,v1) - F(u1,v0) - F(u0,v1) + F(u0,v0) of an
+    antiderivative F with d2F/dudv equal to the integrand:
+      log r:          H = uv (log r^2 - 3)/2 + (u^2/2) atan(v/u)
+                          + (v^2/2) atan(u/v);
+      u/r^2, v/r^2:   A(u,v) = (v/2) log r^2 - v + u atan(v/u) and A(v,u);
+      d_u(u/r^2), d_v(u/r^2) = d_u(v/r^2), d_v(v/r^2):
+                      d_u A = atan(v/u), d_v A = (log r^2)/2, atan(u/v).
+    log r^2 and atan are taken as 0 where their argument is undefined.
+    Returns the six integrals stacked along the first axis.
     """
-
-    def H(u, v):
-        r2 = u * u + v * v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr2 = np.where(r2 > 0.0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
-            au = np.where(u != 0.0, np.arctan(np.divide(v, np.where(u != 0, u, 1.0))), 0.0)
-            av = np.where(v != 0.0, np.arctan(np.divide(u, np.where(v != 0, v, 1.0))), 0.0)
-        return 0.5 * u * v * (logr2 - 3.0) + 0.5 * u * u * au + 0.5 * v * v * av
-
-    return H(u1, v1) - H(u1, v0) - H(u0, v1) + H(u0, v0)
-
-
-def _grad_cell_exact(u0, u1, v0, v1):
-    """Integrals of u/(u^2+v^2) and v/(u^2+v^2) over the rectangle (exact).
-
-    Antiderivative A with d2A/dudv = u/(u^2+v^2):
-    A(u,v) = (v/2) log(u^2+v^2) - v + u atan(v/u); the v-component follows
-    by symmetry.
-    """
-
-    def A(u, v):
-        r2 = u * u + v * v
-        with np.errstate(divide="ignore", invalid="ignore"):
-            logr2 = np.where(r2 > 0.0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
-            au = np.where(u != 0.0, np.arctan(np.divide(v, np.where(u != 0, u, 1.0))), 0.0)
-        return 0.5 * v * logr2 - v + u * au
-
-    def box(F, a0, a1, b0, b1):
-        return F(a1, b1) - F(a1, b0) - F(a0, b1) + F(a0, b0)
-
-    gu = box(A, u0, u1, v0, v1)
-    gv = box(A, v0, v1, u0, u1)
-    return gu, gv
+    u = np.stack([u1, u1, u0, u0])
+    v = np.stack([v1, v0, v1, v0])
+    r2 = u * u + v * v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logr2 = np.where(r2 > 0.0, np.log(np.where(r2 > 0, r2, 1.0)), 0.0)
+        au = np.where(u != 0.0, np.arctan(np.divide(v, np.where(u != 0, u, 1.0))), 0.0)
+        av = np.where(v != 0.0, np.arctan(np.divide(u, np.where(v != 0, v, 1.0))), 0.0)
+    F = np.stack([
+        0.5 * u * v * (logr2 - 3.0) + 0.5 * u * u * au + 0.5 * v * v * av,
+        0.5 * v * logr2 - v + u * au,
+        0.5 * u * logr2 - u + v * av,
+        au,
+        0.5 * logr2,
+        av,
+    ])
+    return F[:, 0] - F[:, 1] - F[:, 2] + F[:, 3]
 
 
 @dataclass
 class PotentialSolution:
-    """Evaluators for the potential phi and the gradient field v = grad phi."""
+    """Evaluators for the potential phi, the field v = grad phi and its
+    gradient, the Hessian of phi."""
 
     source: SourceField
 
@@ -126,47 +121,55 @@ class PotentialSolution:
         return self._nz
 
     def _accumulate(self, pts, chunk=128):
-        """phi, v1, v2 at pts by direct summation over nonzero cells."""
+        """phi, v1, v2, d1v1, d2v1 = d1v2, d2v2 at pts in one pass of
+        direct summation over the nonzero cells.
+
+        Each cell weighs, by its mass f h^2 / 2pi, the cell averages of
+        log r, (u, v)/r^2 and (v^2 - u^2, -2uv, u^2 - v^2)/r^4: exact for
+        near cells (within _NEAR_CELLS cells), the values at the cell
+        centre otherwise.
+        """
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         cx, cy, fv = self._nonzero()
         h = self.source.h
         half = h / 2.0
-        near_r = _NEAR_CELLS * h
-        area = h * h
-        out = np.zeros((len(pts), 3))
+        near_r2 = (_NEAR_CELLS * h) ** 2
+        mass = fv * (h * h / (2.0 * np.pi))
+        out = np.zeros((len(pts), 6))
         for lo in range(0, len(pts), chunk):
-            px = pts[lo:lo + chunk, 0][:, None]
-            py = pts[lo:lo + chunk, 1][:, None]
-            du = px - cx[None, :]
-            dv = py - cy[None, :]
+            du = pts[lo:lo + chunk, 0][:, None] - cx[None, :]
+            dv = pts[lo:lo + chunk, 1][:, None] - cy[None, :]
             r2 = du * du + dv * dv
-            near = r2 < near_r * near_r
-            with np.errstate(divide="ignore"):
-                logr2 = np.log(r2)
-            phi = np.where(near, 0.0, 0.5 * logr2) * area
-            g1 = np.where(near, 0.0, du / np.where(near, 1.0, r2)) * area
-            g2 = np.where(near, 0.0, dv / np.where(near, 1.0, r2)) * area
-            if np.any(near):
-                ii, jj = np.nonzero(near)
-                u0 = du[ii, jj] - half
-                u1 = du[ii, jj] + half
-                v0 = dv[ii, jj] - half
-                v1 = dv[ii, jj] + half
-                phi[ii, jj] = _phi_cell_exact(u0, u1, v0, v1)
-                gu, gv = _grad_cell_exact(u0, u1, v0, v1)
-                g1[ii, jj] = gu
-                g2[ii, jj] = gv
-            k = 1.0 / (2.0 * np.pi)
-            out[lo:lo + chunk, 0] = k * phi @ fv
-            out[lo:lo + chunk, 1] = k * g1 @ fv
-            out[lo:lo + chunk, 2] = k * g2 @ fv
+            K = np.empty((6,) + r2.shape)
+            # entries with r2 = 0 are near cells and are overwritten below
+            with np.errstate(divide="ignore", invalid="ignore"):
+                K[0] = 0.5 * np.log(r2)
+                np.divide(du, r2, out=K[1])
+                np.divide(dv, r2, out=K[2])
+            np.subtract(K[2] * K[2], K[1] * K[1], out=K[3])
+            np.multiply(-2.0 * K[1], K[2], out=K[4])
+            np.negative(K[3], out=K[5])
+            ii, jj = np.nonzero(r2 < near_r2)
+            if len(ii):
+                K[:, ii, jj] = _cell_integrals(
+                    du[ii, jj] - half, du[ii, jj] + half,
+                    dv[ii, jj] - half, dv[ii, jj] + half) / (h * h)
+            out[lo:lo + chunk] = (K @ mass).T
         return out
 
     def phi(self, pts):
         return self._accumulate(pts)[:, 0]
 
     def velocity(self, pts):
-        return self._accumulate(pts)[:, 1:]
+        return self._accumulate(pts)[:, 1:3]
+
+    def velocity_gradient(self, pts):
+        """v and grad v at pts: (n, 2) and (n, 2, 2) with [k, i, j] =
+        d_j v_i, from one pass (grad v is the exact, symmetric Hessian of
+        the discrete potential)."""
+        out = self._accumulate(pts)
+        grad = out[:, [3, 4, 4, 5]].reshape(-1, 2, 2)
+        return out[:, 1:3], grad
 
 
 def newtonian_solve(f: SourceField) -> PotentialSolution:
@@ -198,42 +201,28 @@ def divergence_residual(sol: PotentialSolution, f, points, step=None) -> float:
 
 
 def check_weighted_estimate(sol: PotentialSolution, f, domain, gamma, p,
-                            grid, fd_step=None) -> float:
+                            grid) -> float:
     """||v||_{W^{1,p}(Omega,gamma)} / ||f||_{L^p(Omega,gamma)}.
 
-    The W^{1,p} norm is ||v d^gamma||_p + ||grad v d^gamma||_p with grad v by
-    central differences at the quadrature nodes.  Requires -1/p < gamma
-    <= 1 - 1/p; returns 0.0 for f identically zero.
+    The W^{1,p} norm is ||v d^gamma||_p + ||grad v d^gamma||_p, with v and
+    the exact grad v (Frobenius norm) from one pass at the quadrature nodes
+    and one distance evaluation for all three norms.  Requires
+    -1/p < gamma <= 1 - 1/p; returns 0.0 for f identically zero.
     """
     if not (-1.0 / p < gamma <= 1.0 - 1.0 / p):
         raise ValueError("gamma must satisfy -1/p < gamma <= 1 - 1/p")
-    from .weights import weighted_lp_norm
-
-    fnorm, _ = weighted_lp_norm(lambda q: np.abs(np.asarray(f(q))), domain,
-                                gamma, p, grid, mode="exact",
-                                estimate_error=False)
+    v, grad = sol.velocity_gradient(grid.nodes)
+    mags = np.stack([np.abs(np.asarray(f(grid.nodes), dtype=float)),
+                     np.hypot(v[:, 0], v[:, 1]),
+                     np.sqrt(np.sum(grad * grad, axis=(1, 2)))])
+    del v, grad        # freed before the distance evaluation, the memory peak
+    with np.errstate(divide="ignore"):
+        np.log(mags, out=mags)
+    fnorm, vnorm, gnorm = weights.lp_norms_at_nodes(mags, domain, gamma, p,
+                                                    grid)
     if fnorm == 0.0:
         return 0.0
-    h = sol.source.h / 2.0 if fd_step is None else float(fd_step)
-    ex = np.array([h, 0.0])
-    ey = np.array([0.0, h])
-
-    def vmag(q):
-        v = sol.velocity(q)
-        return np.hypot(v[:, 0], v[:, 1])
-
-    def gradmag(q):
-        q = np.atleast_2d(q)
-        dx = (sol.velocity(q + ex) - sol.velocity(q - ex)) / (2.0 * h)
-        dy = (sol.velocity(q + ey) - sol.velocity(q - ey)) / (2.0 * h)
-        return np.sqrt(dx[:, 0] ** 2 + dx[:, 1] ** 2
-                       + dy[:, 0] ** 2 + dy[:, 1] ** 2)
-
-    vnorm, _ = weighted_lp_norm(vmag, domain, gamma, p, grid, mode="exact",
-                                estimate_error=False)
-    gnorm, _ = weighted_lp_norm(gradmag, domain, gamma, p, grid, mode="exact",
-                                estimate_error=False)
-    return (vnorm + gnorm) / fnorm
+    return float((vnorm + gnorm) / fnorm)
 
 
 def disk_indicator_field(center, radius):

@@ -37,6 +37,7 @@ __all__ = [
     "default_sampling",
     "estimate_ap_constant",
     "weighted_lp_norm",
+    "lp_norms_at_nodes",
     "fs_family",
     "ys_family",
     "fs_norm_closed_form",
@@ -220,6 +221,29 @@ def _log_sum_exp(v):
     return m + math.log(float(np.sum(np.exp(v - m))))
 
 
+def lp_norms_at_nodes(log_abs, domain, gamma, p, grid, *, mode="exact"):
+    """||u_k d^gamma||_{L^p(Omega)} for each row k of log |u_k| at the 2-D
+    nodes of grid, with one distance evaluation for all rows.
+
+    The sums are accumulated as log |u d^gamma|^p w: the pointwise power
+    |u|^p (or u itself for strongly singular families) can overflow near the
+    tip although every weighted contribution is tiny, which is why the
+    integrands come in log form.
+    """
+    log_abs = np.atleast_2d(np.asarray(log_abs, dtype=float))
+    if not np.all(log_abs < np.inf):
+        raise ValueError("integrand is not finite at quadrature nodes")
+    log_weight = 0.0
+    if gamma != 0.0:    # before the (k, n) sums: the distance is the memory peak
+        d = WeightSpec(0.0, mode).distance_values(domain, grid.nodes)
+        log_weight = gamma * p * np.log(d)
+    logc = p * log_abs
+    logc += log_weight
+    with np.errstate(divide="ignore"):   # quadrature weights may underflow
+        logc += np.log(grid.weights)
+    return np.sum(np.exp(logc, out=logc), axis=1) ** (1.0 / p)
+
+
 def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
                      estimate_error=True):
     """||f d^gamma||_{L^p(Omega)} by quadrature.
@@ -247,24 +271,13 @@ def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
         if (mode == "surrogate" and isinstance(g, TensorGrid)
                 and hasattr(f, "log_abs_factors")):
             return product(g)
-        # accumulate log |f d^gamma|^p w: the pointwise power |f|^p (or f
-        # itself for strongly singular families) can overflow near the tip
-        # although every weighted contribution is tiny, so families may
-        # expose log |f| directly via a log_abs attribute
         if hasattr(f, "log_abs"):
-            logc = p * np.asarray(f.log_abs(g.nodes), dtype=float)
+            log_abs = f.log_abs(g.nodes)
         else:
-            fv = np.abs(np.asarray(f(g.nodes), dtype=float))
-            if not np.all(np.isfinite(fv)):
-                raise ValueError("integrand is not finite at quadrature nodes")
-            pos = fv > 0.0
-            logc = np.where(pos, p * np.log(np.where(pos, fv, 1.0)), -np.inf)
-        if gamma != 0.0:
-            d = WeightSpec(0.0, mode).distance_values(domain, g.nodes)
-            logc = logc + gamma * p * np.log(d)
-        with np.errstate(divide="ignore"):   # quadrature weights may underflow
-            logw = np.log(g.weights)
-        return float(np.sum(np.exp(logc + logw))) ** (1.0 / p)
+            with np.errstate(divide="ignore"):
+                log_abs = np.log(np.abs(np.asarray(f(g.nodes), dtype=float)))
+        return float(lp_norms_at_nodes(log_abs, domain, gamma, p, g,
+                                       mode=mode)[0])
 
     value = evaluate(grid)
     if not estimate_error or grid.refiner is None:

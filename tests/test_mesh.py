@@ -198,3 +198,24 @@ def test_meshes_are_conforming(alpha, h):
         m = generate_graded_mesh(dom, h, min_angle_deg=0.0)
     assert_conforming(m)
     assert_conforming(refine(m))
+
+
+def test_retry_skips_unchanged_columns(monkeypatch):
+    # every aspect cap gives the same 18 columns here, so the mesh is built
+    # once and the quality error is raised without rebuilding it
+    dom, h = CuspDomain(0.720188577357892), 0.2900099086119622
+    xs = [meshmod._column_abscissas(dom, h, dom.gamma, cap)[0]
+          for cap in (2.0, 1.4, 1.0)]
+    assert len(xs[0]) == 18
+    assert all(np.array_equal(xs[0], x) for x in xs[1:])
+    calls = []
+    build = meshmod._build
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(meshmod, "_build", counting_build)
+    with pytest.raises(MeshQualityError):
+        generate_graded_mesh(dom, h)
+    assert len(calls) == 1

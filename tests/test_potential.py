@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from cuspdiv import potential, weights
 from cuspdiv.geometry import CuspDomain
@@ -10,6 +12,44 @@ from cuspdiv.potential import (
     divergence_residual,
     newtonian_solve,
 )
+
+_FD_STEP = 1e-6
+
+
+def _fd_gradient(sol, pts, step=_FD_STEP):
+    """Central differences of the velocity: [k, i, j] = d_j v_i."""
+    pts = np.atleast_2d(pts)
+    cols = []
+    for e in (np.array([step, 0.0]), np.array([0.0, step])):
+        cols.append((sol.velocity(pts + e) - sol.velocity(pts - e))
+                    / (2.0 * step))
+    return np.stack(cols, axis=2)
+
+
+def _random_source(values):
+    # 4 x 4 cells of side 0.1 with lower-left corner at the origin
+    return SourceField(0.0, 0.0, 0.1, np.asarray(values).reshape(4, 4))
+
+
+def _away_from_jumps(src, pt, gap=1e-4):
+    """True if pt keeps gap from every cell edge line and from the
+    near/far switch radius of every cell, across which the discrete field
+    jumps."""
+    nx, ny = src.values.shape
+    ex = src.x0 + src.h * np.arange(nx + 1)
+    ey = src.y0 + src.h * np.arange(ny + 1)
+    xc, yc = src.cell_centers()
+    r = np.hypot(pt[0] - xc[:, None], pt[1] - yc[None, :])
+    return (np.min(np.abs(pt[0] - ex)) > gap
+            and np.min(np.abs(pt[1] - ey)) > gap
+            and np.min(np.abs(r - potential._NEAR_CELLS * src.h)) > gap)
+
+
+def _cell_value(src, pt):
+    i = int(np.floor((pt[0] - src.x0) / src.h))
+    j = int(np.floor((pt[1] - src.y0) / src.h))
+    nx, ny = src.values.shape
+    return src.values[i, j] if 0 <= i < nx and 0 <= j < ny else 0.0
 
 
 def test_source_field_sampling_and_integral():
@@ -124,3 +164,62 @@ def test_weighted_estimate_zero_source():
                                tau_min=1e-3)
     zero = lambda p: np.zeros(len(np.atleast_2d(p)))
     assert check_weighted_estimate(sol, zero, dom, 0.0, 2.0, grid) == 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(values=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+       x=st.floats(-0.2, 0.6), y=st.floats(-0.2, 0.6))
+def test_velocity_gradient_is_exact_hessian(values, x, y):
+    src = _random_source(values)
+    assume(np.any(src.values != 0.0))
+    pt = np.array([x, y])
+    assume(_away_from_jumps(src, pt))
+    sol = newtonian_solve(src)
+    v, grad = sol.velocity_gradient(pt[None, :])
+    assert np.array_equal(v, sol.velocity(pt[None, :]))
+    H = grad[0]
+    scale = np.max(np.abs(H))
+    assert H[0, 1] == H[1, 0]
+    assert np.max(np.abs(_fd_gradient(sol, pt)[0] - H)) <= 1e-6 * scale
+    # Delta phi = f: the trace is the source's value on the cell of pt
+    fmax = np.max(np.abs(src.values))
+    assert abs(np.trace(H) - _cell_value(src, pt)) <= 1e-12 * fmax
+
+
+@settings(max_examples=30, deadline=None)
+@given(values=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
+       angle=st.floats(0.0, 2.0 * np.pi), dist=st.floats(0.3, 2.0))
+def test_velocity_gradient_far_field_is_traceless(values, angle, dist):
+    # every cell is beyond the near radius: the midpoint-rule Hessian is
+    # harmonic, so its trace vanishes up to rounding
+    src = _random_source(values)
+    pt = np.array([0.2 + dist * np.cos(angle), 0.2 + dist * np.sin(angle)])
+    _, grad = newtonian_solve(src).velocity_gradient(pt[None, :])
+    H = grad[0]
+    assert abs(np.trace(H)) <= 1e-14 * max(np.max(np.abs(H)), 1e-300)
+
+
+@pytest.mark.parametrize("cells", [32, 64])
+def test_weighted_estimate_matches_fine_difference_oracle(cells):
+    # the ratio formed with a 1e-6-step central-difference gradient of the
+    # velocity, on the input of test_weighted_estimate_finite_and_validated
+    dom = CuspDomain(0.75)
+    f, _ = disk_indicator_field((0.5, 0.0), 0.1)
+    sol = newtonian_solve(SourceField.from_function(f, cells))
+    grid = weights.tensor_grid(dom, order=6, n_x=12, n_tau=8, x_min=1e-4,
+                               tau_min=1e-4)
+
+    def norm(g):
+        return weights.weighted_lp_norm(g, dom, 0.0, 2.0, grid, mode="exact",
+                                        estimate_error=False)[0]
+
+    def vmag(q):
+        v = sol.velocity(q)
+        return np.hypot(v[:, 0], v[:, 1])
+
+    def gradmag(q):
+        return np.sqrt(np.sum(_fd_gradient(sol, q) ** 2, axis=(1, 2)))
+
+    oracle = (norm(vmag) + norm(gradmag)) / norm(lambda q: np.abs(f(q)))
+    ratio = check_weighted_estimate(sol, f, dom, 0.0, 2.0, grid)
+    assert ratio == pytest.approx(oracle, rel=1e-8)
