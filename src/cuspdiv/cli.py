@@ -104,12 +104,11 @@ def _cmd_ap_check(cfg, outdir, manifest_name):
     alpha = cfg.params["alpha"]
     mu = cfg.params["mu"]
     p = cfg.params.get("p", 2.0)
-    mode = cfg.params.get("mode", "exact")
     resolution = int(cfg.params.get("resolution", 2048))
     dom = geometry.CuspDomain(alpha)
     sampling = weights.default_sampling(alpha)
     sampling["resolution"] = resolution
-    est = weights.estimate_ap_constant(dom, weights.WeightSpec(mu, mode), p,
+    est = weights.estimate_ap_constant(dom, weights.WeightSpec(mu), p,
                                        sampling=sampling)
     csv_name = f"ap_alpha{alpha:g}_mu{mu:g}_p{p:g}.csv"
     _write_csv(Path(outdir) / csv_name,
@@ -117,7 +116,7 @@ def _cmd_ap_check(cfg, outdir, manifest_name):
                [(r["center_x"], r["center_y"], r["radius"], r["ratio"],
                  r["resolved"]) for r in est.per_ball],
                manifest_name)
-    summary = {"alpha": alpha, "mu": mu, "p": p, "mode": mode,
+    summary = {"alpha": alpha, "mu": mu, "p": p,
                "resolution": resolution, "value": est.value,
                "trend_per_radius_decade": est.trend,
                "admissible_flat": est.admissible_flat(),
@@ -349,7 +348,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
     specs = {
         "whitney": ["alpha", "kmax"],
-        "ap-check": ["alpha", "mu", "p", "mode", "resolution"],
+        "ap-check": ["alpha", "mu", "p", "resolution"],
         "div-solve": ["alpha", "method", "t", "cells", "h", "grading",
                       "mesh", "x_tip", "min_angle"],
         "stokes": ["alpha", "h", "grading", "mesh", "r"],

@@ -3,16 +3,21 @@
 Taylor-Hood elements on graded triangulations: continuous piecewise-quadratic
 velocities (optionally with zero boundary values) and continuous piecewise-
 linear pressures.  The constraint form is b(v, q) = int div v q d^(2 alpha - 2),
-with the distance-power weight evaluated at quadrature nodes; weighted
-constant pressures are removed by a bordered (deflated) saddle solve,
-factored once per assembled system.  The inf-sup, Korn and improved-Poincare
-constants are generalized Rayleigh-quotient extremes, all computed by one
-shift-invert Lanczos path (_min_eig) that raises when it does not converge.
+with the distance-power weight evaluated at quadrature nodes.  Every form on
+a mesh is integrated through one MeshQuadrature: its nodes, the P2 space, the
+physical P2 gradients and the exact distance d are built once, and each
+weight d^e of a form is a power of that d; assemble keeps its MeshQuadrature
+in the SaddleSystem for every later solve.  Weighted constant pressures are
+removed by a bordered (deflated) saddle solve, factored once per assembled
+system.  The inf-sup, Korn and improved-Poincare constants are generalized
+Rayleigh-quotient extremes, all computed by one shift-invert Lanczos path
+(_min_eig) that raises when it does not converge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
@@ -26,6 +31,7 @@ __all__ = [
     "SaddleSystem",
     "ConstantEstimate",
     "P2Space",
+    "MeshQuadrature",
     "assemble",
     "solve_div_right_inverse",
     "discrete_infsup",
@@ -76,7 +82,6 @@ def _p2_grad(lam):
 _P2_N = _p2_shape(_QL)            # (7, 6)
 _P2_G = _p2_grad(_QL)             # (7, 6, 2)
 _P1_N = _QL                       # (7, 3)
-_P1_G = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])   # (3, 2) constant
 
 
 class P2Space:
@@ -113,112 +118,112 @@ class DiscreteField:
     mesh: TriangulatedMesh
 
 
-def _quad_data(mesh: TriangulatedMesh):
-    """Physical quadrature points, scaled weights and Jacobian inverses."""
-    p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
-    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)  # (nt,2,2)
-    detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
-    invJT = np.empty_like(J)
-    invJT[:, 0, 0] = J[:, 1, 1]
-    invJT[:, 0, 1] = -J[:, 1, 0]
-    invJT[:, 1, 0] = -J[:, 0, 1]
-    invJT[:, 1, 1] = J[:, 0, 0]
-    invJT /= detJ[:, None, None]
-    # x_q = p0 + J (xi, eta)
-    ref = _QL[:, 1:]                             # (7, 2)
-    pts = p[:, None, 0, :] + np.einsum("tij,qj->tqi", J, ref)
-    wq = 0.5 * np.abs(detJ)[:, None] * _QW[None, :]
-    return pts, wq, invJT
+class MeshQuadrature:
+    """The 7-point quadrature of a mesh, shared by every form assembled on it.
+
+    pts (nt, 7, 2) and wq (nt, 7) are the physical nodes and scaled weights.
+    The P2 space, the physical P2 gradients (nt, 7, 6, 2) and the exact
+    distance d at pts are built on first use; weight(e) is d**e.
+    """
+
+    def __init__(self, mesh: TriangulatedMesh):
+        self.mesh = mesh
+        p = mesh.vertices[mesh.triangles]           # (nt, 3, 2)
+        J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+        detJ = J[:, 0, 0] * J[:, 1, 1] - J[:, 0, 1] * J[:, 1, 0]
+        invJT = np.empty_like(J)
+        invJT[:, 0, 0] = J[:, 1, 1]
+        invJT[:, 0, 1] = -J[:, 1, 0]
+        invJT[:, 1, 0] = -J[:, 0, 1]
+        invJT[:, 1, 1] = J[:, 0, 0]
+        invJT /= detJ[:, None, None]
+        self._invJT = invJT
+        # x_q = p0 + J (xi, eta)
+        self.pts = p[:, None, 0, :] + np.einsum("tij,qj->tqi", J, _QL[:, 1:])
+        self.wq = 0.5 * np.abs(detJ)[:, None] * _QW[None, :]
+
+    @cached_property
+    def space(self) -> P2Space:
+        return P2Space(self.mesh)
+
+    @cached_property
+    def grads(self):
+        return np.einsum("tij,qnj->tqni", self._invJT, _P2_G)
+
+    @cached_property
+    def d(self):
+        dom = geometry.CuspDomain(self.mesh.alpha)
+        return geometry.distance(dom, self.pts.reshape(-1, 2)).reshape(
+            self.wq.shape)
+
+    def weight(self, exponent):
+        """d^exponent at the nodes; ones, without evaluating d, for 0."""
+        if exponent == 0.0:
+            return np.ones(self.wq.shape)
+        return self.d**exponent
 
 
-def _distance_weight(mesh, pts, exponent):
-    """d(x)^exponent at quadrature points, exact distance."""
-    if exponent == 0.0:
-        return np.ones(pts.shape[:2])
-    dom = geometry.CuspDomain(mesh.alpha)
-    d = geometry.distance(dom, pts.reshape(-1, 2)).reshape(pts.shape[:2])
-    return d**exponent
+def _scatter(rdofs, cdofs, local, shape):
+    """CSR sum of local blocks (nt, m, n) at rows rdofs (nt, m), cols cdofs."""
+    m, n = local.shape[1:]
+    rows = np.repeat(rdofs, n, axis=1)
+    cols = np.tile(cdofs, (1, m))
+    return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
+                             shape=shape).tocsr()
 
 
-def _scatter(rows, cols, vals, shape):
-    m = sparse.coo_matrix((vals.ravel(), (rows.ravel(), cols.ravel())),
-                          shape=shape)
-    return m.tocsr()
+def _load(dofs, local, n):
+    """Length-n vector summing local values (nt, m) at dofs (nt, m)."""
+    return np.bincount(dofs.ravel(), local.ravel(), minlength=n)
 
 
-def _p2_phys_grads(invJT):
-    """Physical P2 gradients at quad points: (nt, 7, 6, 2)."""
-    return np.einsum("tij,qnj->tqni", invJT, _P2_G)
-
-
-def _assemble_p2(mesh, space, wq_vals, kind, quad=None):
+def _assemble_p2(quad, values, kind):
     """Weighted scalar P2 matrix: kind 'mass' or 'stiffness'."""
-    pts, wq, invJT = quad if quad is not None else _quad_data(mesh)
-    w = wq * wq_vals
+    w = quad.wq * values
     if kind == "mass":
         local = np.einsum("tq,qm,qn->tmn", w, _P2_N, _P2_N)
     else:
-        G = _p2_phys_grads(invJT)
+        G = quad.grads
         local = np.einsum("tq,tqmi,tqni->tmn", w, G, G)
-    d = space.tri_dofs
-    rows = np.repeat(d, 6, axis=1)
-    cols = np.tile(d, (1, 6))
-    return _scatter(rows, cols, local, (space.n_dofs, space.n_dofs))
+    d, n = quad.space.tri_dofs, quad.space.n_dofs
+    return _scatter(d, d, local, (n, n))
 
 
-def _assemble_eps(mesh, space, wq_vals, quad=None):
+def _assemble_eps(quad, values):
     """Vector-P2 matrix of int eps(u):eps(v) w, blocked [ux; uy]."""
-    pts, wq, invJT = quad if quad is not None else _quad_data(mesh)
-    w = wq * wq_vals
-    G = _p2_phys_grads(invJT)                    # (nt, 7, 6, 2)
-    gx, gy = G[..., 0], G[..., 1]
+    w = quad.wq * values
+    gx, gy = quad.grads[..., 0], quad.grads[..., 1]
     # eps(u):eps(v) blocks for (ux, ux), (ux, uy), (uy, uy)
     xx = np.einsum("tq,tqm,tqn->tmn", w, gx, gx) \
         + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gy)
     yy = np.einsum("tq,tqm,tqn->tmn", w, gy, gy) \
         + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gx, gx)
     xy = 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gx)
-    n = space.n_dofs
-    d = space.tri_dofs
-    rows = np.repeat(d, 6, axis=1)
-    cols = np.tile(d, (1, 6))
-    blocks = [
-        (rows, cols, xx), (rows + n, cols + n, yy),
-        (rows, cols + n, xy), (rows + n, cols, xy.transpose(0, 2, 1)),
-    ]
-    r = np.concatenate([b[0].ravel() for b in blocks])
-    c = np.concatenate([b[1].ravel() for b in blocks])
-    v = np.concatenate([b[2].ravel() for b in blocks])
-    return sparse.coo_matrix((v, (r, c)), shape=(2 * n, 2 * n)).tocsr()
+    d, n = quad.space.tri_dofs, quad.space.n_dofs
+    # block-major (xx, yy, xy, yx) entry order: the CSR conversion sums
+    # duplicates after an unstable sort, so the order fixes the last bits
+    return _scatter(np.concatenate([d, d + n, d, d + n]),
+                    np.concatenate([d, d + n, d + n, d]),
+                    np.concatenate([xx, yy, xy, xy.transpose(0, 2, 1)]),
+                    (2 * n, 2 * n))
 
 
-def _assemble_div(mesh, vspace, wq_vals, quad=None):
+def _assemble_div(quad, values):
     """B[q, v] = int div v phi_q w over P1 pressures x vector P2: (np, 2 nu)."""
-    pts, wq, invJT = quad if quad is not None else _quad_data(mesh)
-    w = wq * wq_vals
-    G = _p2_phys_grads(invJT)
+    w = quad.wq * values
+    G = quad.grads
     bx = np.einsum("tq,qm,tqni->tmni", w, _P1_N, G[..., :1])[..., 0]
     by = np.einsum("tq,qm,tqni->tmni", w, _P1_N, G[..., 1:])[..., 0]
-    n = vspace.n_dofs
-    t = mesh.triangles
-    rows = np.repeat(t, 6, axis=1)               # (nt, 18)
-    cols = np.tile(vspace.tri_dofs, (1, 3))
-    shape = (mesh.num_vertices, 2 * n)
-    Bx = sparse.coo_matrix((bx.ravel(), (rows.ravel(), cols.ravel())), shape)
-    By = sparse.coo_matrix(
-        (by.ravel(), (rows.ravel(), (cols + n).ravel())), shape)
-    return (Bx + By).tocsr()
+    t, d, n = quad.mesh.triangles, quad.space.tri_dofs, quad.space.n_dofs
+    shape = (quad.mesh.num_vertices, 2 * n)
+    # two matrices, not one: duplicates are summed per block (see above)
+    return _scatter(t, d, bx, shape) + _scatter(t, d + n, by, shape)
 
 
-def _assemble_p1_mass(mesh, wq_vals, quad=None):
-    pts, wq, invJT = quad if quad is not None else _quad_data(mesh)
-    w = wq * wq_vals
-    local = np.einsum("tq,qm,qn->tmn", w, _P1_N, _P1_N)
-    t = mesh.triangles
-    rows = np.repeat(t, 3, axis=1)
-    cols = np.tile(t, (1, 3))
-    nv = mesh.num_vertices
-    return _scatter(rows, cols, local, (nv, nv))
+def _assemble_p1_mass(quad, values):
+    local = np.einsum("tq,qm,qn->tmn", quad.wq * values, _P1_N, _P1_N)
+    t, nv = quad.mesh.triangles, quad.mesh.num_vertices
+    return _scatter(t, t, local, (nv, nv))
 
 
 def default_ball(alpha):
@@ -237,22 +242,20 @@ def _ball_indicator(pts, ball):
 class SaddleSystem:
     """Assembled weighted Taylor-Hood saddle-point blocks.
 
-    quad and wvals are the quadrature data and the d^(2 alpha - 2) values
-    the blocks were assembled with; every solve on the system reuses them.
-    The bordered saddle matrix is factored on first use and shared by all
-    later solves.
+    quad is the mesh quadrature the blocks were assembled with; every solve
+    on the system reuses it, and with it the distance at its nodes.  The
+    bordered saddle matrix is factored on first use and shared by all later
+    solves.
     """
 
     mesh: TriangulatedMesh
     alpha: float
-    vspace: P2Space
     A: sparse.csr_matrix          # int Du : Dv on vector P2 (no BC applied)
     B: sparse.csr_matrix          # int div v q d^(2 alpha - 2)
     Mw: sparse.csr_matrix         # weighted P1 pressure mass
     c: np.ndarray = field(repr=False)       # Mw 1, the deflated direction
     free: np.ndarray = field(repr=False)    # zero-BC dofs
-    quad: tuple = field(repr=False)         # _quad_data(mesh)
-    wvals: np.ndarray = field(repr=False)   # d^(2 alpha - 2) at quad points
+    quad: MeshQuadrature = field(repr=False)
     _solve: object = field(repr=False, default=None, init=False)
 
     def restrict(self):
@@ -272,21 +275,20 @@ def assemble(mesh: TriangulatedMesh, alpha=None) -> SaddleSystem:
     alpha = mesh.alpha if alpha is None else alpha
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for the weighted Stokes forms")
-    vspace = P2Space(mesh)
-    quad = _quad_data(mesh)
-    ones = np.ones(quad[1].shape)
-    wvals = _distance_weight(mesh, quad[0], 2.0 * alpha - 2.0)
-    K = _assemble_p2(mesh, vspace, ones, "stiffness", quad)
+    quad = MeshQuadrature(mesh)
+    n = quad.space.n_dofs
+    w = quad.weight(2.0 * alpha - 2.0)
+    K = _assemble_p2(quad, quad.weight(0.0), "stiffness")
     A = sparse.block_diag([K, K]).tocsr()
-    B = _assemble_div(mesh, vspace, wvals, quad)
-    Mw = _assemble_p1_mass(mesh, wvals, quad)
+    B = _assemble_div(quad, w)
+    Mw = _assemble_p1_mass(quad, w)
     c = np.asarray(Mw @ np.ones(mesh.num_vertices))
-    bdofs = vspace.boundary_dofs()
-    mask = np.ones(2 * vspace.n_dofs, dtype=bool)
+    bdofs = quad.space.boundary_dofs()
+    mask = np.ones(2 * n, dtype=bool)
     mask[bdofs] = False
-    mask[bdofs + vspace.n_dofs] = False
+    mask[bdofs + n] = False
     free = np.nonzero(mask)[0]
-    return SaddleSystem(mesh, alpha, vspace, A, B, Mw, c, free, quad, wvals)
+    return SaddleSystem(mesh, alpha, A, B, Mw, c, free, quad)
 
 
 def _bordered_solver(Af, Bf, c):
@@ -344,34 +346,25 @@ def _min_eig(solve, M):
     return mu, resid
 
 
-def _eval_p2_vector(mesh, vspace, coeffs, quad):
-    """Values and gradients of a blocked vector-P2 field at quad points."""
-    n = vspace.n_dofs
-    d = vspace.tri_dofs
+def field_h1_norm(quad, coeffs) -> float:
+    """Unweighted H^1 norm (sqrt of int |u|^2 + |Du|^2) of a blocked
+    vector-P2 field."""
+    n, d = quad.space.n_dofs, quad.space.tri_dofs
     ux, uy = coeffs[:n], coeffs[n:]
-    G = _p2_phys_grads(quad[2])
     vals = np.stack([np.einsum("qm,tm->tq", _P2_N, ux[d]),
                      np.einsum("qm,tm->tq", _P2_N, uy[d])], axis=-1)
-    grads = np.stack([np.einsum("tqmi,tm->tqi", G, ux[d]),
-                      np.einsum("tqmi,tm->tqi", G, uy[d])], axis=-2)
-    return vals, grads                          # (nt,7,2), (nt,7,2,2)
-
-
-def field_h1_norm(mesh, vspace, coeffs, quad=None) -> float:
-    """Unweighted H^1 norm (sqrt of int |u|^2 + |Du|^2) of a vector field."""
-    quad = quad if quad is not None else _quad_data(mesh)
-    vals, grads = _eval_p2_vector(mesh, vspace, coeffs, quad)
+    grads = np.stack([np.einsum("tqmi,tm->tqi", quad.grads, ux[d]),
+                      np.einsum("tqmi,tm->tqi", quad.grads, uy[d])], axis=-2)
     dens = np.sum(vals**2, axis=-1) + np.sum(grads**2, axis=(-1, -2))
-    return float(np.sqrt(np.sum(quad[1] * dens)))
+    return float(np.sqrt(np.sum(quad.wq * dens)))
 
 
 def source_weighted_norm(mesh, f, gamma) -> float:
     """||f||_{L^2(Omega, gamma)} of a callable source by mesh quadrature."""
-    quad = _quad_data(mesh)
-    fv = np.asarray(f(quad[0].reshape(-1, 2)), dtype=float).reshape(
-        quad[1].shape)
-    w = _distance_weight(mesh, quad[0], 2.0 * gamma)
-    return float(np.sqrt(np.sum(quad[1] * w * fv**2)))
+    quad = MeshQuadrature(mesh)
+    fv = np.asarray(f(quad.pts.reshape(-1, 2)), dtype=float).reshape(
+        quad.wq.shape)
+    return float(np.sqrt(np.sum(quad.wq * quad.weight(2.0 * gamma) * fv**2)))
 
 
 def solve_div_right_inverse(mesh, alpha, f, system=None):
@@ -385,14 +378,15 @@ def solve_div_right_inverse(mesh, alpha, f, system=None):
     sys_ = assemble(mesh, alpha) if system is None else system
     if not callable(f):
         raise TypeError("f must be callable on (n, 2) point arrays")
-    pts, wq, _ = sys_.quad
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(wq.shape)
-    g = np.zeros(mesh.num_vertices)
-    np.add.at(g, mesh.triangles.ravel(),
-              np.einsum("tq,qm->tm", wq * sys_.wvals * fv, _P1_N).ravel())
+    quad = sys_.quad
+    fv = np.asarray(f(quad.pts.reshape(-1, 2)), dtype=float).reshape(
+        quad.wq.shape)
+    w = quad.wq * quad.weight(2.0 * sys_.alpha - 2.0) * fv
+    g = _load(mesh.triangles, np.einsum("tq,qm->tm", w, _P1_N),
+              mesh.num_vertices)
 
     uf, lam, mu = sys_.bordered_solve(np.zeros(len(sys_.free)), g)
-    coeffs = np.zeros(2 * sys_.vspace.n_dofs)
+    coeffs = np.zeros(2 * quad.space.n_dofs)
     coeffs[sys_.free] = uf
     _, Bf = sys_.restrict()
     resid = Bf @ uf + mu * sys_.c - g
@@ -401,7 +395,7 @@ def solve_div_right_inverse(mesh, alpha, f, system=None):
         "constraint_residual": float(np.linalg.norm(resid)) / scale,
         "multiplier": lam,
         "weighted_mean_correction": mu,
-        "h1_norm": field_h1_norm(mesh, sys_.vspace, coeffs, sys_.quad),
+        "h1_norm": field_h1_norm(quad, coeffs),
     }
     return DiscreteField("vector-P2", coeffs, mesh), info
 
@@ -431,16 +425,13 @@ def solve_stokes(mesh, alpha, f, system=None):
     """
     sys_ = assemble(mesh, alpha) if system is None else system
     Af, Bf = sys_.restrict()
-    pts, wq, _ = sys_.quad
-    fv = np.asarray(f(pts.reshape(-1, 2)), dtype=float).reshape(
+    wq, d, n = sys_.quad.wq, sys_.quad.space.tri_dofs, sys_.quad.space.n_dofs
+    fv = np.asarray(f(sys_.quad.pts.reshape(-1, 2)), dtype=float).reshape(
         wq.shape + (2,))
-    n = sys_.vspace.n_dofs
-    F = np.zeros(2 * n)
     contrib_x = np.einsum("tq,tq,qm->tm", wq, fv[..., 0], _P2_N)
     contrib_y = np.einsum("tq,tq,qm->tm", wq, fv[..., 1], _P2_N)
-    np.add.at(F, sys_.vspace.tri_dofs.ravel(), contrib_x.ravel())
-    np.add.at(F, (sys_.vspace.tri_dofs + n).ravel(), contrib_y.ravel())
-    Ff = F[sys_.free]
+    Ff = _load(np.hstack([d, d + n]), np.hstack([contrib_x, contrib_y]),
+               2 * n)[sys_.free]
 
     uf, q, mu = sys_.bordered_solve(Ff, np.zeros(mesh.num_vertices))
     coeffs = np.zeros(2 * n)
@@ -509,15 +500,14 @@ def pressure_lr_norm(mesh, alpha, q, r):
         raise ValueError(
             f"r must lie in [1, {2.0 / (3.0 - 2.0 * alpha):.6f}) "
             f"for alpha={alpha}")
-    quad = _quad_data(mesh)
+    quad = MeshQuadrature(mesh)
     qv = np.einsum("qm,tm->tq", _P1_N, np.asarray(q)[mesh.triangles])
-    d = _distance_weight(mesh, quad[0], 1.0)
-    p = qv * d ** (2.0 * alpha - 2.0)
-    norm = float(np.sum(quad[1] * np.abs(p) ** r) ** (1.0 / r))
+    p = qv * quad.weight(2.0 * alpha - 2.0)
+    norm = float(np.sum(quad.wq * np.abs(p) ** r) ** (1.0 / r))
     # Hoelder: ||p||_r <= ||p d^(1-alpha)||_2 * ||d^(alpha-1)||_{2r/(2-r)}
-    w2 = float(np.sqrt(np.sum(quad[1] * (p * d ** (1.0 - alpha)) ** 2)))
+    w2 = float(np.sqrt(np.sum(quad.wq * (p * quad.weight(1.0 - alpha)) ** 2)))
     ex = 2.0 * (alpha - 1.0) * r / (2.0 - r)
-    mass = float(np.sum(quad[1] * d**ex))
+    mass = float(np.sum(quad.wq * quad.weight(ex)))
     bound = w2 * mass ** ((2.0 - r) / (2.0 * r))
     return {"norm": norm, "bound": bound, "slack": bound - norm}
 
@@ -545,15 +535,11 @@ def korn_best_constant(mesh, alpha, beta, ball=None, level=0):
     """
     if ball is None:
         ball = default_ball(alpha)
-    vspace = P2Space(mesh)
-    quad = _quad_data(mesh)
-    w_grad = _distance_weight(mesh, quad[0], 2.0 * (1.0 - beta))
-    w_eps = _distance_weight(mesh, quad[0], 2.0 * (alpha - beta))
-    K = _assemble_p2(mesh, vspace, w_grad, "stiffness", quad)
+    quad = MeshQuadrature(mesh)
+    K = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "stiffness")
     G = sparse.block_diag([K, K]).tocsr()
-    E = _assemble_eps(mesh, vspace, w_eps, quad)
-    ind = _ball_indicator(quad[0], ball)
-    Mb = _assemble_p2(mesh, vspace, ind, "mass", quad)
+    E = _assemble_eps(quad, quad.weight(2.0 * (alpha - beta)))
+    Mb = _assemble_p2(quad, _ball_indicator(quad.pts, ball), "mass")
     MB = sparse.block_diag([Mb, Mb]).tocsr()
     mu, resid = _min_eig(splu((E + MB).tocsc()).solve, G)
     return ConstantEstimate(
@@ -574,22 +560,19 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     if ball is None:
         ball = default_ball(alpha)
     (cx, cy), r = ball
-    space = P2Space(mesh)
-    quad = _quad_data(mesh)
-    w_m = _distance_weight(mesh, quad[0], 2.0 * (1.0 - beta))
-    w_s = _distance_weight(mesh, quad[0], 2.0 * (1.0 + alpha - beta))
-    M = _assemble_p2(mesh, space, w_m, "mass", quad)
-    S = _assemble_p2(mesh, space, w_s, "stiffness", quad)
+    quad = MeshQuadrature(mesh)
+    M = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "mass")
+    S = _assemble_p2(quad, quad.weight(2.0 * (1.0 + alpha - beta)),
+                     "stiffness")
     # tent bump on the ball, normalized to unit integral by quadrature
-    bump = np.maximum(0.0, 1.0 - np.hypot(quad[0][..., 0] - cx,
-                                          quad[0][..., 1] - cy) / r)
-    total = float(np.sum(quad[1] * bump))
+    bump = np.maximum(0.0, 1.0 - np.hypot(quad.pts[..., 0] - cx,
+                                          quad.pts[..., 1] - cy) / r)
+    total = float(np.sum(quad.wq * bump))
     if total <= 0.0:
         raise ValueError("bump ball does not intersect the quadrature nodes")
     bump /= total
-    c = np.zeros(space.n_dofs)
-    np.add.at(c, space.tri_dofs.ravel(),
-              np.einsum("tq,qm->tm", quad[1] * bump, _P2_N).ravel())
+    c = _load(quad.space.tri_dofs,
+              np.einsum("tq,qm->tm", quad.wq * bump, _P2_N), quad.space.n_dofs)
     cc = sparse.csc_matrix(c.reshape(-1, 1))
     lu = splu(sparse.bmat([[S, cc], [cc.T, None]], format="csc"))
     mu, resid = _min_eig(lambda y: lu.solve(np.append(y, 0.0))[:-1], M)
@@ -607,25 +590,20 @@ def harmonic_ratio(domain, mu, kmax, grid=None):
     truncation keeps all family members comparable, which is what the
     boundedness-in-k diagnostic uses.
     """
-    from .weights import tensor_grid, weighted_lp_norm
+    from .weights import lp_norms_at_nodes, tensor_grid
 
     if grid is None:
         grid = tensor_grid(domain, n_x=30, n_tau=24, x_min=1e-8, tau_min=1e-6)
-    ratios = []
-    for k in range(1, kmax + 1):
-        for part in (np.real, np.imag):
-            def f(pts, k=k, part=part):
-                z = pts[:, 0] + 1j * pts[:, 1]
-                return part(z**k)
-
-            def gmag(pts, k=k):
-                z = pts[:, 0] + 1j * pts[:, 1]
-                return k * np.abs(z) ** (k - 1)
-
-            num, _ = weighted_lp_norm(gmag, domain, 1.0 - mu, 2.0, grid,
-                                      mode="exact", estimate_error=False)
-            den, _ = weighted_lp_norm(f, domain, -mu, 2.0, grid,
-                                      mode="exact", estimate_error=False)
-            if den > 0.0:
-                ratios.append(num / den)
-    return float(max(ratios))
+    z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
+    ks = range(1, kmax + 1)
+    family = [part(z**k) for k in ks for part in (np.real, np.imag)]
+    gmag = [k * np.abs(z) ** (k - 1) for k in ks]
+    # one distance evaluation per weight exponent, for all family members
+    with np.errstate(divide="ignore"):
+        num = lp_norms_at_nodes(np.log(np.abs(gmag)), domain, 1.0 - mu, 2.0,
+                                grid)
+        den = lp_norms_at_nodes(np.log(np.abs(family)), domain, -mu, 2.0,
+                                grid)
+    num = np.repeat(num, 2)             # Re z^k and Im z^k share |grad|
+    keep = den > 0.0
+    return float(np.max(num[keep] / den[keep]))

@@ -126,7 +126,10 @@ def _column_abscissas(domain: CuspDomain, h: float, grading: float,
         xs.append(x)
         if len(xs) > 200000:
             raise MeshQualityError("column grading did not terminate")
-    if xs[-1] - x_tip < 0.3 * step(x_tip) and len(xs) > 1:
+    # a last column closer to the tip than 0.3 of the local step or of the
+    # previous gap leaves a sliver strip: merge it into the tip strip
+    if len(xs) > 1 and \
+            xs[-1] - x_tip < 0.3 * max(step(x_tip), xs[-2] - xs[-1]):
         xs.pop()
     xs.append(x_tip)
     return np.array(xs[::-1]), x_tip

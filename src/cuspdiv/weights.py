@@ -527,8 +527,12 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
     inadmissible ones (divergent with scale/resolution).
 
     Both averages of a ball share one node set, so each ratio is exactly 1
-    for mu = 0 and at least 1 in general (discrete Jensen inequality).
+    for mu = 0 and at least 1 in general (discrete Jensen inequality).  The
+    plan stores exact distances, so only an exact weight is accepted.
     """
+    if weight.mode != "exact":
+        raise ValueError(f"the ball plan holds exact distances, not "
+                         f"{weight.mode!r} ones")
     if plan is None:
         plan = build_ball_plan(domain, sampling)
     delta_min = 1.0 / float(plan["sampling"]["resolution"])

@@ -59,6 +59,15 @@ def test_csv_has_manifest_header(tmp_path):
     assert lines[1].split(",")[0] == "center_x"
 
 
+def test_ap_check_has_no_weight_mode(tmp_path):
+    args = ["ap-check", "--alpha", "0.5", "--mu", "0.5", "--resolution",
+            "256", "--outdir", str(tmp_path)]
+    with pytest.raises(SystemExit):
+        run_cli(args + ["--mode", "surrogate"])
+    assert run_cli(args) == 0
+    assert "mode" not in strip_manifest(tmp_path, "ap-check")
+
+
 def test_config_file_with_flag_override(tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text(

@@ -1,10 +1,11 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy import linalg as dla
 
-from cuspdiv import cli, fem, weights
+from cuspdiv import cli, fem, geometry, weights
 from cuspdiv.fem import (
     P2Space,
     assemble,
@@ -75,22 +76,77 @@ def test_assembled_blocks_symmetric_and_positive(system075):
     assert dla.eigvalsh(Mw.toarray())[0] > 0.0
 
 
+def csr_sha256(m):
+    m = m.tocsr()
+    return hashlib.sha256(m.indptr.tobytes() + m.indices.tobytes()
+                          + m.data.tobytes()).hexdigest()
+
+
+# sha256 of indptr, indices and data, recorded from the per-function
+# quadrature code that each form rebuilt for itself
+GOLDEN_FORMS = {
+    "A": "21beb83866fe0780300df89b69804c02736b3179fad8be3f99134bb67cbf004e",
+    "B": "21158fc4c1c09d227e8bdf3fcfaeda752597c6c1e7fb4bd9ba89538a723afcbe",
+    "Mw": "29f9c7a2d665da2e6a58ce79272b2d60f2daa4fc04dbb5a97923296a7bff9a71",
+    "E": "342d49024298a42e6366b7f4daef1d8467c45bc1d29a9d74ea907528850eb34e",
+    "S": "455535106da6731cba49d17199d52c89cb9f48f4182cecd8bf5cff874ae5b91d",
+}
+
+
+def test_golden_form_bytes(mesh075):
+    system = assemble(mesh075, 0.75)
+    quad = fem.MeshQuadrature(mesh075)
+    got = {
+        "A": system.A, "B": system.B, "Mw": system.Mw,
+        # Korn at (alpha, beta) = (0.75, 0.5): eps weight d^(2(alpha - beta))
+        "E": fem._assemble_eps(quad, quad.weight(0.5)),
+        # Poincare at (0.75, 0.75): stiffness weight d^(2(1 + alpha - beta))
+        "S": fem._assemble_p2(quad, quad.weight(2.0), "stiffness"),
+    }
+    assert {k: csr_sha256(m) for k, m in got.items()} == GOLDEN_FORMS
+
+
+def count_distance_calls(monkeypatch):
+    calls = []
+    distance = geometry.distance
+
+    def counted(domain, pts):
+        calls.append(len(np.atleast_2d(pts)))
+        return distance(domain, pts)
+
+    monkeypatch.setattr(geometry, "distance", counted)
+    return calls
+
+
+def test_one_distance_evaluation_per_mesh_quadrature(mesh075, monkeypatch):
+    ball = default_ball(0.75)
+    calls = count_distance_calls(monkeypatch)
+    system = assemble(mesh075, 0.75)
+    assert len(calls) == 1
+    # solves on the system reuse its quadrature and distance
+    solve_div_right_inverse(mesh075, 0.75, lambda p: p[:, 0], system=system)
+    assert len(calls) == 1
+    for estimate in (korn_best_constant, improved_poincare_constant):
+        calls.clear()
+        estimate(mesh075, 0.75, 0.5, ball=ball)
+        assert calls == [7 * mesh075.num_triangles]
+
+
 def test_rigid_rotation_has_zero_strain(mesh075):
     # u = (-y, x) is linear, so its P2 interpolant is exact and eps(u) = 0
-    sp = P2Space(mesh075)
-    xy = sp.dof_coords()
+    quad = fem.MeshQuadrature(mesh075)
+    xy = quad.space.dof_coords()
     coeffs = np.concatenate([-xy[:, 1], xy[:, 0]])
-    quad = fem._quad_data(mesh075)
-    E = fem._assemble_eps(mesh075, sp, np.ones(quad[1].shape), quad)
+    E = fem._assemble_eps(quad, quad.weight(0.0))
     energy = float(coeffs @ (E @ coeffs))
     scale = float(coeffs @ coeffs)
     assert abs(energy) < 1e-12 * scale
 
 
 def test_constant_field_h1_norm(mesh075):
-    sp = P2Space(mesh075)
-    coeffs = np.concatenate([np.ones(sp.n_dofs), np.zeros(sp.n_dofs)])
-    norm = fem.field_h1_norm(mesh075, sp, coeffs)
+    quad = fem.MeshQuadrature(mesh075)
+    n = quad.space.n_dofs
+    norm = fem.field_h1_norm(quad, np.concatenate([np.ones(n), np.zeros(n)]))
     assert norm == pytest.approx(math.sqrt(mesh075.area()), rel=1e-12)
 
 
@@ -171,7 +227,7 @@ def test_stokes_identities(mesh075, system075):
 def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
     v = mesh075.vertices
     q = 2.0 + 3.0 * v[:, 0] - v[:, 1]
-    pts = fem._quad_data(mesh075)[0].reshape(-1, 2)[::5]
+    pts = fem.MeshQuadrature(mesh075).pts.reshape(-1, 2)[::5]
     got = fem._eval_p1(mesh075, q, pts)
     assert np.allclose(got, 2.0 + 3.0 * pts[:, 0] - pts[:, 1],
                        rtol=0.0, atol=1e-12)
@@ -213,14 +269,13 @@ def test_poincare_constant_finite_with_residual(mesh075):
 
 def test_korn_constant_matches_dense_oracle(mesh075):
     alpha = beta = 0.75
-    quad, sp = fem._quad_data(mesh075), P2Space(mesh075)
+    quad = fem.MeshQuadrature(mesh075)
     ball = default_ball(alpha)
-    w_grad = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 - beta))
-    w_eps = fem._distance_weight(mesh075, quad[0], 2.0 * (alpha - beta))
-    K = fem._assemble_p2(mesh075, sp, w_grad, "stiffness", quad).toarray()
-    Mb = fem._assemble_p2(mesh075, sp, fem._ball_indicator(quad[0], ball),
-                          "mass", quad).toarray()
-    E = fem._assemble_eps(mesh075, sp, w_eps, quad).toarray()
+    K = fem._assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)),
+                         "stiffness").toarray()
+    Mb = fem._assemble_p2(quad, fem._ball_indicator(quad.pts, ball),
+                          "mass").toarray()
+    E = fem._assemble_eps(quad, quad.weight(2.0 * (alpha - beta))).toarray()
     G, MB = dla.block_diag(K, K), dla.block_diag(Mb, Mb)
     ref = math.sqrt(dla.eigh(G, E + MB, eigvals_only=True)[-1])
     got = korn_best_constant(mesh075, alpha, beta).constant
@@ -229,17 +284,18 @@ def test_korn_constant_matches_dense_oracle(mesh075):
 
 def test_poincare_constant_matches_dense_oracle(mesh075):
     alpha = beta = 0.75
-    quad, sp = fem._quad_data(mesh075), P2Space(mesh075)
+    quad = fem.MeshQuadrature(mesh075)
+    sp = quad.space
     (cx, cy), r = default_ball(alpha)
-    w_m = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 - beta))
-    w_s = fem._distance_weight(mesh075, quad[0], 2.0 * (1.0 + alpha - beta))
-    M = fem._assemble_p2(mesh075, sp, w_m, "mass", quad).toarray()
-    S = fem._assemble_p2(mesh075, sp, w_s, "stiffness", quad).toarray()
-    bump = np.maximum(0.0, 1.0 - np.hypot(quad[0][..., 0] - cx,
-                                          quad[0][..., 1] - cy) / r)
+    M = fem._assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)),
+                         "mass").toarray()
+    S = fem._assemble_p2(quad, quad.weight(2.0 * (1.0 + alpha - beta)),
+                         "stiffness").toarray()
+    bump = np.maximum(0.0, 1.0 - np.hypot(quad.pts[..., 0] - cx,
+                                          quad.pts[..., 1] - cy) / r)
     c = np.zeros(sp.n_dofs)
     np.add.at(c, sp.tri_dofs.ravel(),
-              np.einsum("tq,qm->tm", quad[1] * bump, fem._P2_N).ravel())
+              np.einsum("tq,qm->tm", quad.wq * bump, fem._P2_N).ravel())
     # orthonormal basis of {x : c.x = 0} from an SVD of the projector
     U, _, _ = np.linalg.svd(np.eye(len(c)) - np.outer(c, c) / (c @ c))
     T = U[:, : len(c) - 1]
@@ -301,3 +357,12 @@ def test_harmonic_ratio_matches_direct_computation():
         best = max(best, num / den)
     assert harmonic_ratio(dom, mu, 1, grid=grid) == pytest.approx(best,
                                                                   rel=1e-12)
+
+
+def test_harmonic_ratio_one_distance_evaluation_per_exponent(monkeypatch):
+    dom = CuspDomain(0.75)
+    grid = weights.tensor_grid(dom, n_x=30, n_tau=24, x_min=1e-8,
+                               tau_min=1e-6)
+    calls = count_distance_calls(monkeypatch)
+    harmonic_ratio(dom, 0.25, 3, grid=grid)
+    assert calls == [len(grid.nodes)] * 2

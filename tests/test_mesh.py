@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspdiv import geometry, mesh as meshmod
@@ -187,8 +187,15 @@ def assert_conforming(m):
     assert np.all(signed > 0.0)
 
 
+# inputs whose last column sat a sliver's width from the tip
+SLIVER_INPUTS = [(0.720188577357892, 0.2900099086119622),
+                 (0.9449677778602603, 0.26092224205947545)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(alpha=st.floats(0.5, 1.0), h=st.floats(0.08, 0.3))
+@example(*SLIVER_INPUTS[0])
+@example(*SLIVER_INPUTS[1])
 def test_meshes_are_conforming(alpha, h):
     dom = CuspDomain(alpha)
     try:
@@ -200,13 +207,23 @@ def test_meshes_are_conforming(alpha, h):
     assert_conforming(refine(m))
 
 
+@pytest.mark.parametrize("alpha,h,x_tip", [
+    (*SLIVER_INPUTS[0], None), (*SLIVER_INPUTS[1], None), (0.75, 0.1, 0.0125)])
+def test_no_sliver_column_at_the_tip(alpha, h, x_tip):
+    m = generate_graded_mesh(CuspDomain(alpha), h, x_tip=x_tip)
+    assert m.min_angle() >= 15.0
+    xs = np.unique(m.vertices[:, 0])
+    assert xs[1] - xs[0] >= 0.3 * (xs[2] - xs[1])
+
+
 def test_retry_skips_unchanged_columns(monkeypatch):
-    # every aspect cap gives the same 18 columns here, so the mesh is built
-    # once and the quality error is raised without rebuilding it
+    # every aspect cap gives the same 17 columns here, so the mesh is built
+    # once and the quality error (forced by an unreachable 60 degree target)
+    # is raised without rebuilding it
     dom, h = CuspDomain(0.720188577357892), 0.2900099086119622
     xs = [meshmod._column_abscissas(dom, h, dom.gamma, cap)[0]
           for cap in (2.0, 1.4, 1.0)]
-    assert len(xs[0]) == 18
+    assert len(xs[0]) == 17
     assert all(np.array_equal(xs[0], x) for x in xs[1:])
     calls = []
     build = meshmod._build
@@ -217,5 +234,5 @@ def test_retry_skips_unchanged_columns(monkeypatch):
 
     monkeypatch.setattr(meshmod, "_build", counting_build)
     with pytest.raises(MeshQualityError):
-        generate_graded_mesh(dom, h)
+        generate_graded_mesh(dom, h, min_angle_deg=60.0)
     assert len(calls) == 1

@@ -305,3 +305,17 @@ def test_estimate_ap_constant_small_plan():
     # mu = 0 gives ratio exactly 1 on every ball
     flat = estimate_ap_constant(dom, WeightSpec(0.0), 2.0, sampling=sampling)
     assert flat.value == pytest.approx(1.0, abs=1e-12)
+
+
+def test_estimate_ap_constant_rejects_surrogate_weight():
+    # the plan holds exact distances; a surrogate weight would be ignored
+    dom = CuspDomain(0.5)
+    sampling = {
+        "boundary_centers": np.array([[0.5, 0.25]]),
+        "interior_centers": np.array([[0.5, 0.0]]),
+        "radii": np.array([0.125]),
+        "resolution": 256,
+    }
+    with pytest.raises(ValueError, match="exact"):
+        estimate_ap_constant(dom, WeightSpec(0.5, "surrogate"), 2.0,
+                             sampling=sampling)
