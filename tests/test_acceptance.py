@@ -255,3 +255,7 @@ def test_cli_determinism(tmp_path):
     run_twice(["optimality-sweep", "--alpha", "0.75", "--beta", "0",
                "--p", "3"],
               ["optimality_alpha0.75_beta0_p3.csv"])
+    # the 8,533-unknown saddle, factored in its fill-reducing order
+    run_twice(["stokes", "--alpha", "0.75", "--h", "0.1"], [])
+    run_twice(["div-solve", "--alpha", "0.75", "--method", "fem",
+               "--h", "0.1"], [])

@@ -4,6 +4,8 @@ import math
 import numpy as np
 import pytest
 from scipy import linalg as dla
+from scipy import sparse
+from scipy.sparse.linalg import splu
 
 from cuspdiv import cli, fem, geometry, weights
 from cuspdiv.fem import (
@@ -188,6 +190,59 @@ def test_bordered_solve_weight_scaling_invariance(system075):
     assert np.allclose(q1, s * q2, atol=1e-10 * max(np.linalg.norm(q1), 1.0))
 
 
+def record_lu(monkeypatch):
+    """(matrix, LU) of every factorization in fem, through fem.splu."""
+    factored = []
+    fem_splu = fem.splu
+
+    def recorded(A, **kw):
+        lu = fem_splu(A, **kw)
+        factored.append((A, lu))
+        return lu
+
+    monkeypatch.setattr(fem, "splu", recorded)
+    return factored
+
+
+def lu_fill(lu):
+    return lu.L.nnz + lu.U.nnz
+
+
+def relative_error(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+# h, largest saddle fill as a fraction of COLAMD's (0.85 and 0.54 measured)
+@pytest.mark.parametrize("h, saddle_fill", [(0.25, 1.0), (0.1, 0.6)])
+def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
+    mesh = generate_graded_mesh(CuspDomain(0.75), h)
+    factored = record_lu(monkeypatch)
+    rng = np.random.default_rng(3)
+    # saddle: the bordered solve against a default-order LU of the bordered
+    # matrix in its own dof order
+    system = assemble(mesh, 0.75)
+    Af, Bf = system.restrict()
+    c = sparse.csc_matrix(system.c.reshape(-1, 1))
+    oracle = splu(sparse.bmat([[Af, Bf.T, None], [Bf, None, c],
+                               [None, c.T, None]], format="csc"))
+    nu, npress = Bf.shape[1], Bf.shape[0]
+    rhs = np.append(rng.standard_normal(nu + npress), 0.0)
+    u, q, mu = system.bordered_solve(rhs[:nu], rhs[nu:-1])
+    assert relative_error(np.concatenate([u, q, [mu]]),
+                          oracle.solve(rhs)) <= 1e-10
+    assert len(factored) == 1
+    assert lu_fill(factored[0][1]) <= saddle_fill * lu_fill(oracle)
+    # Korn and Poincare: the factored matrix against its default-order LU
+    korn_best_constant(mesh, 0.75, 0.75)
+    improved_poincare_constant(mesh, 0.75, 0.75)
+    assert len(factored) == 3
+    for A, lu in factored[1:]:
+        oracle = splu(A)
+        b = rng.standard_normal(A.shape[0])
+        assert relative_error(lu.solve(b), oracle.solve(b)) <= 1e-10
+        assert lu_fill(lu) <= lu_fill(oracle)
+
+
 def dense_infsup_oracle(system):
     """Schur-complement inf-sup via an SVD projector (independent path)."""
     Af, Bf = system.restrict()
@@ -224,6 +279,27 @@ def test_stokes_identities(mesh075, system075):
     assert np.all(np.isfinite(p))
 
 
+def eval_p1_loop(mesh, coeffs, points):
+    """Point-by-point P1 evaluation: the first triangle with all barycentric
+    coordinates >= -1e-9 (the oracle of the chunked fem._eval_p1)."""
+    p = mesh.vertices[mesh.triangles]
+    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    out = np.empty(len(points))
+    for i, pt in enumerate(points):
+        d0 = pt - p[:, 0]
+        xi = (e2[:, 1] * d0[:, 0] - e2[:, 0] * d0[:, 1]) / det
+        eta = (e1[:, 0] * d0[:, 1] - e1[:, 1] * d0[:, 0]) / det
+        lam = np.column_stack([1 - xi - eta, xi, eta])
+        ok = np.nonzero(np.all(lam >= -1e-9, axis=1))[0]
+        if len(ok) == 0:
+            raise ValueError(
+                f"point ({pt[0]:g}, {pt[1]:g}) lies outside the mesh")
+        k = int(ok[0])
+        out[i] = float(lam[k] @ coeffs[mesh.triangles[k]])
+    return out
+
+
 def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
     v = mesh075.vertices
     q = 2.0 + 3.0 * v[:, 0] - v[:, 1]
@@ -233,6 +309,25 @@ def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
                        rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
         fem._eval_p1(mesh075, q, np.array([[0.7, 0.0], [0.5, 0.9]]))
+
+
+def test_eval_p1_matches_point_loop(mesh075, monkeypatch):
+    q = np.random.default_rng(5).standard_normal(mesh075.num_vertices)
+    v, t = mesh075.vertices, mesh075.triangles
+    # the pressure_at probes, quadrature nodes, and vertices and edge
+    # midpoints, which lie in several triangles
+    pts = np.concatenate([[[0.7, 0.0], [0.4, 0.1]],
+                          fem.MeshQuadrature(mesh075).pts.reshape(-1, 2),
+                          v, 0.5 * (v[t[:, 0]] + v[t[:, 1]])])
+    monkeypatch.setattr(fem, "_EVAL_PAIRS", 1000)      # several chunks
+    assert np.array_equal(fem._eval_p1(mesh075, q, pts),
+                          eval_p1_loop(mesh075, q, pts))
+    bad = np.concatenate([pts[:900], [[0.5, 0.9]], pts[:5]])
+    with pytest.raises(ValueError) as loop_err:
+        eval_p1_loop(mesh075, q, bad)
+    with pytest.raises(ValueError, match="outside the mesh") as err:
+        fem._eval_p1(mesh075, q, bad)
+    assert str(err.value) == str(loop_err.value)
 
 
 def test_pressure_lr_norm_unit_weight_case():
