@@ -476,40 +476,29 @@ def solve_stokes(mesh, alpha, f, system=None):
         DiscreteField("scalar-P1", q, mesh), info
 
 
-_EVAL_PAIRS = 1 << 19       # (point, triangle) pairs per _eval_p1 chunk
-
-
 def _eval_p1(mesh, coeffs, points):
     """Evaluate a P1 field at arbitrary points (barycentric point location).
 
-    Each point takes the first triangle whose barycentric coordinates are all
-    >= -1e-9, found by testing chunks of points against every triangle at
-    once.  Raises ValueError for a point outside the mesh.
+    Brute-force search over all triangles per point; intended for
+    diagnostics, not inner loops.  Raises ValueError for a point outside
+    the mesh.
     """
     p = mesh.vertices[mesh.triangles]
     e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
     det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
     out = np.empty(len(points))
-    step = max(1, _EVAL_PAIRS // len(p))
-    for s in range(0, len(points), step):
-        pts = points[s:s + step]
-        # (xi, eta) = J^-1 (pt - p0) with J = [e1 e2], (points, triangles)
-        dx = pts[:, None, 0] - p[:, 0, 0]
-        dy = pts[:, None, 1] - p[:, 0, 1]
-        xi = (e2[:, 1] * dx - e2[:, 0] * dy) / det
-        eta = (e1[:, 0] * dy - e1[:, 1] * dx) / det
-        inside = (1 - xi - eta >= -1e-9) & (xi >= -1e-9) & (eta >= -1e-9)
-        k = np.argmax(inside, axis=1)
-        rows = np.arange(len(pts))
-        outside = np.nonzero(~inside[rows, k])[0]
-        if len(outside):
-            pt = pts[outside[0]]
+    for i, pt in enumerate(points):
+        # (xi, eta) = J^-1 (pt - p0) with J = [e1 e2]
+        d0 = pt - p[:, 0]
+        xi = (e2[:, 1] * d0[:, 0] - e2[:, 0] * d0[:, 1]) / det
+        eta = (e1[:, 0] * d0[:, 1] - e1[:, 1] * d0[:, 0]) / det
+        lam = np.column_stack([1 - xi - eta, xi, eta])
+        ok = np.nonzero(np.all(lam >= -1e-9, axis=1))[0]
+        if len(ok) == 0:
             raise ValueError(
                 f"point ({pt[0]:g}, {pt[1]:g}) lies outside the mesh")
-        xi, eta = xi[rows, k], eta[rows, k]
-        lam = np.column_stack([1 - xi - eta, xi, eta])[:, None, :]
-        # stacked matmul: the same dot kernel as lam @ coeffs of one point
-        out[s:s + step] = (lam @ coeffs[mesh.triangles[k]][..., None])[:, 0, 0]
+        k = int(ok[0])
+        out[i] = float(lam[k] @ coeffs[mesh.triangles[k]])
     return out
 
 

@@ -279,27 +279,6 @@ def test_stokes_identities(mesh075, system075):
     assert np.all(np.isfinite(p))
 
 
-def eval_p1_loop(mesh, coeffs, points):
-    """Point-by-point P1 evaluation: the first triangle with all barycentric
-    coordinates >= -1e-9 (the oracle of the chunked fem._eval_p1)."""
-    p = mesh.vertices[mesh.triangles]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    out = np.empty(len(points))
-    for i, pt in enumerate(points):
-        d0 = pt - p[:, 0]
-        xi = (e2[:, 1] * d0[:, 0] - e2[:, 0] * d0[:, 1]) / det
-        eta = (e1[:, 0] * d0[:, 1] - e1[:, 1] * d0[:, 0]) / det
-        lam = np.column_stack([1 - xi - eta, xi, eta])
-        ok = np.nonzero(np.all(lam >= -1e-9, axis=1))[0]
-        if len(ok) == 0:
-            raise ValueError(
-                f"point ({pt[0]:g}, {pt[1]:g}) lies outside the mesh")
-        k = int(ok[0])
-        out[i] = float(lam[k] @ coeffs[mesh.triangles[k]])
-    return out
-
-
 def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
     v = mesh075.vertices
     q = 2.0 + 3.0 * v[:, 0] - v[:, 1]
@@ -309,25 +288,6 @@ def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
                        rtol=0.0, atol=1e-12)
     with pytest.raises(ValueError):
         fem._eval_p1(mesh075, q, np.array([[0.7, 0.0], [0.5, 0.9]]))
-
-
-def test_eval_p1_matches_point_loop(mesh075, monkeypatch):
-    q = np.random.default_rng(5).standard_normal(mesh075.num_vertices)
-    v, t = mesh075.vertices, mesh075.triangles
-    # the pressure_at probes, quadrature nodes, and vertices and edge
-    # midpoints, which lie in several triangles
-    pts = np.concatenate([[[0.7, 0.0], [0.4, 0.1]],
-                          fem.MeshQuadrature(mesh075).pts.reshape(-1, 2),
-                          v, 0.5 * (v[t[:, 0]] + v[t[:, 1]])])
-    monkeypatch.setattr(fem, "_EVAL_PAIRS", 1000)      # several chunks
-    assert np.array_equal(fem._eval_p1(mesh075, q, pts),
-                          eval_p1_loop(mesh075, q, pts))
-    bad = np.concatenate([pts[:900], [[0.5, 0.9]], pts[:5]])
-    with pytest.raises(ValueError) as loop_err:
-        eval_p1_loop(mesh075, q, bad)
-    with pytest.raises(ValueError, match="outside the mesh") as err:
-        fem._eval_p1(mesh075, q, bad)
-    assert str(err.value) == str(loop_err.value)
 
 
 def test_pressure_lr_norm_unit_weight_case():
