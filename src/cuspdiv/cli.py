@@ -403,8 +403,10 @@ def main(argv=None) -> int:
             seed = val
         else:
             params[key] = val
-    if "alpha" not in params:
-        parser.error(f"{args.subcommand}: --alpha is required")
+    required = ("alpha", "mu") if args.subcommand == "ap-check" else ("alpha",)
+    for key in required:
+        if key not in params:
+            parser.error(f"{args.subcommand}: --{key} is required")
     cfg = RunConfig(args.subcommand, params, outdir, seed)
     return run(cfg)
 

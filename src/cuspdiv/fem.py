@@ -39,7 +39,6 @@ __all__ = [
     "pressure_lr_norm",
     "korn_best_constant",
     "improved_poincare_constant",
-    "harmonic_ratio",
     "default_ball",
 ]
 
@@ -433,7 +432,7 @@ def solve_stokes(mesh, alpha, f, system=None):
     """Weighted mixed Stokes solve: a(u,v) + b(v,q) = (f, v), b(u, r) = 0.
 
     Returns (u, q, info); the physical pressure is p = q d^(2 alpha - 2),
-    exposed through info["pressure_at"](points).  info carries the energy
+    whose L^r norm `pressure_lr_norm` measures.  info carries the energy
     identity defect and the weighted divergence residual.
     """
     sys_ = assemble(mesh, alpha) if system is None else system
@@ -454,19 +453,10 @@ def solve_stokes(mesh, alpha, f, system=None):
     work = float(Ff @ uf)
     div_resid = np.linalg.norm(Bf @ uf + mu * sys_.c) / max(
         np.linalg.norm(Ff), 1e-30)
-    dom = geometry.CuspDomain(mesh.alpha)
-
-    def pressure_at(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        qv = _eval_p1(mesh, q, points)
-        d = geometry.distance(dom, points)
-        return qv * d ** (2.0 * sys_.alpha - 2.0)
-
     info = {
         "energy": energy,
         "energy_identity_defect": abs(energy - work) / max(abs(work), 1e-30),
         "div_residual": float(div_resid),
-        "pressure_at": pressure_at,
         "q_weighted_norm": float(np.sqrt(q @ (sys_.Mw @ q))),
         # unweighted mean of q, recorded as a diagnostic
         "q_unweighted_mean": float(np.einsum(
@@ -474,32 +464,6 @@ def solve_stokes(mesh, alpha, f, system=None):
     }
     return DiscreteField("vector-P2", coeffs, mesh), \
         DiscreteField("scalar-P1", q, mesh), info
-
-
-def _eval_p1(mesh, coeffs, points):
-    """Evaluate a P1 field at arbitrary points (barycentric point location).
-
-    Brute-force search over all triangles per point; intended for
-    diagnostics, not inner loops.  Raises ValueError for a point outside
-    the mesh.
-    """
-    p = mesh.vertices[mesh.triangles]
-    e1, e2 = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]
-    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-    out = np.empty(len(points))
-    for i, pt in enumerate(points):
-        # (xi, eta) = J^-1 (pt - p0) with J = [e1 e2]
-        d0 = pt - p[:, 0]
-        xi = (e2[:, 1] * d0[:, 0] - e2[:, 0] * d0[:, 1]) / det
-        eta = (e1[:, 0] * d0[:, 1] - e1[:, 1] * d0[:, 0]) / det
-        lam = np.column_stack([1 - xi - eta, xi, eta])
-        ok = np.nonzero(np.all(lam >= -1e-9, axis=1))[0]
-        if len(ok) == 0:
-            raise ValueError(
-                f"point ({pt[0]:g}, {pt[1]:g}) lies outside the mesh")
-        k = int(ok[0])
-        out[i] = float(lam[k] @ coeffs[mesh.triangles[k]])
-    return out
 
 
 def pressure_lr_norm(mesh, alpha, q, r):
@@ -595,30 +559,3 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
         {"alpha": alpha, "beta": beta, "ball": ball},
         level, float(1.0 / np.sqrt(mu)), resid)
 
-
-def harmonic_ratio(domain, mu, kmax, grid=None):
-    """max over {Re z^k, Im z^k : 1 <= k <= kmax} of the gradient ratio.
-
-    Ratio = ||grad f||_{L^2(Omega, 1-mu)} / ||f||_{L^2(Omega, -mu)} with both
-    norms by tensor quadrature and the exact distance weight.  For mu near
-    1/2 the denominator is a divergent integral; the fixed quadrature
-    truncation keeps all family members comparable, which is what the
-    boundedness-in-k diagnostic uses.
-    """
-    from .weights import lp_norms_at_nodes, tensor_grid
-
-    if grid is None:
-        grid = tensor_grid(domain, n_x=30, n_tau=24, x_min=1e-8, tau_min=1e-6)
-    z = grid.nodes[:, 0] + 1j * grid.nodes[:, 1]
-    ks = range(1, kmax + 1)
-    family = [part(z**k) for k in ks for part in (np.real, np.imag)]
-    gmag = [k * np.abs(z) ** (k - 1) for k in ks]
-    # one distance evaluation per weight exponent, for all family members
-    with np.errstate(divide="ignore"):
-        num = lp_norms_at_nodes(np.log(np.abs(gmag)), domain, 1.0 - mu, 2.0,
-                                grid)
-        den = lp_norms_at_nodes(np.log(np.abs(family)), domain, -mu, 2.0,
-                                grid)
-    num = np.repeat(num, 2)             # Re z^k and Im z^k share |grad|
-    keep = den > 0.0
-    return float(np.max(num[keep] / den[keep]))

@@ -9,6 +9,12 @@ right edge x = 1.  For alpha < 1 the origin is an external power-type cusp.
 The segment {y = 0} is treated as interior, so the domain is simply
 connected (see README for the two possible readings of the defining
 inequality).
+
+The distance to the boundary is exact on all of R^2.  Along a curved arc the
+derivative F of the squared distance is convex for alpha >= 1/2, and
+concave then convex, with a closed-form inflection, for alpha < 1/2; split
+there, each piece holds at most one foot point, which one bracketed Newton
+solve finds (`_curve_distance`).
 """
 
 from __future__ import annotations
@@ -25,10 +31,7 @@ __all__ = [
     "distance",
     "surrogate_distance",
     "boundary_measure",
-    "surrogate_equivalence_constant",
 ]
-
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
 @dataclass(frozen=True)
@@ -101,48 +104,75 @@ def contains(domain: CuspDomain, p) -> np.ndarray | bool:
     return bool(inside) if inside.ndim == 0 else inside
 
 
-def _grid_curve_distance(domain: CuspDomain, x, y, n_coarse=65, iters=60):
-    """`_curve_distance` by a grid bracket (clustered at the tip) and golden
-    section: the fallback for points outside its convexity certificate."""
-    g = domain.gamma
+_TINY = np.finfo(float).tiny
 
-    def dist_sq(t):
-        return (x - t) ** 2 + (y - t**g) ** 2
 
-    # grid with extra resolution near t=0 where the cusp geometry varies fast
-    u = np.linspace(0.0, 1.0, n_coarse)
-    ts = np.unique(np.concatenate([u, u**4]))
-    vals = np.stack([dist_sq(t) for t in ts])
-    best = np.argmin(vals, axis=0)
-    lo = ts[np.maximum(best - 1, 0)]
-    hi = ts[np.minimum(best + 1, len(ts) - 1)]
+def _newton(fdf, t, lo, hi, x, y, max_iter):
+    """Zeros in [lo, hi] of increasing functions f(t) = fdf(t, x, y)[0],
+    one per point, with f(lo) <= 0 <= f(hi).
 
-    a, b = lo.copy(), hi.copy()
-    for _ in range(iters):
-        c = b - _GOLDEN * (b - a)
-        d = a + _GOLDEN * (b - a)
-        left = dist_sq(c) < dist_sq(d)
-        b = np.where(left, d, b)
-        a = np.where(left, a, c)
-    t = 0.5 * (a + b)
-    return np.sqrt(dist_sq(t))
+    fdf returns (f, f').  Newton steps from t keep the sign bracket [lo, hi]
+    and bisect when a step leaves it (or f' = 0), at the geometric midpoint
+    where 0 < 4 lo < hi.  A point stops when f = 0, an uphill step (f' > 0)
+    is at most 8 ulp of t, or hi - lo is at most 8 ulp of hi (a relative
+    step test can cycle between floats a few ulp apart; next to 0, 8 ulp is
+    a few subnormals, and a downhill step that short is no sign of a root);
+    RuntimeError if any is left after max_iter steps.
+    """
+    out = np.empty_like(t)
+    idx = np.arange(t.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(max_iter):
+            if idx.size == 0:
+                return out
+            f, df = fdf(t, x, y)
+            lo = np.where(f < 0.0, t, lo)
+            hi = np.where(f > 0.0, t, hi)
+            step = f / df
+            tn = t - step
+            done = ((f == 0.0) | (hi - lo <= 8.0 * np.spacing(np.abs(hi)))
+                    | ((np.abs(step) <= 8.0 * np.spacing(np.abs(t)))
+                       & (df > 0.0)))
+            if done.any():
+                out[idx[done]] = np.clip(tn[done], lo[done], hi[done])
+                keep = ~done
+                idx, x, y, lo, hi, tn = (v[keep]
+                                         for v in (idx, x, y, lo, hi, tn))
+            stray = np.flatnonzero(~((tn > lo) & (tn < hi)))
+            if stray.size:
+                l, h = lo[stray], hi[stray]
+                tn[stray] = 0.5 * (l + h)
+                geo = (l > 0.0) & (h > 4.0 * l)
+                tn[stray[geo]] = np.sqrt(l[geo]) * np.sqrt(h[geo])
+            t = tn
+    if idx.size:
+        raise RuntimeError(f"foot-point Newton solve: {idx.size} points "
+                           f"unconverged after {max_iter} steps")
+    return out
 
 
 def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     """Distance from points (x, y), y >= 0, to the arc {(t, t**g) : t in [0, 1]}.
 
-    The foot point is a zero of F(t) = t - x + g t**(g-1) (t**g - y), and
-    F < 0 below a = min(x, y**alpha), F > 0 above b = max(x, y**alpha) (both
-    clipped to [0, 1]).  F' > 0 on [a, b] is certified when y <= a**g (the
-    point is outside the convex epigraph of the arc) or
-    1 + g(g-1) M (a**g - y) > 0, M = max t**(g-2) on [a, b]; the foot point
-    is then b if F(b) <= 0, a if F(a) >= 0, else the unique root, found by
-    Newton steps from clip(x, a, b) that keep a sign bracket [L, H] and
-    bisect when a step leaves it.  A point stops when F = 0, the step is at
-    most 8 ulp of t, or H - L is at most 8 ulp of H (a relative step test
-    can cycle between floats a few ulp apart); RuntimeError if any is left
-    after max_iter steps.  Uncertified points take `_grid_curve_distance`;
-    alpha = 1 projects in closed form, t = clip((x + y) / 2, 0, 1).
+    The local minima of phi(t) = (t - x)**2 + (t**g - y)**2 on the arc are
+    its ends and the increasing zeros of F = phi'/2 = t - x + g t**(g-1)
+    (t**g - y); F < 0 below a = min(x, y**alpha) and F > 0 above
+    b = max(x, y**alpha) (both clipped to [0, 1]), so they lie in [a, b].
+    F''(t) = g (g-1) t**(g-3) (2 (2g-1) t**g - (g-2) y), so F is convex on
+    [0, 1] for g <= 2, and for g > 2 concave below the inflection
+    t_c = ((g-2) y / (2 (2g-1)))**alpha and convex above it.  Split at
+    c = clip(t_c, a, b), each piece holds at most one increasing zero of F:
+    - where F changes sign on the piece, between its ends;
+    - where F >= 0 at both ends of the convex piece, between the minimum of
+      F (the zero of F', increasing there) and the upper end, if F < 0 there;
+    - where F <= 0 at both ends of the concave piece, between the lower end
+      and the maximum of F (the zero of -F'), if F > 0 there.
+    Each zero and extremum is a `_newton` solve: a zero across a sign
+    change from clip(x, lo, hi), an extremum in log t, and the zero past it
+    from the outer end, or, past a minimum, from where the tip terms of F
+    vanish.  The distance is the least over the zeros, a if F(a) >= 0 and b
+    if F(b) <= 0.  alpha = 1 projects in closed form,
+    t = clip((x + y) / 2, 0, 1).
     """
     g = domain.gamma
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -151,46 +181,91 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
         t = np.clip(0.5 * (x + y), 0.0, 1.0)
         return np.hypot(x - t, y - t)
 
-    def F(t):
+    def F(t, x, y):
         p1 = t ** (g - 1.0)
         return t - x + g * p1 * (t * p1 - y)
+
+    def F_dF(t, x, y):
+        p1 = t ** (g - 1.0)
+        r = t * p1 - y
+        return (t - x + g * p1 * r,
+                1.0 + g * (g - 1.0) * (p1 / t) * r + (g * p1) ** 2)
+
+    def dF_dlog(sign):
+        # sign * (F', dF'/ds) at t = exp(s): in s = log t the extremum solve
+        # is scale-free; near the tip it sits at (g (g-1) y)**(1/(2-g)),
+        # which for g near 2 lies hundreds of binary orders below b
+        def fdf(s, x, y):
+            q, tg = np.exp((g - 2.0) * s), np.exp(g * s)
+            return (sign * (1.0 + g * q * ((2.0 * g - 1.0) * tg
+                                           - (g - 1.0) * y)),
+                    sign * g * (g - 1.0) * q
+                    * (2.0 * (2.0 * g - 1.0) * tg - (g - 2.0) * y))
+        return fdf
+
+    d = np.full(x.shape, np.inf)
+
+    def offer(idx, t, xs, ys):
+        d[idx] = np.minimum(d[idx], np.hypot(xs - t, ys - t**g))
+
+    def zero(idx, lo, hi):
+        # the zero across a sign change of F on [lo[idx], hi[idx]]; gathered
+        # in the call, the brackets are freed as the solve narrows them
+        if idx.size:
+            xs, ys = x[idx], y[idx]
+            offer(idx, _newton(F_dF, np.clip(xs, lo[idx], hi[idx]), lo[idx],
+                               hi[idx], xs, ys, max_iter), xs, ys)
+
+    def zero_past_extremum(idx, lo, hi, sign):
+        # F has one extremum in (lo, hi) where sign * F' changes sign; the
+        # zero lies between it and the outer end (hi for a minimum of F)
+        if idx.size == 0:
+            return
+        xs, ys = x[idx], y[idx]
+        fdf = dF_dlog(sign)
+        s_lo, s_hi = (np.log(np.maximum(v, _TINY)) for v in (lo, hi))
+        ok = (fdf(s_lo, xs, ys)[0] < 0.0) & (fdf(s_hi, xs, ys)[0] > 0.0)
+        if not ok.any():
+            return
+        idx, xs, ys, lo, hi, s_lo, s_hi = (
+            v[ok] for v in (idx, xs, ys, lo, hi, s_lo, s_hi))
+        # near the tip F' ~ 1 - g (g-1) y t**(g-2) and F ~ t - x
+        # - g y t**(g-1); the starts are where their t-terms vanish
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s_tip = np.log(g * (g - 1.0) * ys) / (2.0 - g)
+            t_tip = np.exp(np.log(g * ys) / (2.0 - g))
+        tm = np.exp(_newton(fdf, np.clip(s_tip, s_lo, s_hi), s_lo, s_hi,
+                            xs, ys, max_iter))
+        ok = sign * F(tm, xs, ys) < 0.0
+        if sign > 0.0:
+            lo, t = tm, np.clip(t_tip, tm, hi)
+        else:
+            hi, t = tm, lo
+        idx, xs, ys, lo, hi, t = (v[ok] for v in (idx, xs, ys, lo, hi, t))
+        offer(idx, _newton(F_dF, t, lo, hi, xs, ys, max_iter), xs, ys)
 
     ya = y**domain.alpha
     a = np.clip(np.minimum(x, ya), 0.0, 1.0)
     b = np.clip(np.maximum(x, ya), 0.0, 1.0)
-    ag = a**g
-    with np.errstate(divide="ignore", invalid="ignore"):
-        M = b ** (g - 2.0) if g >= 2.0 else a ** (g - 2.0)
-        certified = (y <= ag) | (1.0 + g * (g - 1.0) * M * (ag - y) > 0.0)
-    Fa, Fb = F(a), F(b)
-    t = np.where(Fb <= 0.0, b, a)
-    idx = np.flatnonzero(certified & (Fb > 0.0) & (Fa < 0.0))
-    xs, ys, lo, hi = x[idx], y[idx], a[idx], b[idx]
-    ti = np.clip(xs, lo, hi)
-    for _ in range(max_iter):
-        if idx.size == 0:
-            break
-        p1 = ti ** (g - 1.0)
-        r = ti * p1 - ys
-        f = ti - xs + g * p1 * r
-        df = 1.0 + g * (g - 1.0) * (p1 / ti) * r + (g * p1) ** 2
-        lo = np.where(f < 0.0, ti, lo)
-        hi = np.where(f > 0.0, ti, hi)
-        step = f / df
-        tn = ti - step
-        done = ((f == 0.0) | (np.abs(step) <= 8.0 * np.spacing(ti))
-                | (hi - lo <= 8.0 * np.spacing(hi)))
-        t[idx[done]] = np.clip(tn, lo, hi)[done]
-        keep = ~done
-        tn = np.where((tn > lo) & (tn < hi), tn, 0.5 * (lo + hi))
-        idx, xs, ys, lo, hi, ti = (v[keep] for v in (idx, xs, ys, lo, hi, tn))
-    if idx.size:
-        raise RuntimeError(f"foot-point Newton solve: {idx.size} points "
-                           f"unconverged after {max_iter} steps")
-    d = np.hypot(x - t, y - t**g)
-    rest = ~certified
-    if np.any(rest):
-        d[rest] = _grid_curve_distance(domain, x[rest], y[rest])
+    Fa, Fb = F(a, x, y), F(b, x, y)
+    for end, is_min in ((a, Fa >= 0.0), (b, Fb <= 0.0)):
+        idx = np.flatnonzero(is_min)
+        if idx.size:
+            offer(idx, end[idx], x[idx], y[idx])
+    if g > 2.0:
+        c = np.clip(((g - 2.0) * y / (2.0 * (2.0 * g - 1.0))) ** domain.alpha,
+                    a, b)
+        Fc = F(c, x, y)
+        idx = np.flatnonzero((Fa < 0.0) & (Fc >= 0.0))
+        zero(idx, a, c)
+        idx = np.flatnonzero((Fa < 0.0) & (Fc <= 0.0))
+        zero_past_extremum(idx, a[idx], c[idx], -1.0)
+    else:
+        c, Fc = a, Fa
+    idx = np.flatnonzero((Fc < 0.0) & (Fb > 0.0))
+    zero(idx, c, b)
+    idx = np.flatnonzero((Fc >= 0.0) & (Fb > 0.0))
+    zero_past_extremum(idx, c[idx], b[idx], 1.0)
     return d
 
 
@@ -206,11 +281,11 @@ def distance(domain: CuspDomain, p) -> np.ndarray | float:
     Minimum over the three boundary arcs.  Since the upper arc lies in
     {y >= 0}, the nearer of the two mirror-image arcs is always the one on
     the side of the point, so a single 1-D minimization against the upper
-    arc at (x, |y|) suffices.  `_curve_distance` solves it by a bracketed,
-    safeguarded Newton iteration with an ulp stop (grid search where its
-    convexity certificate fails), agreeing with the grid search to 1e-12
-    relative plus 1e-14 absolute, and exactly 0 at (t, +-t**(1/alpha)) as
-    numpy evaluates the power.
+    arc at (x, |y|) suffices.  `_curve_distance` solves it exactly for every
+    point: it splits the arc at the inflection of the derivative of the
+    squared distance, and solves for each candidate foot point by a
+    bracketed, safeguarded Newton iteration with an ulp stop.  It is exactly
+    0 at (t, +-t**(1/alpha)) as numpy evaluates the power.
     """
     p = np.asarray(p, dtype=float)
     scalar = p.ndim == 1
@@ -290,22 +365,3 @@ def _arc_length_in_ball(domain, arc, center, r, n_scan=4096):
             length += val
     return length
 
-
-def surrogate_equivalence_constant(domain: CuspDomain, n: int = 4000, seed: int = 0):
-    """Empirical c1 with c1*(x**(1/a) - |y|) <= dist <= x**(1/a) - |y| on Omega.
-
-    Returns (c_low, c_high), the extreme observed ratios dist/surrogate over a
-    quasi-uniform sample of the domain.
-    """
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(0.0, 1.0, size=4 * n) ** (1.0 + domain.gamma)
-    # below x ~ 1e-5 the surrogate is ~ x^(1/alpha) and the absolute error
-    # of the distance minimization (~1e-15) would dominate the ratio
-    x = x[x > 1e-5][:n]
-    y = rng.uniform(-1.0, 1.0, size=len(x)) * x**domain.gamma
-    keep = np.abs(y) < x**domain.gamma
-    pts = np.column_stack([x[keep], y[keep]])
-    s = surrogate_distance(domain, pts)
-    d = distance(domain, pts)
-    ratio = d / s
-    return float(ratio.min()), float(ratio.max())

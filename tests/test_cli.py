@@ -95,6 +95,13 @@ def test_missing_alpha_is_usage_error(tmp_path):
     assert exc.value.code == 2
 
 
+def test_ap_check_without_mu_is_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["ap-check", "--alpha", "0.75", "--outdir", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "--mu is required" in capsys.readouterr().err
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate", "--alpha", "0.5"])

@@ -7,13 +7,12 @@ from scipy import linalg as dla
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from cuspdiv import cli, fem, geometry, weights
+from cuspdiv import cli, fem, geometry
 from cuspdiv.fem import (
     P2Space,
     assemble,
     default_ball,
     discrete_infsup,
-    harmonic_ratio,
     improved_poincare_constant,
     korn_best_constant,
     pressure_lr_norm,
@@ -275,19 +274,6 @@ def test_stokes_identities(mesh075, system075):
     # the deflation enforces zero weighted mean of q
     c = np.asarray(system075.Mw @ np.ones(mesh075.num_vertices))
     assert abs(c @ q.coeffs) < 1e-10 * max(np.linalg.norm(q.coeffs), 1e-30)
-    p = info["pressure_at"](np.array([[0.7, 0.0], [0.4, 0.1]]))
-    assert np.all(np.isfinite(p))
-
-
-def test_eval_p1_reproduces_linear_fields_and_rejects_outside(mesh075):
-    v = mesh075.vertices
-    q = 2.0 + 3.0 * v[:, 0] - v[:, 1]
-    pts = fem.MeshQuadrature(mesh075).pts.reshape(-1, 2)[::5]
-    got = fem._eval_p1(mesh075, q, pts)
-    assert np.allclose(got, 2.0 + 3.0 * pts[:, 0] - pts[:, 1],
-                       rtol=0.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        fem._eval_p1(mesh075, q, np.array([[0.7, 0.0], [0.5, 0.9]]))
 
 
 def test_pressure_lr_norm_unit_weight_case():
@@ -393,31 +379,3 @@ def test_default_ball_inside_domain():
         dom = CuspDomain(alpha)
         from cuspdiv import geometry
         assert r < geometry.distance(dom, np.array([cx, cy]))
-
-
-def test_harmonic_ratio_matches_direct_computation():
-    dom = CuspDomain(0.75)
-    mu = 0.25
-    grid = weights.tensor_grid(dom, n_x=30, n_tau=24, x_min=1e-8,
-                               tau_min=1e-6)
-    # k = 1: f in {x, y}, |grad f| = 1
-    one = lambda p: np.ones(len(p))
-    num, _ = weights.weighted_lp_norm(one, dom, 1.0 - mu, 2.0, grid,
-                                      mode="exact", estimate_error=False)
-    best = 0.0
-    for comp in (0, 1):
-        den, _ = weights.weighted_lp_norm(lambda p: p[:, comp], dom, -mu, 2.0,
-                                          grid, mode="exact",
-                                          estimate_error=False)
-        best = max(best, num / den)
-    assert harmonic_ratio(dom, mu, 1, grid=grid) == pytest.approx(best,
-                                                                  rel=1e-12)
-
-
-def test_harmonic_ratio_one_distance_evaluation_per_exponent(monkeypatch):
-    dom = CuspDomain(0.75)
-    grid = weights.tensor_grid(dom, n_x=30, n_tau=24, x_min=1e-8,
-                               tau_min=1e-6)
-    calls = count_distance_calls(monkeypatch)
-    harmonic_ratio(dom, 0.25, 3, grid=grid)
-    assert calls == [len(grid.nodes)] * 2

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cuspdiv import potential, weights
@@ -31,17 +31,21 @@ def _random_source(values):
     return SourceField(0.0, 0.0, 0.1, np.asarray(values).reshape(4, 4))
 
 
-def _away_from_jumps(src, pt, gap=1e-4):
+def _away_from_jumps(src, pt, gap=1e-4, corner_gap=1e-3):
     """True if pt keeps gap from every cell edge line and from the
     near/far switch radius of every cell, across which the discrete field
-    jumps."""
+    jumps, and corner_gap from every cell corner, where the Hessian has a
+    log singularity and the central differences of `_fd_gradient` lose
+    accuracy (4.6e-7 of max |H| at 1.7e-4 from a corner, 4e-8 at 1e-3)."""
     nx, ny = src.values.shape
     ex = src.x0 + src.h * np.arange(nx + 1)
     ey = src.y0 + src.h * np.arange(ny + 1)
     xc, yc = src.cell_centers()
     r = np.hypot(pt[0] - xc[:, None], pt[1] - yc[None, :])
+    corner = np.hypot(pt[0] - ex[:, None], pt[1] - ey[None, :])
     return (np.min(np.abs(pt[0] - ex)) > gap
             and np.min(np.abs(pt[1] - ey)) > gap
+            and np.min(corner) > corner_gap
             and np.min(np.abs(r - potential._NEAR_CELLS * src.h)) > gap)
 
 
@@ -169,6 +173,8 @@ def test_weighted_estimate_zero_source():
 @settings(max_examples=60, deadline=None)
 @given(values=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16),
        x=st.floats(-0.2, 0.6), y=st.floats(-0.2, 0.6))
+@example(values=[-0.5, 0.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 10,
+         x=0.00012000568078956997, y=0.00012000568078956997)
 def test_velocity_gradient_is_exact_hessian(values, x, y):
     src = _random_source(values)
     assume(np.any(src.values != 0.0))
