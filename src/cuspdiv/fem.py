@@ -147,7 +147,16 @@ class MeshQuadrature:
 
     @cached_property
     def grads(self):
-        return np.einsum("tij,qnj->tqni", self._invJT, _P2_G)
+        # invJT G summed as (0 + J_i0 G_0) + J_i1 G_1: np.einsum's order, and
+        # its +0 where both products are -0; built in place, one i at a time
+        J = self._invJT
+        g = np.empty((len(J),) + _P2_G.shape)
+        for i in range(2):
+            gi = g[..., i]
+            np.multiply(J[:, i, 0, None, None], _P2_G[..., 0], out=gi)
+            gi += 0.0
+            gi += J[:, i, 1, None, None] * _P2_G[..., 1]
+        return g
 
     @cached_property
     def d(self):
@@ -176,14 +185,31 @@ def _load(dofs, local, n):
     return np.bincount(dofs.ravel(), local.ravel(), minlength=n)
 
 
+def _weighted_products(w, a, b):
+    """sum over q and i of (w_q a_qmi) b_qni: (nt, m, n) from w (nt, nq),
+    a (nt, nq, m, ni) and b (nt, nq, n, ni).
+
+    The sum runs in np.einsum's order, q from 0 with the i terms of each q
+    added first, so the blocks equal einsum's to the bit; the products are
+    formed one q at a time, so no temporary exceeds (nt, m, n).
+    """
+    out = np.zeros((len(w), a.shape[2], b.shape[2]))
+    for q in range(w.shape[1]):
+        wq = w[:, q, None]
+        s = (wq * a[:, q, :, 0])[:, :, None] * b[:, q, None, :, 0]
+        for i in range(1, a.shape[3]):
+            s += (wq * a[:, q, :, i])[:, :, None] * b[:, q, None, :, i]
+        out += s
+    return out
+
+
 def _assemble_p2(quad, values, kind):
     """Weighted scalar P2 matrix: kind 'mass' or 'stiffness'."""
     w = quad.wq * values
     if kind == "mass":
         local = np.einsum("tq,qm,qn->tmn", w, _P2_N, _P2_N)
     else:
-        G = quad.grads
-        local = np.einsum("tq,tqmi,tqni->tmn", w, G, G)
+        local = _weighted_products(w, quad.grads, quad.grads)
     d, n = quad.space.tri_dofs, quad.space.n_dofs
     return _scatter(d, d, local, (n, n))
 
@@ -191,13 +217,13 @@ def _assemble_p2(quad, values, kind):
 def _assemble_eps(quad, values):
     """Vector-P2 matrix of int eps(u):eps(v) w, blocked [ux; uy]."""
     w = quad.wq * values
-    gx, gy = quad.grads[..., 0], quad.grads[..., 1]
+    gx, gy = quad.grads[..., :1], quad.grads[..., 1:]
+    gxx = _weighted_products(w, gx, gx)
+    gyy = _weighted_products(w, gy, gy)
     # eps(u):eps(v) blocks for (ux, ux), (ux, uy), (uy, uy)
-    xx = np.einsum("tq,tqm,tqn->tmn", w, gx, gx) \
-        + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gy)
-    yy = np.einsum("tq,tqm,tqn->tmn", w, gy, gy) \
-        + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gx, gx)
-    xy = 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gx)
+    xx = gxx + 0.5 * gyy
+    yy = gyy + 0.5 * gxx
+    xy = 0.5 * _weighted_products(w, gy, gx)
     d, n = quad.space.tri_dofs, quad.space.n_dofs
     # block-major (xx, yy, xy, yx) entry order: the CSR conversion sums
     # duplicates after an unstable sort, so the order fixes the last bits

@@ -4,8 +4,9 @@ The generator lays out vertical node columns with abscissas graded toward
 the cusp tip, places the top and bottom node of every column exactly on the
 boundary curves, and zipper-triangulates adjacent columns.  The nodes are
 written straight into one vertex array; for each strip the minimum-angle
-quality of both candidate triangles at every (left, right) node pair is one
-array operation, and the zipper walk reads its choices from that table.
+quality of both candidate triangles on a band of (left, right) node pairs
+around the strip's diagonal is one array operation, and the zipper walk
+reads its choices from that band (widened when the walk leaves it).
 For alpha < 1 a shape-regular triangulation cannot reach the tip itself
 (the cusp opening angle vanishes), so the mesh stops at a tiny abscissa
 x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
@@ -14,7 +15,6 @@ x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -254,25 +254,49 @@ def _min_angles(pa, pb, pc):
     return np.where(degenerate, 0.0, best)
 
 
+# half-width of the zipper's first quality band, in right-column cells
+_BAND = 2
+
+
 def _zip_columns(left, right, vertices):
     """Triangulate the strip between two node columns (bottom to top).
 
     At each step both admissible triangles are compared and the one with the
     larger minimum angle is taken, which picks diagonals aligned against the
     local shear of the boundary-following rows.  Both qualities are computed
-    up front for every pair (i, j) of left and right nodes, as an (nl, nr)
-    table, so the walk itself only reads booleans.
+    up front, as one array operation, on a band of left/right node pairs
+    (i, j) around the diagonal j = i nr / nl, so the walk itself only reads
+    booleans.  A walk that leaves the band is redone on a band twice as
+    wide; the band that spans the whole strip cannot be left.
     """
     nl, nr = len(left) - 1, len(right) - 1
     pl, pr = vertices[left], vertices[right]
-    pa, pb = pl[:-1, None], pr[None, :-1]
-    qi = _min_angles(pa, pb, pl[1:, None])
-    qj = _min_angles(pa, pb, pr[None, 1:])
-    adv = (qi >= qj).tolist()
+    half = _BAND
+    while True:
+        # row i holds the pairs (i, lo[i]) .. (i, lo[i] + width - 1)
+        width = min(nr, 2 * half + -(-nr // nl))
+        lo = np.clip(np.arange(nl) * nr // nl - half, 0, nr - width)
+        cols = lo[:, None] + np.arange(width)
+        pa, pb = pl[:-1, None], pr[cols]
+        qi = _min_angles(pa, pb, pl[1:, None])
+        qj = _min_angles(pa, pb, pr[cols + 1])
+        tris = _walk(left, right, (qi >= qj).tolist(), lo.tolist(), width)
+        if tris is not None:
+            return tris
+        half *= 2
+
+
+def _walk(left, right, adv, lo, width):
+    """The zipper walk over the band adv[i][j - lo[i]]; None if it leaves."""
+    nl, nr = len(left) - 1, len(right) - 1
     tris = []
     i, j = 0, 0
     while i < nl or j < nr:
-        if i < nl and (j == nr or adv[i][j]):
+        if i < nl and j < nr:
+            k = j - lo[i]
+            if not 0 <= k < width:
+                return None
+        if i < nl and (j == nr or adv[i][k]):
             tris.append((left[i], right[j], left[i + 1]))
             i += 1
         else:
@@ -329,19 +353,17 @@ def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
 
 def save_mesh(mesh: TriangulatedMesh, path_or_buf) -> None:
     """Plain-text mesh export (vertices / triangles / boundary blocks)."""
-    buf = io.StringIO()
-    buf.write(f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
-              f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n")
-    buf.write(f"vertices {mesh.num_vertices}\n")
-    for i, (x, y) in enumerate(mesh.vertices):
-        buf.write(f"{i} {float(x)!r} {float(y)!r}\n")
-    buf.write(f"triangles {mesh.num_triangles}\n")
-    for a, b, c in mesh.triangles:
-        buf.write(f"{a} {b} {c}\n")
-    buf.write(f"boundary {len(mesh.boundary_edges)}\n")
-    for v0, v1, kind in mesh.boundary_edges:
-        buf.write(f"{v0} {v1} {kind}\n")
-    text = buf.getvalue()
+    text = "".join([
+        f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
+        f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n",
+        f"vertices {mesh.num_vertices}\n",
+        *(f"{i} {x!r} {y!r}\n"
+          for i, (x, y) in enumerate(mesh.vertices.tolist())),
+        f"triangles {mesh.num_triangles}\n",
+        *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+        f"boundary {len(mesh.boundary_edges)}\n",
+        *(f"{v0} {v1} {kind}\n" for v0, v1, kind in mesh.boundary_edges),
+    ])
     if hasattr(path_or_buf, "write"):
         path_or_buf.write(text)
     else:

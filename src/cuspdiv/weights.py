@@ -409,7 +409,9 @@ def ball_grid(distance_fn, center, r, delta_min, *,
     their center to F (so d^mu is smooth per cell), down to the absolute
     floor delta_min; cells meeting the ball rim are additionally split to
     rim_frac * r to control the staircase error of the ball indicator.  Each
-    final cell carries a 2x2 Gauss rule restricted to the ball.
+    final cell carries a 2x2 Gauss rule restricted to the ball.  The distance
+    is evaluated only at the centres whose split it decides: kept cells above
+    delta_min, except rim cells above rim_frac * r, which split anyway.
     """
     cx, cy = float(center[0]), float(center[1])
     cells = np.array([[cx - r, cy - r, 2.0 * r]])
@@ -420,12 +422,16 @@ def ball_grid(distance_fn, center, r, delta_min, *,
         rad = np.hypot(mx - cx, my - cy)
         half_diag = s * (_SQ2 / 2.0)
         keep = rad - half_diag <= r              # discard cells outside B
-        d = np.asarray(distance_fn(np.column_stack([mx, my])), dtype=float)
-        stop = np.maximum(delta_min, d * open_frac)
         rim = np.abs(rad - r) <= half_diag
-        stop = np.where(rim, np.maximum(delta_min,
-                                        np.minimum(stop, rim_frac * r)), stop)
-        split = keep & (s > stop)
+        # kept cells split while s > max(delta_min, open_frac d), rim cells
+        # also while s > max(delta_min, rim_frac r): d decides only the rest
+        big = keep & (s > delta_min)
+        split = big & rim & (s > rim_frac * r)
+        ask = big & ~split
+        if ask.any():
+            d = np.asarray(distance_fn(np.column_stack([mx[ask], my[ask]])),
+                           dtype=float)
+            split[ask] = s[ask] > d * open_frac
         done.append(cells[keep & ~split])
         parents = cells[split]
         if len(parents) == 0:

@@ -20,7 +20,7 @@ from cuspdiv.fem import (
     solve_stokes,
 )
 from cuspdiv.geometry import CuspDomain
-from cuspdiv.mesh import generate_graded_mesh
+from cuspdiv.mesh import generate_graded_mesh, refine
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +105,40 @@ def test_golden_form_bytes(mesh075):
         "S": fem._assemble_p2(quad, quad.weight(2.0), "stiffness"),
     }
     assert {k: csr_sha256(m) for k, m in got.items()} == GOLDEN_FORMS
+
+
+def bit_equal(a, b):
+    return np.array_equal(a, b) and \
+        np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("alpha,h,refined", [(1.0, 0.05, True),
+                                             (0.6, 0.2, False)])
+def test_quadrature_kernels_match_einsum(alpha, h, refined, monkeypatch):
+    # the einsum formulas the kernels replace, on meshes outside the golden
+    # set; equal to the bit, signs of zero included
+    mesh = generate_graded_mesh(CuspDomain(alpha), h)
+    mesh = refine(mesh) if refined else mesh
+    quad = fem.MeshQuadrature(mesh)
+    G = np.einsum("tij,qnj->tqni", quad._invJT, fem._P2_G)
+    assert bit_equal(quad.grads, G)
+    gx, gy = G[..., 0], G[..., 1]
+    locals_ = []
+    monkeypatch.setattr(fem, "_scatter",
+                        lambda rows, cols, local, shape: locals_.append(local))
+    for e in (0.0, 0.5, 2.0 * alpha - 2.0):
+        w = quad.wq * quad.weight(e)
+        fem._assemble_p2(quad, quad.weight(e), "stiffness")
+        assert bit_equal(locals_.pop(),
+                         np.einsum("tq,tqmi,tqni->tmn", w, G, G))
+        fem._assemble_eps(quad, quad.weight(e))
+        xx = np.einsum("tq,tqm,tqn->tmn", w, gx, gx) \
+            + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gy)
+        yy = np.einsum("tq,tqm,tqn->tmn", w, gy, gy) \
+            + 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gx, gx)
+        xy = 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gx)
+        assert bit_equal(locals_.pop(), np.concatenate(
+            [xx, yy, xy, xy.transpose(0, 2, 1)]))
 
 
 def count_distance_calls(monkeypatch):

@@ -170,6 +170,78 @@ def test_min_angles_matches_scalar_formula():
     assert np.array_equal(q, ref)
 
 
+def zip_full_table(left, right, vertices):
+    """The zipper walk on the full (nl, nr) quality table of a strip."""
+    nl, nr = len(left) - 1, len(right) - 1
+    pl, pr = vertices[left], vertices[right]
+    pa, pb = pl[:-1, None], pr[None, :-1]
+    adv = (meshmod._min_angles(pa, pb, pl[1:, None])
+           >= meshmod._min_angles(pa, pb, pr[None, 1:])).tolist()
+    tris = []
+    i, j = 0, 0
+    while i < nl or j < nr:
+        if i < nl and (j == nr or adv[i][j]):
+            tris.append((left[i], right[j], left[i + 1]))
+            i += 1
+        else:
+            tris.append((left[i], right[j], right[j + 1]))
+            j += 1
+    return tris
+
+
+def strip(yl, yr, dx=1.0):
+    """Vertices and index lists of a left column at x = 0 and a right one
+    at x = dx, nodes bottom to top."""
+    vertices = np.concatenate([np.column_stack([np.zeros(len(yl)), yl]),
+                               np.column_stack([np.full(len(yr), dx), yr])])
+    return list(range(len(yl))), list(range(len(yl), len(vertices))), vertices
+
+
+def count_band_exits(monkeypatch):
+    exits = []
+    walk = meshmod._walk
+
+    def recording_walk(*args):
+        tris = walk(*args)
+        exits.append(tris is None)
+        return tris
+
+    monkeypatch.setattr(meshmod, "_walk", recording_walk)
+    return exits
+
+
+@pytest.mark.parametrize("nl,nr", [(2, 60), (3, 40), (4, 17)])
+@pytest.mark.parametrize("end", ["bottom", "top"])
+def test_zipper_band_widens_to_the_full_walk(nl, nr, end, monkeypatch):
+    # a few left nodes against many right ones bunched at one end: the
+    # walk runs far off the diagonal j = i nr / nl and leaves every narrow
+    # band, so only a widened band gives the full table's triangles
+    t = np.linspace(0.0, 1.0, nr + 1) ** 6
+    yr = 0.2 * t - 1.0 if end == "bottom" else 1.0 - 0.2 * t[::-1]
+    left, right, vertices = strip(np.linspace(-1.0, 1.0, nl + 1), yr)
+    exits = count_band_exits(monkeypatch)
+    assert meshmod._zip_columns(left, right, vertices) == \
+        zip_full_table(left, right, vertices)
+    assert exits[0] and not exits[-1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(nl=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1),
+       dx=st.floats(0.02, 2.0))
+def test_zipper_band_matches_full_table(nl, data, seed, dx):
+    nr = data.draw(st.integers(max(1, -(-nl // 2)), min(60, 2 * nl)))
+    rng = np.random.default_rng(seed)
+
+    def column(n):
+        # increasing nodes with random, often bunched, gaps
+        y = np.cumsum(np.append(0.0, rng.exponential(size=n) ** 3 + 1e-3))
+        return rng.uniform(-1.0, 0.0) + y / y[-1] * rng.uniform(0.5, 2.0)
+
+    left, right, vertices = strip(column(nl), column(nr), dx)
+    assert meshmod._zip_columns(left, right, vertices) == \
+        zip_full_table(left, right, vertices)
+
+
 def assert_conforming(m):
     sides = Counter()
     for tri in m.triangles.tolist():

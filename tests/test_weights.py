@@ -271,6 +271,67 @@ def test_ball_grid_montecarlo_weighted_average():
     assert quad == pytest.approx(mc, rel=5e-3)
 
 
+def ball_grid_oracle(distance_fn, center, r, delta_min, open_frac=0.25,
+                     rim_frac=1.0 / 128.0):
+    """ball_grid as it was before it skipped distances: the distance at every
+    cell centre of every level, and the split rule written out in full."""
+    cx, cy = float(center[0]), float(center[1])
+    cells = np.array([[cx - r, cy - r, 2.0 * r]])
+    done = []
+    while len(cells):
+        x0, y0, s = cells[:, 0], cells[:, 1], cells[:, 2]
+        mx, my = x0 + s / 2.0, y0 + s / 2.0
+        rad = np.hypot(mx - cx, my - cy)
+        half_diag = s * (math.sqrt(2.0) / 2.0)
+        keep = rad - half_diag <= r
+        d = np.asarray(distance_fn(np.column_stack([mx, my])), dtype=float)
+        stop = np.maximum(delta_min, d * open_frac)
+        rim = np.abs(rad - r) <= half_diag
+        stop = np.where(rim, np.maximum(delta_min,
+                                        np.minimum(stop, rim_frac * r)), stop)
+        split = keep & (s > stop)
+        done.append(cells[keep & ~split])
+        parents = cells[split]
+        if len(parents) == 0:
+            break
+        h = parents[:, 2:3] / 2.0
+        cells = np.concatenate(
+            [np.column_stack([parents[:, 0] + ox * h[:, 0],
+                              parents[:, 1] + oy * h[:, 0], h[:, 0]])
+             for ox, oy in ((0, 0), (1, 0), (0, 1), (1, 1))])
+    cells = np.concatenate(done)
+    x0, y0, s = cells[:, 0], cells[:, 1], cells[:, 2]
+    g2 = weights._G2
+    nodes = np.concatenate(
+        [np.column_stack([x0 + (0.5 + ox) * s, y0 + (0.5 + oy) * s])
+         for ox, oy in ((-g2, -g2), (g2, -g2), (-g2, g2), (g2, g2))])
+    wts = np.concatenate([s * s / 4.0] * 4)
+    inside = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) <= r
+    return nodes[inside], wts[inside]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
+def test_ball_grid_skips_undeciding_distances(alpha):
+    dom = CuspDomain(alpha)
+    balls = {"tip": (0.0, 0.0), "arc": (0.4, 0.4 ** dom.gamma),
+             "edge": (1.0, 0.1), "interior": (0.6, 0.0)}
+    for name, c in balls.items():
+        for r in (0.25, 1.0 / 32.0):
+            counts = []
+
+            def dfn(pts, counts=counts):
+                counts.append(len(pts))
+                return geometry.distance(dom, pts)
+
+            g = ball_grid(dfn, c, r, 1.0 / 512.0)
+            new = sum(counts)
+            counts.clear()
+            nodes, wts = ball_grid_oracle(dfn, c, r, 1.0 / 512.0)
+            assert np.array_equal(g.nodes, nodes), (name, r)
+            assert np.array_equal(g.weights, wts), (name, r)
+            assert new < sum(counts), (name, r)
+
+
 def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():
     dom = CuspDomain(0.5)
     sampling = {
