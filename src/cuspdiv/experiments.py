@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from . import fem, geometry, weights
 from .mesh import generate_graded_mesh
@@ -50,33 +49,89 @@ class FitResult:
     model: str = "log y = -kappa*log(T - s) + c"
 
 
-def rate_fit(points, T_gap=None) -> FitResult:
+_SCAN = 256    # rate_fit's scan points in log(T - max s)
+
+
+def rate_fit(points) -> FitResult:
     """Least-squares fit of a reciprocal-power blow-up law.
 
-    points: iterable of (s, value) with positive values, at least 6 of them.
-    T is initialized just beyond max(s); the fit runs on log values so that
-    the near-threshold points do not dominate.
+    points: iterable of (s, value) with finite positive values, at least 6 of
+    them.  The fit runs on log values so that the near-threshold points do
+    not dominate.  For a fixed T the model is linear in (kappa, c), so the
+    fit is a variable projection (Golub & Pereyra 1973) onto T alone: a scan
+    of u = log(T - max s) over [log 1e-12, log 50] brackets the smallest
+    residual, and the reduced gradient's root in that bracket is refined to
+    adjacent doubles.  A minimum at an end of the scan returns that end.
+    Fits with kappa outside [1e-3, 50] or c outside [-50, 50] raise.
     """
     pts = sorted((float(s), float(v)) for s, v in points)
     if len(pts) < 6:
         raise ValueError("rate_fit needs at least 6 points")
-    s = np.array([q[0] for q in pts])
-    y = np.array([q[1] for q in pts])
+    s, y = np.array(pts).T
+    if not np.all(np.isfinite(s) & np.isfinite(y)):
+        raise ValueError("points must be finite")
     if np.any(y <= 0.0):
         raise ValueError("values must be positive")
-    smax = s[-1]
-    gap = T_gap if T_gap is not None else max(0.1 * (s[-1] - s[0]), 1e-6)
+    ly = np.log(y)
+    T = s[-1] + np.geomspace(1e-12, 50.0, _SCAN)
+    _, _, r, g = _projection(T, s, ly)
+    rss = np.sum(r * r, axis=1)
+    # k with g[k-1] < 0 <= g[k] holds a local minimum in [T[k-1], T[k]];
+    # k = 0 and k = _SCAN stand for the two ends of the scan
+    down = np.concatenate([[True], g < 0.0, [False]])
+    ks = np.flatnonzero(down[:-1] & ~down[1:])
+    padded = np.concatenate([rss[:1], rss, rss[-1:]])
+    k = ks[np.argmin(np.minimum(padded[ks], padded[ks + 1]))]
+    if k in (0, _SCAN) or g[k] == 0.0:
+        t = T[min(k, _SCAN - 1)]
+    else:
+        t = _gradient_root(s, ly, T[k - 1], T[k], g[k - 1], g[k])
+    kappa, c, r, _ = (v[0] for v in _projection(np.array([t]), s, ly))
+    if not 1e-3 <= kappa <= 50.0:
+        raise ValueError(f"fitted kappa = {kappa:g} outside [1e-3, 50]")
+    if not -50.0 <= c <= 50.0:
+        raise ValueError(f"fitted c = {c:g} outside [-50, 50]")
+    return FitResult(float(kappa), float(t), float(c),
+                     float(np.sqrt(np.mean(r * r))), len(pts))
 
-    def model(sv, kappa, T, c):
-        return -kappa * np.log(T - sv) + c
 
-    p0 = (1.0, smax + gap, 0.0)
-    bounds = ([1e-3, smax + 1e-12, -50.0], [50.0, smax + 50.0, 50.0])
-    popt, _ = curve_fit(model, s, np.log(y), p0=p0, bounds=bounds,
-                        maxfev=20000)
-    resid = float(np.sqrt(np.mean((np.log(y) - model(s, *popt)) ** 2)))
-    return FitResult(float(popt[0]), float(popt[1]), float(popt[2]),
-                     resid, len(pts))
+def _projection(T, s, ly):
+    """(kappa, c, r, g) of the log model at each candidate T (k,).
+
+    For each T the two-column least-squares problem in (kappa, c) is solved
+    in closed form from centred sums; r (k, n) are the residuals and g (k,)
+    is the gradient of sum(r^2) / 2 in T at those (kappa, c), which by the
+    envelope theorem is the gradient of the reduced residual.
+    """
+    x = np.log(T[:, None] - s)
+    xc = x - x.mean(axis=1, keepdims=True)
+    kappa = -(xc @ (ly - ly.mean())) / np.sum(xc * xc, axis=1)
+    z = ly + kappa[:, None] * x
+    c = z.mean(axis=1)
+    r = z - c[:, None]
+    g = kappa * np.sum(r / (T[:, None] - s), axis=1)
+    return kappa, c, r, g
+
+
+def _gradient_root(s, ly, a, b, ga, gb):
+    """T in (a, b) where the reduced gradient, ga < 0 at a and gb > 0 at b,
+    changes sign: regula falsi, with a bisection after every step that does
+    not halve the bracket, until a and b are adjacent doubles."""
+    bisect = False
+    while a < 0.5 * (a + b) < b:
+        t = a - ga * (b - a) / (gb - ga)
+        if bisect or not a < t < b:
+            t = 0.5 * (a + b)
+        gt = _projection(np.array([t]), s, ly)[3][0]
+        if gt == 0.0:
+            return t
+        width = b - a
+        if gt < 0.0:
+            a, ga = t, gt
+        else:
+            b, gb = t, gt
+        bisect = b - a > 0.5 * width
+    return a if -ga <= gb else b
 
 
 def fit_grid(T, span=5.12, n=8):

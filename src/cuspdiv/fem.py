@@ -81,6 +81,8 @@ def _p2_grad(lam):
 _P2_N = _p2_shape(_QL)            # (7, 6)
 _P2_G = _p2_grad(_QL)             # (7, 6, 2)
 _P1_N = _QL                       # (7, 3)
+# the shape values as (1, 7, m, 1) operands of _weighted_products
+_N1, _N2 = _P1_N[None, ..., None], _P2_N[None, ..., None]
 
 
 class P2Space:
@@ -138,7 +140,7 @@ class MeshQuadrature:
         invJT /= detJ[:, None, None]
         self._invJT = invJT
         # x_q = p0 + J (xi, eta)
-        self.pts = p[:, None, 0, :] + np.einsum("tij,qj->tqi", J, _QL[:, 1:])
+        self.pts = p[:, None, 0, :] + _apply(J, _QL[:, 1:])
         self.wq = 0.5 * np.abs(detJ)[:, None] * _QW[None, :]
 
     @cached_property
@@ -147,16 +149,7 @@ class MeshQuadrature:
 
     @cached_property
     def grads(self):
-        # invJT G summed as (0 + J_i0 G_0) + J_i1 G_1: np.einsum's order, and
-        # its +0 where both products are -0; built in place, one i at a time
-        J = self._invJT
-        g = np.empty((len(J),) + _P2_G.shape)
-        for i in range(2):
-            gi = g[..., i]
-            np.multiply(J[:, i, 0, None, None], _P2_G[..., 0], out=gi)
-            gi += 0.0
-            gi += J[:, i, 1, None, None] * _P2_G[..., 1]
-        return g
+        return _apply(self._invJT, _P2_G)
 
     @cached_property
     def d(self):
@@ -169,6 +162,22 @@ class MeshQuadrature:
         if exponent == 0.0:
             return np.ones(self.wq.shape)
         return self.d**exponent
+
+
+def _apply(J, X):
+    """sum_j J[t, i, j] X[..., j]: (nt,) + X.shape from J (nt, 2, 2).
+
+    Summed as (0 + J_i0 X_0) + J_i1 X_1, np.einsum's order, with its +0
+    where both products are -0; built in place, one i at a time.
+    """
+    out = np.empty((len(J),) + X.shape)
+    J = J.reshape(J.shape + (1,) * (X.ndim - 1))
+    for i in range(2):
+        oi = out[..., i]
+        np.multiply(J[:, i, 0], X[..., 0], out=oi)
+        oi += 0.0
+        oi += J[:, i, 1] * X[..., 1]
+    return out
 
 
 def _scatter(rdofs, cdofs, local, shape):
@@ -187,27 +196,32 @@ def _load(dofs, local, n):
 
 def _weighted_products(w, a, b):
     """sum over q and i of (w_q a_qmi) b_qni: (nt, m, n) from w (nt, nq),
-    a (nt, nq, m, ni) and b (nt, nq, n, ni).
+    a (nt, nq, m, ni) and b (nt, nq, n, ni); a or b may have 1 for nt.
 
     The sum runs in np.einsum's order, q from 0 with the i terms of each q
-    added first, so the blocks equal einsum's to the bit; the products are
-    formed one q at a time, so no temporary exceeds (nt, m, n).
+    added first, so the blocks equal einsum's to the bit.  It is formed in
+    an (m, n, nt) layout, so that every product is one long loop over the
+    triangles, and returned as that array's (nt, m, n) view; no temporary
+    exceeds (m, n, nt).
     """
-    out = np.zeros((len(w), a.shape[2], b.shape[2]))
+    out = np.zeros((a.shape[2], b.shape[2], len(w)))
+    s = np.empty_like(out)
     for q in range(w.shape[1]):
-        wq = w[:, q, None]
-        s = (wq * a[:, q, :, 0])[:, :, None] * b[:, q, None, :, 0]
+        # this q's operands as (ni, m, nt) and (ni, n, nt), contiguous in t
+        aq = np.ascontiguousarray(a[:, q].T)
+        bq = np.ascontiguousarray(b[:, q].T)
+        np.multiply((w[:, q] * aq[0])[:, None], bq[0], out=s)
         for i in range(1, a.shape[3]):
-            s += (wq * a[:, q, :, i])[:, :, None] * b[:, q, None, :, i]
+            s += (w[:, q] * aq[i])[:, None] * bq[i]
         out += s
-    return out
+    return out.transpose(2, 0, 1)
 
 
 def _assemble_p2(quad, values, kind):
     """Weighted scalar P2 matrix: kind 'mass' or 'stiffness'."""
     w = quad.wq * values
     if kind == "mass":
-        local = np.einsum("tq,qm,qn->tmn", w, _P2_N, _P2_N)
+        local = _weighted_products(w, _N2, _N2)
     else:
         local = _weighted_products(w, quad.grads, quad.grads)
     d, n = quad.space.tri_dofs, quad.space.n_dofs
@@ -237,8 +251,8 @@ def _assemble_div(quad, values):
     """B[q, v] = int div v phi_q w over P1 pressures x vector P2: (np, 2 nu)."""
     w = quad.wq * values
     G = quad.grads
-    bx = np.einsum("tq,qm,tqni->tmni", w, _P1_N, G[..., :1])[..., 0]
-    by = np.einsum("tq,qm,tqni->tmni", w, _P1_N, G[..., 1:])[..., 0]
+    bx = _weighted_products(w, _N1, G[..., :1])
+    by = _weighted_products(w, _N1, G[..., 1:])
     t, d, n = quad.mesh.triangles, quad.space.tri_dofs, quad.space.n_dofs
     shape = (quad.mesh.num_vertices, 2 * n)
     # two matrices, not one: duplicates are summed per block (see above)
@@ -246,7 +260,7 @@ def _assemble_div(quad, values):
 
 
 def _assemble_p1_mass(quad, values):
-    local = np.einsum("tq,qm,qn->tmn", quad.wq * values, _P1_N, _P1_N)
+    local = _weighted_products(quad.wq * values, _N1, _N1)
     t, nv = quad.mesh.triangles, quad.mesh.num_vertices
     return _scatter(t, t, local, (nv, nv))
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
 __all__ = [
     "CuspDomain",
@@ -334,6 +333,9 @@ def boundary_measure(domain: CuspDomain, center, r: float, tol: float = 1e-10) -
 
 def _arc_length_in_ball(domain, arc, center, r, n_scan=4096):
     """Arclength of one boundary arc inside the ball B(center, r)."""
+    # imported here, so that `import cuspdiv` loads neither module
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
 
     def gap(t):
         pt = arc.point(domain, t)
@@ -347,7 +349,7 @@ def _arc_length_in_ball(domain, arc, center, r, n_scan=4096):
         if gs[i] == 0.0:
             crossings.append(ts[i])
         elif gs[i] * gs[i + 1] < 0.0:
-            crossings.append(optimize.brentq(gap, ts[i], ts[i + 1], xtol=1e-14))
+            crossings.append(brentq(gap, ts[i], ts[i + 1], xtol=1e-14))
     if gs[-1] == 0.0:
         crossings.append(ts[-1])
 
@@ -358,7 +360,7 @@ def _arc_length_in_ball(domain, arc, center, r, n_scan=4096):
             continue
         mid = 0.5 * (a + b)
         if gap(mid) < 0.0:
-            val, _ = integrate.quad(
+            val, _ = quad(
                 lambda t: float(arc.speed(domain, t)), a, b,
                 epsrel=1e-9, epsabs=1e-13, limit=200,
             )

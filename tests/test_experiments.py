@@ -1,8 +1,31 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
-from cuspdiv import experiments
+import cuspdiv
+from cuspdiv import experiments, geometry, weights
 from cuspdiv.experiments import fit_grid, necessity_demo, optimality_sweep, rate_fit
+
+
+def curve_fit_oracle(s, y):
+    """(T, rms residual) of the bounded curve_fit the fit replaced."""
+    s, ly = np.asarray(s), np.log(y)
+    smax = s.max()
+
+    def model(sv, kappa, T, c):
+        return -kappa * np.log(T - sv) + c
+
+    p0 = (1.0, smax + max(0.1 * (smax - s.min()), 1e-6), 0.0)
+    bounds = ([1e-3, smax + 1e-12, -50.0], [50.0, smax + 50.0, 50.0])
+    popt, _ = curve_fit(model, s, ly, p0=p0, bounds=bounds, maxfev=20000)
+    return popt[1], float(np.sqrt(np.mean((ly - model(s, *popt)) ** 2)))
 
 
 def test_rate_fit_recovers_exact_law():
@@ -33,6 +56,113 @@ def test_rate_fit_input_validation():
     s = fit_grid(1.0)
     with pytest.raises(ValueError):
         rate_fit(zip(s, np.zeros(len(s))))
+
+
+@pytest.mark.parametrize("bad", [(np.nan, 1.0), (np.inf, 1.0), (0.1, np.nan),
+                                 (0.1, np.inf)])
+def test_rate_fit_rejects_non_finite_points(bad):
+    # a NaN value passes the y <= 0 test; it must not become a NaN fit
+    s = fit_grid(1.0)
+    pts = list(zip(s, 1.0 / (1.0 - s)))
+    pts[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rate_fit(pts)
+
+
+def test_rate_fit_has_no_initial_gap():
+    s = fit_grid(1.0)
+    with pytest.raises(TypeError):
+        rate_fit(zip(s, 1.0 / (1.0 - s)), T_gap=0.1)
+
+
+@pytest.mark.parametrize("kappa,c,name", [(60.0, 0.0, "kappa"),
+                                          (1e-4, 0.0, "kappa"),
+                                          (-1.0, 0.0, "kappa"),
+                                          (1.0, 60.0, "c"),
+                                          (1.0, -60.0, "c")])
+def test_rate_fit_bounds_are_checks(kappa, c, name):
+    # exact laws outside the kappa bound [1e-3, 50] or the c bound [-50, 50]
+    s = fit_grid(1.0)
+    with pytest.raises(ValueError, match=f"fitted {name} "):
+        rate_fit(zip(s, np.exp(c) * (1.0 - s) ** -kappa))
+
+
+@pytest.mark.parametrize("T,kappa,c", [(2.5, 1.0, 0.7), (1.5, 2.0, 0.0),
+                                       (0.7, 1.0, -1.1), (1.9, 0.5, 3.0)])
+def test_rate_fit_matches_curve_fit_on_exact_laws(T, kappa, c):
+    s = fit_grid(T)
+    y = np.exp(c) * (T - s) ** (-kappa)
+    fit = rate_fit(zip(s, y))
+    assert fit.T == pytest.approx(curve_fit_oracle(s, y)[0], rel=1e-12)
+    assert fit.T == pytest.approx(T, rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats(0.3, 3.0), kappa=st.floats(0.3, 3.0),
+       c=st.floats(-3.0, 3.0),
+       noise=st.lists(st.floats(-1e-2, 1e-2), min_size=8, max_size=8))
+@example(T=1.5, kappa=1.0, c=0.0, noise=[1e-2, -1e-2] * 4)
+@example(T=1.0, kappa=3.0, c=0.0, noise=[0.0] * 8)
+def test_rate_fit_residual_no_worse_than_curve_fit(T, kappa, c, noise):
+    # the projected fit minimises the same log residual over the same
+    # bracket, so it never ends above curve_fit's local minimum.  Near zero
+    # noise both residuals are rounding error (1.3e-15 against 3.6e-16 on
+    # the exact law above), so the bound adds 4 ulps of the largest log y
+    s = fit_grid(T)
+    ly = c + np.array(noise) - kappa * np.log(T - s)
+    fit = rate_fit(zip(s, np.exp(ly)))
+    rounding = 4.0 * np.finfo(float).eps * np.abs(ly).max()
+    assert fit.residual <= (curve_fit_oracle(s, np.exp(ly))[1] * (1.0 + 1e-9)
+                            + rounding)
+
+
+@settings(max_examples=60, deadline=None)
+@given(T=st.floats(0.3, 3.0), kappa=st.floats(0.3, 3.0),
+       c=st.floats(-3.0, 3.0))
+def test_rate_fit_recovers_exact_laws_to_rounding(T, kappa, c):
+    # curve_fit stops at its 1e-8 tolerances: on 400 random exact laws its
+    # T was up to 3.6e-10 relative off, the projected fit's 2.6e-16
+    s = fit_grid(T)
+    fit = rate_fit(zip(s, np.exp(c) * (T - s) ** (-kappa)))
+    assert fit.T == pytest.approx(T, rel=1e-12)
+    assert fit.kappa == pytest.approx(kappa, rel=1e-9)
+
+
+@pytest.mark.parametrize("alpha,beta,p", [(0.5, 0.0, 2.0), (0.75, 0.0, 3.0),
+                                          (0.5, -0.5, 2.0)])
+def test_rate_fit_replays_blowup_sweep_fits(alpha, beta, p):
+    # the points optimality_sweep fits (the benchmark's potential-blowup
+    # sweeps), against curve_fit's T: the benchmark checks T to 1e-7
+    domain = geometry.CuspDomain(alpha)
+    pp = p / (p - 1.0)
+    A = weights.fs_norm_closed_form(alpha, beta, p, 0.0)["A"]
+    B = weights.ys_norm_closed_form(alpha, p, 0.0)["B"]
+    _, fits = optimality_sweep(alpha, beta, p, fit_grid(min(A, B), n=3))
+    families = {
+        "A": (A, lambda s: experiments._fs_norm(domain, beta, p, s, 1e-3,
+                                                False)[0] ** p),
+        "B": (B, lambda s: experiments._ys_norm(domain, p, s, 1e-3,
+                                                False)[0] ** pp),
+    }
+    for fam, (exact, norm) in families.items():
+        s = fit_grid(exact)
+        y = np.array([norm(si) for si in s])
+        fit = rate_fit(zip(s, y))
+        assert fits[fam].T == fit.T
+        assert fit.T == pytest.approx(curve_fit_oracle(s, y)[0], rel=1e-12)
+
+
+def test_import_loads_no_optimize_or_integrate():
+    src = str(Path(cuspdiv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, cuspdiv; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.optimize', 'scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_fit_grid_geometry():

@@ -120,12 +120,18 @@ def test_quadrature_kernels_match_einsum(alpha, h, refined, monkeypatch):
     mesh = generate_graded_mesh(CuspDomain(alpha), h)
     mesh = refine(mesh) if refined else mesh
     quad = fem.MeshQuadrature(mesh)
+    p = mesh.vertices[mesh.triangles]
+    J = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]], axis=2)
+    assert bit_equal(quad.pts, p[:, None, 0, :]
+                     + np.einsum("tij,qj->tqi", J, fem._QL[:, 1:]))
     G = np.einsum("tij,qnj->tqni", quad._invJT, fem._P2_G)
     assert bit_equal(quad.grads, G)
     gx, gy = G[..., 0], G[..., 1]
     locals_ = []
-    monkeypatch.setattr(fem, "_scatter",
-                        lambda rows, cols, local, shape: locals_.append(local))
+    # 0 in place of the matrix: _assemble_div adds its two blocks
+    monkeypatch.setattr(
+        fem, "_scatter",
+        lambda rows, cols, local, shape: locals_.append(local) or 0)
     for e in (0.0, 0.5, 2.0 * alpha - 2.0):
         w = quad.wq * quad.weight(e)
         fem._assemble_p2(quad, quad.weight(e), "stiffness")
@@ -139,6 +145,17 @@ def test_quadrature_kernels_match_einsum(alpha, h, refined, monkeypatch):
         xy = 0.5 * np.einsum("tq,tqm,tqn->tmn", w, gy, gx)
         assert bit_equal(locals_.pop(), np.concatenate(
             [xx, yy, xy, xy.transpose(0, 2, 1)]))
+        fem._assemble_p2(quad, quad.weight(e), "mass")
+        assert bit_equal(locals_.pop(), np.einsum(
+            "tq,qm,qn->tmn", w, fem._P2_N, fem._P2_N))
+        fem._assemble_p1_mass(quad, quad.weight(e))
+        assert bit_equal(locals_.pop(), np.einsum(
+            "tq,qm,qn->tmn", w, fem._P1_N, fem._P1_N))
+        fem._assemble_div(quad, quad.weight(e))
+        by, bx = locals_.pop(), locals_.pop()
+        for got, gi in ((bx, G[..., :1]), (by, G[..., 1:])):
+            assert bit_equal(got, np.einsum(
+                "tq,qm,tqni->tmni", w, fem._P1_N, gi)[..., 0])
 
 
 def count_distance_calls(monkeypatch):
