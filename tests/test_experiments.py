@@ -202,6 +202,50 @@ def test_optimality_sweep_threshold_ordering():
     assert abs(at["A"].T - at["B"].T) < 2e-2
 
 
+@pytest.mark.parametrize("alpha,beta,p", [(0.75, 0.0, 3.0), (0.5, 0.0, 2.0)])
+def test_optimality_sweep_evaluates_each_norm_once(alpha, beta, p,
+                                                    monkeypatch):
+    # each weighted_lp_norm call integrates one grid, two when it also
+    # estimates the error on the refined grid
+    calls = []
+    norm = weights.weighted_lp_norm
+
+    def counted(*args, **kwargs):
+        calls.append(2 if kwargs.get("estimate_error", True) else 1)
+        return norm(*args, **kwargs)
+
+    monkeypatch.setattr(weights, "weighted_lp_norm", counted)
+    records, fits = optimality_sweep(alpha, beta, p)
+    monkeypatch.undo()
+    # 8 records x 2 families x (grid + refined grid), then the 8 fit norms
+    # of the family with the larger threshold; the other family's fit
+    # reuses the records' unrefined norms
+    assert sum(calls) == 8 * 2 * 2 + 8
+    domain = geometry.CuspDomain(alpha)
+    pp = p / (p - 1.0)
+    for fam, norm_s, q in (
+            ("A", lambda s: experiments._fs_norm(domain, beta, p, s, 1e-3,
+                                                 False)[0], p),
+            ("B", lambda s: experiments._ys_norm(domain, p, s, 1e-3,
+                                                 False)[0], pp)):
+        s = fit_grid(fits[f"{fam}_exact"])
+        assert fits[fam] == rate_fit([(si, norm_s(si) ** q) for si in s])
+
+
+@pytest.mark.parametrize("alpha,p", [(0.3, 3.0), (0.75, 4.0), (0.5, 2.0)])
+def test_optimality_sweep_verdict_at_equal_thresholds(alpha, p):
+    # beta = alpha - 1 makes A = B; the fits of (0.3, 3) and (0.75, 4) land
+    # 1.7e-16 and 2.1e-16 apart, which an exact comparison called T_A < T_B
+    _, fits = optimality_sweep(alpha, alpha - 1.0, p)
+    assert fits["A_exact"] == pytest.approx(fits["B_exact"], rel=1e-14)
+    assert (abs(fits["A"].T - fits["B"].T)
+            <= experiments._T_RTOL * fits["A"].T)
+    assert fits["comparison"] == "T_A = T_B"
+    # a genuine gap still orders them
+    _, off = optimality_sweep(alpha, alpha - 1.0 + 0.01, p)
+    assert off["comparison"] == "T_A < T_B"
+
+
 def test_optimality_sweep_rejects_bad_grid():
     with pytest.raises(ValueError):
         optimality_sweep(0.5, 0.0, 2.0, s_grid=[0.0, 10.0])

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from cuspdiv import potential, weights
+from cuspdiv import geometry, potential, weights
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.potential import (
     SourceField,
@@ -54,6 +54,45 @@ def _cell_value(src, pt):
     j = int(np.floor((pt[1] - src.y0) / src.h))
     nx, ny = src.values.shape
     return src.values[i, j] if 0 <= i < nx and 0 <= j < ny else 0.0
+
+
+def _direct_sum(src, pts, chunk=128):
+    """phi, v1, v2, d1v1, d2v1, d2v2 at pts by direct summation over every
+    nonzero cell: exact cell integrals within potential._NEAR_CELLS cells,
+    midpoint values otherwise (the summation the box expansions replace)."""
+    pts = np.atleast_2d(np.asarray(pts, dtype=float))
+    xc, yc = src.cell_centers()
+    I, J = np.nonzero(src.values)
+    cx, cy, h = xc[I], yc[J], src.h
+    mass = src.values[I, J] * (h * h / (2.0 * np.pi))
+    out = np.zeros((len(pts), 6))
+    for lo in range(0, len(pts), chunk):
+        du = pts[lo:lo + chunk, 0][:, None] - cx[None, :]
+        dv = pts[lo:lo + chunk, 1][:, None] - cy[None, :]
+        r2 = du * du + dv * dv
+        K = np.empty((6,) + r2.shape)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            K[0] = 0.5 * np.log(r2)
+            np.divide(du, r2, out=K[1])
+            np.divide(dv, r2, out=K[2])
+        np.subtract(K[2] * K[2], K[1] * K[1], out=K[3])
+        np.multiply(-2.0 * K[1], K[2], out=K[4])
+        np.negative(K[3], out=K[5])
+        ii, jj = np.nonzero(r2 < (potential._NEAR_CELLS * h) ** 2)
+        if len(ii):
+            K[:, ii, jj] = potential._cell_integrals(
+                du[ii, jj] - h / 2, du[ii, jj] + h / 2,
+                dv[ii, jj] - h / 2, dv[ii, jj] + h / 2) / (h * h)
+        out[lo:lo + chunk] = (K @ mass).T
+    return out
+
+
+def _assert_matches_direct_sum(src, pts, rel=1e-12):
+    """Every column within rel of its largest magnitude over pts."""
+    got = newtonian_solve(src)._accumulate(pts)
+    ref = _direct_sum(src, pts)
+    scale = np.max(np.abs(ref), axis=0)
+    assert np.all(np.abs(got - ref) <= rel * scale)
 
 
 def test_source_field_sampling_and_integral():
@@ -229,3 +268,77 @@ def test_weighted_estimate_matches_fine_difference_oracle(cells):
     oracle = (norm(vmag) + norm(gradmag)) / norm(lambda q: np.abs(f(q)))
     ratio = check_weighted_estimate(sol, f, dom, 0.0, 2.0, grid)
     assert ratio == pytest.approx(oracle, rel=1e-8)
+
+
+def _cusp_input(alpha, cells, n_x, n_tau, profile):
+    # the indicator of {x < 0.2} in the cusp times 1 + profile * y, and the
+    # weighted estimate's quadrature nodes
+    dom = CuspDomain(alpha)
+
+    def f(pts):
+        inside = (pts[:, 0] < 0.2) & geometry.contains(dom, pts)
+        return inside * (1.0 + profile * pts[:, 1])
+
+    grid = weights.tensor_grid(dom, n_x=n_x, n_tau=n_tau, x_min=1e-6,
+                               tau_min=1e-6)
+    return SourceField.from_function(f, cells), grid.nodes
+
+
+@pytest.mark.parametrize("cells,n_x,n_tau,profile", [
+    (96, 20, 12, 0.25),     # potential-blowup: 48,000 targets, 180 cells
+    (256, 30, 20, 0.0),     # div-solve --alpha 0.75 --method potential
+])
+def test_box_expansions_match_direct_sum(cells, n_x, n_tau, profile):
+    _assert_matches_direct_sum(*_cusp_input(0.75, cells, n_x, n_tau,
+                                            profile))
+
+
+_CELL = 0.1                 # _random_source's cell side
+_targets = st.lists(st.one_of(
+    # cell centres (r = 0 for the cell itself)
+    st.tuples(st.integers(0, 3), st.integers(0, 3)).map(
+        lambda ij: ((ij[0] + 0.5) * _CELL, (ij[1] + 0.5) * _CELL)),
+    # cell and box edges and corners, also outside the source box
+    st.tuples(st.integers(-4, 8), st.floats(-0.5, 1.0)).map(
+        lambda t: (t[0] * _CELL, t[1])),
+    st.tuples(st.integers(-4, 8), st.integers(-4, 8)).map(
+        lambda ij: (ij[0] * 2 * _CELL, ij[1] * _CELL)),
+    # negative coordinates, outside the source box
+    st.tuples(st.floats(-1.0, -1e-9), st.floats(-1.0, 0.5)),
+    # far away
+    st.floats(0.0, 2.0 * np.pi).map(
+        lambda a: (50.0 * np.cos(a), 50.0 * np.sin(a))),
+    st.tuples(st.floats(-0.5, 1.0), st.floats(-0.5, 1.0)),
+), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(values=st.lists(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                       min_size=16, max_size=16),
+       targets=_targets)
+@example(values=[0.0] * 16, targets=[(0.05, 0.05), (50.0, 0.0)])
+@example(values=[0.0] * 5 + [0.7] + [0.0] * 10,
+         targets=[(0.15, 0.05), (0.2, 0.2), (-0.3, -0.1), (0.0, 50.0)])
+def test_box_expansions_match_direct_sum_on_random_sources(values, targets):
+    # a generic target close to the cells gives every column a scale
+    pts = np.array(targets + [(0.137, 0.291)])
+    _assert_matches_direct_sum(_random_source(values), pts)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_targets_are_rejected(bad):
+    sol = newtonian_solve(_random_source(np.ones(16)))
+    pts = np.array([[0.2, 0.2], [bad, 0.1]])
+    for evaluate in (sol.phi, sol.velocity, sol.velocity_gradient):
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(pts)
+
+
+def test_targets_beyond_box_key_range_are_rejected():
+    # the int64 box keys hold 2^30 top-level boxes on each side of the grid
+    sol = newtonian_solve(_random_source(np.ones(16)))
+    v = sol.velocity(np.array([[1e7, 0.0]]))
+    assert v[0, 0] == pytest.approx(16 * 0.01 / (2.0 * np.pi) / 1e7,
+                                    rel=1e-12)
+    with pytest.raises(ValueError, match="2\\^30"):
+        sol.velocity(np.array([[1e12, 0.0]]))
