@@ -2,10 +2,12 @@
 
 Subpackages cover the cusp geometry and exact boundary distances, Whitney
 decompositions and m-set checks, distance-power weights with Muckenhaupt
-diagnostics and singular-family quadrature, a Newtonian-potential right
-inverse of the divergence, weighted Taylor-Hood finite elements (divergence
-right inverse, Stokes, inf-sup, Korn/Poincare constants), and the sweep /
-rate-fitting experiments tying the pieces together.
+diagnostics and weighted norms (the singular families as products of 1-D
+sums under the surrogate distance, every other integrand at 2-D nodes under
+the exact distance), a Newtonian-potential right inverse of the divergence,
+weighted Taylor-Hood finite elements (divergence right inverse, Stokes,
+inf-sup, Korn/Poincare constants), and the sweep / rate-fitting experiments
+tying the pieces together.
 """
 
 __version__ = "0.1.0"

@@ -36,7 +36,7 @@ class RunConfig:
 
 
 def _read_config_file(path):
-    """Flat key=value lines; '#' starts a comment; keys may be dotted."""
+    """Flat key=value lines; '#' starts a comment."""
     out = {}
     for raw in Path(path).read_text().splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -339,6 +339,19 @@ def run(cfg: RunConfig) -> int:
 _FLOAT_KEYS = {"alpha", "beta", "mu", "p", "h", "grading", "t", "r",
                "x_tip", "min_angle"}
 _INT_KEYS = {"kmax", "resolution", "levels", "cells", "centers", "seed"}
+# the parameters of each subcommand, as flags and as config-file keys
+_SPECS = {
+    "whitney": ["alpha", "kmax"],
+    "ap-check": ["alpha", "mu", "p", "resolution"],
+    "div-solve": ["alpha", "method", "t", "cells", "h", "grading",
+                  "mesh", "x_tip", "min_angle"],
+    "stokes": ["alpha", "h", "grading", "mesh", "r"],
+    "korn-sweep": ["alpha", "beta", "levels", "h"],
+    "poincare-sweep": ["alpha", "beta", "levels", "h"],
+    "optimality-sweep": ["alpha", "beta", "p"],
+    "necessity-demo": ["alpha", "h"],
+    "mset-check": ["alpha", "centers"],
+}
 
 
 def _build_parser():
@@ -346,19 +359,7 @@ def _build_parser():
         prog="cuspdiv",
         description="Weighted-divergence computations on planar cusp domains")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    specs = {
-        "whitney": ["alpha", "kmax"],
-        "ap-check": ["alpha", "mu", "p", "resolution"],
-        "div-solve": ["alpha", "method", "t", "cells", "h", "grading",
-                      "mesh", "x_tip", "min_angle"],
-        "stokes": ["alpha", "h", "grading", "mesh", "r"],
-        "korn-sweep": ["alpha", "beta", "levels", "h"],
-        "poincare-sweep": ["alpha", "beta", "levels", "h"],
-        "optimality-sweep": ["alpha", "beta", "p"],
-        "necessity-demo": ["alpha", "h"],
-        "mset-check": ["alpha", "centers"],
-    }
-    for name, keys in specs.items():
+    for name, keys in _SPECS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--outdir", default=None)
@@ -387,13 +388,26 @@ def main(argv=None) -> int:
     params = {}
     outdir, seed = ".", 0
     if args.config:
-        for key, val in _read_config_file(args.config).items():
+        try:
+            entries = _read_config_file(args.config)
+        except ValueError as exc:
+            parser.error(f"{args.config}: {exc}")
+        for key, val in entries.items():
             if key == "outdir":
                 outdir = val
-            elif key == "seed":
-                seed = int(val)
+                continue
+            if key != "seed" and key not in _SPECS[args.subcommand]:
+                parser.error(f"{args.config}: unknown key {key!r} for "
+                             f"{args.subcommand}")
+            try:
+                val = _coerce(key, val)
+            except ValueError:
+                parser.error(f"{args.config}: {key} = {val!r} is not a "
+                             f"valid value")
+            if key == "seed":
+                seed = val
             else:
-                params[key] = _coerce(key, val)
+                params[key] = val
     for key, val in vars(args).items():
         if key in ("config", "subcommand") or val is None:
             continue

@@ -150,16 +150,14 @@ def fit_grid(T, span=5.12, n=8):
     return np.array([T - span * 2.0 ** (-i) for i in range(1, n + 1)])
 
 
-def _norm(f, domain, gamma, p, grid, estimate_error):
+def _norm(family, domain, gamma, p, grid, estimate_error):
     """(value, rel_err, coarse) of `weights.weighted_lp_norm`, with coarse
-    the value on grid itself (the fits' input; value is the refined one
-    when estimate_error is set)."""
-    coarse = weights.weighted_lp_norm(f, domain, gamma, p, grid,
-                                      estimate_error=False)[0]
+    the value on grid itself (the fits' input); with estimate_error, value
+    is the one on grid.refined() and rel_err its distance to coarse."""
+    coarse = weights.weighted_lp_norm(family, domain, gamma, p, grid)
     if not estimate_error:
         return coarse, 0.0, coarse
-    fine = weights.weighted_lp_norm(f, domain, gamma, p, grid.refined(),
-                                    estimate_error=False)[0]
+    fine = weights.weighted_lp_norm(family, domain, gamma, p, grid.refined())
     return fine, abs(fine - coarse) / fine if fine > 0 else 0.0, coarse
 
 

@@ -3,15 +3,17 @@ norms by tensor quadrature, and the closed-form blow-up norms on the cusp
 domain.
 
 The weighted norm is ||u||_{L^p(Omega, gamma)} = ||u d^gamma||_{L^p(Omega)}.
-Two distance modes are supported: the exact Euclidean distance to the
-boundary and the tip-adapted surrogate x**(1/alpha) - |y|, under which the
-singular-family norms below have exact closed forms.
+Each kind of integrand has one path:
 
-In the graded coordinates y = tau x**(1/alpha) of `tensor_grid` the
-surrogate distance is x**(1/alpha) u, u = 1 - |tau|, so the singular-family
-integrands, their weight and the Jacobian factor into a function of x times
-one of u, and their norms are products of two 1-D sums (Fubini).  Other
-integrands are evaluated on the 2-D nodes, which are built when first read.
+- the singular families f_s and y x^(-s-1) are weighted by the tip-adapted
+  surrogate distance x**(1/alpha) - |y|, under which their norms have exact
+  closed forms.  In the graded coordinates y = tau x**(1/alpha) of
+  `tensor_grid` that distance is x**(1/alpha) u, u = 1 - |tau|, so the
+  integrand, its weight and the Jacobian factor into a function of x times
+  one of u, and `weighted_lp_norm` is a product of two 1-D sums (Fubini);
+- every other integrand (the Newtonian-potential estimate) is summed by
+  `lp_norms_at_nodes` at the 2-D nodes of a grid, weighted by the exact
+  Euclidean distance to the boundary, as are the A_p ball averages.
 """
 
 from __future__ import annotations
@@ -53,69 +55,51 @@ def _pprime(p: float) -> float:
 
 @dataclass(frozen=True)
 class WeightSpec:
-    """The weight d^mu with d either the exact or the surrogate distance."""
+    """The weight d^mu with d the exact distance to the boundary."""
 
     mu: float
-    mode: str = "exact"
-
-    def __post_init__(self):
-        if self.mode not in ("exact", "surrogate"):
-            raise ValueError(f"unknown weight mode {self.mode!r}")
-
-    def distance_values(self, domain, pts):
-        if self.mode == "surrogate":
-            return np.atleast_1d(geometry.surrogate_distance(domain, pts))
-        return np.atleast_1d(geometry.distance(domain, pts))
-
-    def evaluate(self, domain, pts):
-        d = self.distance_values(domain, pts)
-        if self.mu == 0.0:
-            return np.ones_like(d)
-        return d**self.mu
 
 
+@dataclass
 class QuadratureGrid:
-    """Positive-weight quadrature nodes over a planar region.
+    """Positive-weight quadrature nodes (n, 2) and weights (n,)."""
 
-    refiner, when set, returns a strictly finer grid of the same region and
-    is used for one-step error estimation.
-    """
-
-    def __init__(self, nodes, weights, refiner=None):
-        self.nodes = nodes          # (n, 2)
-        self.weights = weights      # (n,)
-        self.refiner = refiner
-
-    def total_weight(self) -> float:
-        return float(np.sum(self.weights))
-
-    def integrate(self, values) -> float:
-        return float(np.dot(self.weights, values))
-
-    def refined(self) -> "QuadratureGrid":
-        if self.refiner is None:
-            raise RuntimeError("grid does not support refinement")
-        return self.refiner()
+    nodes: np.ndarray
+    weights: np.ndarray
 
 
-class TensorGrid(QuadratureGrid):
+class TensorGrid:
     """Product grid over Omega in the coordinates (x, u = 1 - |tau|).
 
     x, log_wx: x-nodes and log weights, the Jacobian x**(1/alpha) included;
     u, log_wu: u-nodes and log weights of one half tau > 0, log 2 included
     for the mirror half, so that sums over them integrate functions of |y|.
-    The 2-D nodes and weights are built by `build` on first read.
+    The 2-D nodes and weights are built on first read.
     """
 
-    def __init__(self, x, log_wx, u, log_wu, build, refiner):
-        self.x, self.log_wx = x, log_wx
-        self.u, self.log_wu = u, log_wu
-        self._build = build
-        self.refiner = refiner
+    def __init__(self, domain, order, n_x, n_tau, x_min, tau_min):
+        self.domain = domain
+        self.order, self.n_x, self.n_tau = order, n_x, n_tau
+        self.x_min, self.tau_min = x_min, tau_min
+        # geometric breakpoints 1, 1/2, ..., down to x_min (log-equispaced)
+        xb = np.geomspace(1.0, x_min, n_x + 1)
+        self.x, self._wx = _gauss_panels(xb[::-1].copy(), order)
+        self._ub = np.geomspace(1.0, tau_min, n_tau + 1)   # u = 1 - tau
+        self.u, uw = _gauss_panels(self._ub[::-1].copy(), order)
+        self.log_wx = np.log(self._wx) + domain.gamma * np.log(self.x)
+        self.log_wu = math.log(2.0) + np.log(uw)
 
     @cached_property
     def _arrays(self):
-        return self._build()
+        g = self.domain.gamma
+        tb = 1.0 - self._ub                          # 0 ... 1 - tau_min
+        tn_pos, tw_pos = _gauss_panels(tb, self.order)
+        tn = np.concatenate([-tn_pos[::-1], tn_pos])
+        tw = np.concatenate([tw_pos[::-1], tw_pos])
+        X, T = np.meshgrid(self.x, tn, indexing="ij")
+        WX, WT = np.meshgrid(self._wx, tw, indexing="ij")
+        nodes = np.column_stack([X.ravel(), (T * X**g).ravel()])
+        return nodes, (WX * WT * X**g).ravel()
 
     @property
     def nodes(self):
@@ -124,6 +108,12 @@ class TensorGrid(QuadratureGrid):
     @property
     def weights(self):
         return self._arrays[1]
+
+    def refined(self) -> "TensorGrid":
+        """The grid with 4 more Gauss points and twice the panels."""
+        return tensor_grid(self.domain, order=self.order + 4,
+                           n_x=2 * self.n_x, n_tau=2 * self.n_tau,
+                           x_min=self.x_min, tau_min=self.tau_min)
 
 
 def _gauss_panels(breaks, order):
@@ -152,29 +142,17 @@ def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
     place the tau-nodes at 1 - u rounded, and their weights underflow once
     x**(1 + 1/alpha) drops below the smallest double.
     """
-    g = domain.gamma
-    # geometric breakpoints 1, 1/2, ..., down to x_min (log-equispaced)
-    xb = np.geomspace(1.0, x_min, n_x + 1)
-    xn, xw = _gauss_panels(xb[::-1].copy(), order)
-    ub = np.geomspace(1.0, tau_min, n_tau + 1)      # u = 1 - tau, tau > 0
-    un, uw = _gauss_panels(ub[::-1].copy(), order)
+    return TensorGrid(domain, order, n_x, n_tau, x_min, tau_min)
 
-    def build():
-        tb = 1.0 - ub                                # 0 ... 1 - tau_min
-        tn_pos, tw_pos = _gauss_panels(tb, order)
-        tn = np.concatenate([-tn_pos[::-1], tn_pos])
-        tw = np.concatenate([tw_pos[::-1], tw_pos])
-        X, T = np.meshgrid(xn, tn, indexing="ij")
-        WX, WT = np.meshgrid(xw, tw, indexing="ij")
-        nodes = np.column_stack([X.ravel(), (T * X**g).ravel()])
-        return nodes, (WX * WT * X**g).ravel()
 
-    def refine():
-        return tensor_grid(domain, order=order + 4, n_x=2 * n_x,
-                           n_tau=2 * n_tau, x_min=x_min, tau_min=tau_min)
-
-    return TensorGrid(xn, np.log(xw) + g * np.log(xn),
-                      un, math.log(2.0) + np.log(uw), build, refine)
+def _x_panels(e1, tol, threshold):
+    """(x_min, n_x) for an x-integrand x**(e1 - 1): the tail below x_min is
+    0.2 tol of the total, and ~3 geometric panels per decade keep the
+    per-panel Gauss error ~1e-9."""
+    if e1 <= 0.0:
+        raise ValueError(f"s >= {threshold}: norm integrand not integrable")
+    x_min = float(np.clip(math.exp(math.log(0.2 * tol) / e1), 1e-240, 0.3))
+    return x_min, max(24, int(3.3 * math.log10(1.0 / x_min)))
 
 
 def fs_quadrature_grid(domain, beta, p, s, *, tol=1e-3, order=12):
@@ -186,17 +164,12 @@ def fs_quadrature_grid(domain, beta, p, s, *, tol=1e-3, order=12):
     """
     pp = _pprime(p)
     A = fs_norm_closed_form(domain.alpha, beta, p, 0.0)["A"]
-    e1 = pp * (A - s)
-    if e1 <= 0.0:
-        raise ValueError("s >= A: norm integrand not integrable")
+    x_min, n_x = _x_panels(pp * (A - s), tol, "A")
     q1 = 1.0 - beta * pp
     if q1 <= 0.0:
         raise ValueError("beta * p' must be below 1")
-    x_min = float(np.clip(math.exp(math.log(0.2 * tol) / e1), 1e-240, 0.3))
     u_min = float(np.clip(math.exp(math.log(0.2 * tol) / min(q1, 1.0)) * 1e-2,
                           1e-240, 0.3))
-    # ~3 geometric panels per decade keeps per-panel Gauss error ~1e-9
-    n_x = max(24, int(3.3 * math.log10(1.0 / x_min)))
     n_tau = max(16, int(3.3 * math.log10(1.0 / u_min)))
     return tensor_grid(domain, order=order, n_x=n_x, n_tau=n_tau,
                        x_min=x_min, tau_min=u_min)
@@ -206,11 +179,7 @@ def ys_quadrature_grid(domain, p, s, *, tol=1e-3, order=12):
     """Grid resolving |y * x**(-s-1)|**p' whose x-exponent is p'(B-s) - 1."""
     pp = _pprime(p)
     B = ys_norm_closed_form(domain.alpha, p, 0.0)["B"]
-    e1 = pp * (B - s)
-    if e1 <= 0.0:
-        raise ValueError("s >= B: norm integrand not integrable")
-    x_min = float(np.clip(math.exp(math.log(0.2 * tol) / e1), 1e-240, 0.3))
-    n_x = max(24, int(3.3 * math.log10(1.0 / x_min)))
+    x_min, n_x = _x_panels(pp * (B - s), tol, "B")
     return tensor_grid(domain, order=order, n_x=n_x, n_tau=20,
                        x_min=x_min, tau_min=1e-8)
 
@@ -221,22 +190,20 @@ def _log_sum_exp(v):
     return m + math.log(float(np.sum(np.exp(v - m))))
 
 
-def lp_norms_at_nodes(log_abs, domain, gamma, p, grid, *, mode="exact"):
+def lp_norms_at_nodes(log_abs, domain, gamma, p, grid):
     """||u_k d^gamma||_{L^p(Omega)} for each row k of log |u_k| at the 2-D
-    nodes of grid, with one distance evaluation for all rows.
+    nodes of grid, d the exact distance, evaluated once for all rows.
 
     The sums are accumulated as log |u d^gamma|^p w: the pointwise power
-    |u|^p (or u itself for strongly singular families) can overflow near the
-    tip although every weighted contribution is tiny, which is why the
-    integrands come in log form.
+    |u|^p can overflow near the tip although every weighted contribution is
+    tiny, which is why the integrands come in log form.
     """
     log_abs = np.atleast_2d(np.asarray(log_abs, dtype=float))
     if not np.all(log_abs < np.inf):
         raise ValueError("integrand is not finite at quadrature nodes")
     log_weight = 0.0
     if gamma != 0.0:    # before the (k, n) sums: the distance is the memory peak
-        d = WeightSpec(0.0, mode).distance_values(domain, grid.nodes)
-        log_weight = gamma * p * np.log(d)
+        log_weight = gamma * p * np.log(geometry.distance(domain, grid.nodes))
     logc = p * log_abs
     logc += log_weight
     with np.errstate(divide="ignore"):   # quadrature weights may underflow
@@ -244,47 +211,21 @@ def lp_norms_at_nodes(log_abs, domain, gamma, p, grid, *, mode="exact"):
     return np.sum(np.exp(logc, out=logc), axis=1) ** (1.0 / p)
 
 
-def weighted_lp_norm(f, domain, gamma, p, grid, *, mode="surrogate",
-                     estimate_error=True):
-    """||f d^gamma||_{L^p(Omega)} by quadrature.
+def weighted_lp_norm(family, domain, gamma, p, grid: TensorGrid) -> float:
+    """||f d^gamma||_{L^p(Omega)} of a singular family on a tensor grid.
 
-    Returns (value, rel_err) where rel_err compares against one refinement
-    step of the grid (0.0 when the grid does not support refinement or
-    estimate_error is False).
-
-    In surrogate mode a family with `log_abs_factors` on a `TensorGrid` is
-    summed as a product of its x- and u-sums; any other integrand is
-    evaluated at the 2-D nodes.
+    family = (log_x, log_u) gives log |f| = log_x(x) + log_u(u), as
+    `fs_family` and `ys_family` return it; d = x**(1/alpha) u is the
+    surrogate distance, so log |f d^gamma|^p w splits into a term in x and a
+    term in u, each summed once by log-sum-exp.
     """
     if not p > 1.0:
         raise ValueError("p must exceed 1")
-
-    def product(g):
-        # d = x**(1/alpha) u, so log |f d^gamma|^p w splits into a term in
-        # x and a term in u
-        log_fx, log_fu = f.log_abs_factors
-        lx = p * (log_fx(g.x) + gamma * domain.gamma * np.log(g.x)) + g.log_wx
-        lu = p * (log_fu(g.u) + gamma * np.log(g.u)) + g.log_wu
-        return math.exp((_log_sum_exp(lx) + _log_sum_exp(lu)) / p)
-
-    def evaluate(g):
-        if (mode == "surrogate" and isinstance(g, TensorGrid)
-                and hasattr(f, "log_abs_factors")):
-            return product(g)
-        if hasattr(f, "log_abs"):
-            log_abs = f.log_abs(g.nodes)
-        else:
-            with np.errstate(divide="ignore"):
-                log_abs = np.log(np.abs(np.asarray(f(g.nodes), dtype=float)))
-        return float(lp_norms_at_nodes(log_abs, domain, gamma, p, g,
-                                       mode=mode)[0])
-
-    value = evaluate(grid)
-    if not estimate_error or grid.refiner is None:
-        return value, 0.0
-    fine = evaluate(grid.refined())
-    rel = abs(fine - value) / fine if fine > 0 else 0.0
-    return fine, rel
+    log_x, log_u = family
+    lx = (p * (log_x(grid.x) + gamma * domain.gamma * np.log(grid.x))
+          + grid.log_wx)
+    lu = p * (log_u(grid.u) + gamma * np.log(grid.u)) + grid.log_wu
+    return math.exp((_log_sum_exp(lx) + _log_sum_exp(lu)) / p)
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +236,7 @@ def fs_family(alpha, beta, p, s):
     """The field f_s(x, y) = x**(-s/(p-1)) * d(x, y)**(-p' beta).
 
     d is the surrogate distance x**(1/alpha) u, u = 1 - |y| / x**(1/alpha);
-    log_abs_factors gives log |f_s| as a function of x plus one of u.
+    returns (log_x, log_u) with log |f_s| = log_x(x) + log_u(u).
     """
     pp = _pprime(p)
     if beta * pp >= 1.0:
@@ -303,24 +244,6 @@ def fs_family(alpha, beta, p, s):
     A = fs_norm_closed_form(alpha, beta, p, 0.0)["A"]
     if s >= A:
         raise ValueError(f"s must be below A = {A}")
-    domain = geometry.CuspDomain(alpha)
-    spec = WeightSpec(-pp * beta, "surrogate")
-
-    def f(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        with np.errstate(over="ignore"):
-            vals = pts[:, 0] ** (-s / (p - 1.0))
-            if beta != 0.0:
-                vals = vals * spec.evaluate(domain, pts)
-        return vals
-
-    def log_abs(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        la = (-s / (p - 1.0)) * np.log(pts[:, 0])
-        if beta != 0.0:
-            d = spec.distance_values(domain, pts)
-            la = la + (-pp * beta) * np.log(d)
-        return la
 
     def log_abs_x(x):
         return (-s / (p - 1.0) - pp * beta / alpha) * np.log(x)
@@ -328,31 +251,16 @@ def fs_family(alpha, beta, p, s):
     def log_abs_u(u):
         return (-pp * beta) * np.log(u)
 
-    f.log_abs = log_abs
-    f.log_abs_factors = (log_abs_x, log_abs_u)
-    return f
+    return log_abs_x, log_abs_u
 
 
 def ys_family(alpha, p, s):
-    """The conjugate field y * x**(-s-1), evaluated overflow-safely.
+    """The conjugate field y * x**(-s-1) as (log_x, log_u).
 
-    Written as (y / x**(1/alpha)) * x**(1/alpha - s - 1) so that tip nodes
-    with extremely small x do not overflow before the bounded combination is
-    formed; log_abs_factors splits log |y x**(-s-1)| into
-    (1/alpha - s - 1) log x plus log(1 - u), u = 1 - |y| / x**(1/alpha).
+    With |y| = x**(1/alpha) (1 - u), u = 1 - |y| / x**(1/alpha),
+    log |y x**(-s-1)| is (1/alpha - s - 1) log x plus log(1 - u).
     """
     g = 1.0 / alpha
-
-    def log_abs(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        x, y = pts[:, 0], pts[:, 1]
-        with np.errstate(divide="ignore"):
-            return np.log(np.abs(y)) - (s + 1.0) * np.log(x)
-
-    def f(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        with np.errstate(over="ignore"):
-            return np.sign(pts[:, 1]) * np.exp(log_abs(pts))
 
     def log_abs_x(x):
         return (g - s - 1.0) * np.log(x)
@@ -360,13 +268,11 @@ def ys_family(alpha, p, s):
     def log_abs_u(u):
         return np.log1p(-u)
 
-    f.log_abs = log_abs
-    f.log_abs_factors = (log_abs_x, log_abs_u)
-    return f
+    return log_abs_x, log_abs_u
 
 
 def fs_norm_closed_form(alpha, beta, p, s):
-    """Exact surrogate-mode value of ||f_s||^p_{L^p(Omega, beta)}.
+    """Exact value of ||f_s||^p_{L^p(Omega, beta)}, surrogate-weighted.
 
     A = (1 - beta p' + alpha) / (alpha p'); the norm to the p-th power equals
     2 / ((1 - beta p') p' (A - s)), the factor 2 accounting for both halves
@@ -452,13 +358,7 @@ def ball_grid(distance_fn, center, r, delta_min, *,
     )
     weights = np.concatenate([s * s / 4.0] * 4)
     inside = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) <= r
-    nodes, weights = nodes[inside], weights[inside]
-
-    def refine():
-        return ball_grid(distance_fn, center, r, delta_min / 2.0,
-                         open_frac=open_frac, rim_frac=rim_frac / 2.0)
-
-    return QuadratureGrid(nodes, weights, refine)
+    return QuadratureGrid(nodes[inside], weights[inside])
 
 
 _SQ2 = float(np.sqrt(2.0))
@@ -533,12 +433,8 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
     inadmissible ones (divergent with scale/resolution).
 
     Both averages of a ball share one node set, so each ratio is exactly 1
-    for mu = 0 and at least 1 in general (discrete Jensen inequality).  The
-    plan stores exact distances, so only an exact weight is accepted.
+    for mu = 0 and at least 1 in general (discrete Jensen inequality).
     """
-    if weight.mode != "exact":
-        raise ValueError(f"the ball plan holds exact distances, not "
-                         f"{weight.mode!r} ones")
     if plan is None:
         plan = build_ball_plan(domain, sampling)
     delta_min = 1.0 / float(plan["sampling"]["resolution"])

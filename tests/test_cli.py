@@ -82,11 +82,30 @@ def test_config_file_with_flag_override(tmp_path):
     assert summary["kmax"] == 5        # config survives
 
 
-def test_malformed_config_rejected(tmp_path):
+def test_malformed_config_rejected(tmp_path, capsys):
+    # a line without '=' and a value that does not parse are usage errors
     bad = tmp_path / "bad.cfg"
-    bad.write_text("alpha 0.5\n")
-    with pytest.raises(ValueError):
-        run_cli(["whitney", "--config", str(bad)])
+    for text, message in (("alpha 0.5\n", "malformed config line"),
+                          ("alpha = 0.5\nkmax = five\n", "kmax = 'five'")):
+        bad.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            run_cli(["whitney", "--config", str(bad)])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
+
+def test_unknown_config_key_rejected(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"alpha = 0.5\nkmx = 5\noutdir = {tmp_path / 'out'}\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["whitney", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "unknown key 'kmx' for whitney" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    # a key of another subcommand is unknown too
+    cfgfile.write_text("alpha = 0.5\nmu = 0.5\n")
+    with pytest.raises(SystemExit):
+        run_cli(["whitney", "--config", str(cfgfile)])
 
 
 def test_missing_alpha_is_usage_error(tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cuspdiv import geometry, weights
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.weights import (
-    QuadratureGrid,
     WeightSpec,
     ball_grid,
     estimate_ap_constant,
@@ -23,26 +22,15 @@ from cuspdiv.weights import (
 )
 
 
-def test_weight_spec_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        WeightSpec(1.0, "taxicab")
-
-
-def test_weight_spec_mu_zero_is_unit_weight():
-    dom = CuspDomain(0.5)
-    pts = np.array([[0.5, 0.1], [0.9, 0.0]])
-    assert np.array_equal(WeightSpec(0.0).evaluate(dom, pts), [1.0, 1.0])
-
-
 def test_tensor_grid_integrates_area_and_moments():
     dom = CuspDomain(0.5)
     g = tensor_grid(dom)
     # the truncated slivers {x < x_min} and {1 - |tau| < tau_min} cost ~1e-10
-    assert g.total_weight() == pytest.approx(dom.area(), rel=1e-9)
+    assert np.sum(g.weights) == pytest.approx(dom.area(), rel=1e-9)
     # integral of x over Omega: 2 int_0^1 x * x^2 dx = 1/2
-    assert g.integrate(g.nodes[:, 0]) == pytest.approx(0.5, rel=1e-9)
+    assert np.dot(g.weights, g.nodes[:, 0]) == pytest.approx(0.5, rel=1e-9)
     # odd in y
-    assert abs(g.integrate(g.nodes[:, 1])) < 1e-14
+    assert abs(np.dot(g.weights, g.nodes[:, 1])) < 1e-14
 
 
 def test_tensor_grid_u_factor_resolves_tiny_margins():
@@ -57,30 +45,45 @@ def test_tensor_grid_handles_integrable_tip_singularity():
     # int_Omega x^(-1) = 2 int_0^1 x^(2-1) dx = 1 for alpha = 0.5
     dom = CuspDomain(0.5)
     g = tensor_grid(dom, n_x=60)
-    assert g.integrate(1.0 / g.nodes[:, 0]) == pytest.approx(1.0, rel=1e-8)
+    assert np.dot(g.weights, 1.0 / g.nodes[:, 0]) == pytest.approx(1.0,
+                                                                 rel=1e-8)
+
+
+_ONE = (np.zeros_like, np.zeros_like)      # log |f| of f = 1, factored
+
+
+def _norm_and_rel(family, dom, gamma, q, grid):
+    """(norm on grid.refined(), its relative distance to the norm on grid)."""
+    coarse = weighted_lp_norm(family, dom, gamma, q, grid)
+    fine = weighted_lp_norm(family, dom, gamma, q, grid.refined())
+    return fine, abs(fine - coarse) / fine
 
 
 def test_weighted_lp_norm_of_constant():
     dom = CuspDomain(0.75)
     g = tensor_grid(dom)
-    val, rel = weighted_lp_norm(lambda p: np.ones(len(p)), dom, 0.0, 2.0, g)
+    val, rel = _norm_and_rel(_ONE, dom, 0.0, 2.0, g)
     assert val == pytest.approx(math.sqrt(dom.area()), rel=1e-9)
     assert rel < 1e-9
+    at_nodes = weights.lp_norms_at_nodes(np.zeros(len(g.nodes)), dom, 0.0,
+                                         2.0, g)
+    assert at_nodes[0] == pytest.approx(math.sqrt(dom.area()), rel=1e-9)
 
 
 def test_weighted_lp_norm_rejects_bad_p():
     dom = CuspDomain(0.5)
     g = tensor_grid(dom, n_x=10, n_tau=8)
     with pytest.raises(ValueError):
-        weighted_lp_norm(lambda p: np.ones(len(p)), dom, 0.0, 1.0, g)
+        weighted_lp_norm(_ONE, dom, 0.0, 1.0, g)
 
 
 def test_weighted_lp_norm_rejects_nonfinite_integrand():
+    # the 2-D node sums reject a non-finite integrand
     dom = CuspDomain(0.5)
     g = tensor_grid(dom, n_x=10, n_tau=8)
     with pytest.raises(ValueError):
-        weighted_lp_norm(lambda p: np.full(len(p), np.nan), dom, 0.0, 2.0, g,
-                         estimate_error=False)
+        weights.lp_norms_at_nodes(np.full(len(g.nodes), np.nan), dom, 0.0,
+                                  2.0, g)
 
 
 @pytest.mark.parametrize("alpha,beta,p,gap", [
@@ -99,7 +102,7 @@ def test_fs_norm_matches_closed_form(alpha, beta, p, gap):
     exact = fs_norm_closed_form(alpha, beta, p, s)["value"]
     f = fs_family(alpha, beta, p, s)
     grid = fs_quadrature_grid(dom, beta, p, s)
-    val, rel = weighted_lp_norm(f, dom, beta, p, grid)
+    val, rel = _norm_and_rel(f, dom, beta, p, grid)
     assert rel < 1e-3
     assert val**p == pytest.approx(exact, rel=5e-3)
 
@@ -117,7 +120,7 @@ def test_ys_norm_matches_closed_form(alpha, p, gap):
     exact = ys_norm_closed_form(alpha, p, s)["value"]
     f = ys_family(alpha, p, s)
     grid = ys_quadrature_grid(dom, p, s)
-    val, rel = weighted_lp_norm(f, dom, 0.0, pp, grid)
+    val, rel = _norm_and_rel(f, dom, 0.0, pp, grid)
     assert rel < 1e-3
     assert val**pp == pytest.approx(exact, rel=5e-3)
 
@@ -128,34 +131,54 @@ def test_closed_form_divergent_above_threshold():
     assert ys_norm_closed_form(0.5, 2.0, 10.0)["value"] == math.inf
 
 
+def _fs_log_abs(dom, beta, p, s, pts):
+    """log |f_s| at pts from its definition x**(-s/(p-1)) d**(-p' beta), d
+    the surrogate distance."""
+    d = geometry.surrogate_distance(dom, pts)
+    pp = p / (p - 1.0)
+    return (-s / (p - 1.0)) * np.log(pts[:, 0]) - pp * beta * np.log(d)
+
+
+def _ys_log_abs(s, pts):
+    """log |y x**(-s-1)| at pts."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(pts[:, 1])) - (s + 1.0) * np.log(pts[:, 0])
+
+
 def test_family_log_abs_consistent_with_values():
-    f = fs_family(0.5, 0.1, 2.0, 0.0)
-    y = ys_family(0.5, 2.0, 0.0)
+    dom = CuspDomain(0.5)
     pts = np.array([[0.5, 0.1], [0.2, -0.02], [0.9, 0.5]])
     u = 1.0 - np.abs(pts[:, 1]) / pts[:, 0] ** 2.0
-    for fam in (f, y):
-        assert np.allclose(np.exp(fam.log_abs(pts)), np.abs(fam(pts)),
+    x, y, s = pts[:, 0], pts[:, 1], 0.3
+    for fam, value, log_abs in (
+            (fs_family(0.5, 0.1, 2.0, s),
+             x ** -s * geometry.surrogate_distance(dom, pts) ** -0.2,
+             _fs_log_abs(dom, 0.1, 2.0, s, pts)),
+            (ys_family(0.5, 2.0, s), y * x ** (-s - 1.0), _ys_log_abs(s, pts))):
+        log_x, log_u = fam
+        assert np.allclose(np.exp(log_x(x) + log_u(u)), np.abs(value),
                            rtol=1e-12)
-        log_x, log_u = fam.log_abs_factors
-        assert np.allclose(log_x(pts[:, 0]) + log_u(u), fam.log_abs(pts),
-                           rtol=1e-12, atol=1e-12)
+        assert np.allclose(log_x(x) + log_u(u), log_abs, rtol=1e-12,
+                           atol=1e-12)
 
 
 def _family_norm(fam, alpha, beta, p, gap):
-    """(f, domain, gamma, q, grid, exact ||f||^q) at s = T - gap, where the
-    norm is that of L^q(Omega, gamma)."""
+    """(f, domain, gamma, q, grid, exact ||f||^q, log |f| at points) at
+    s = T - gap, where the norm is that of L^q(Omega, gamma)."""
     dom = CuspDomain(alpha)
     if fam == "fs":
         s = fs_norm_closed_form(alpha, beta, p, 0.0)["A"] - gap
         grid = fs_quadrature_grid(dom, beta, p, s)
         f, gamma, q = fs_family(alpha, beta, p, s), beta, p
         exact = fs_norm_closed_form(alpha, beta, p, s)["value"]
+        log_abs = lambda pts: _fs_log_abs(dom, beta, p, s, pts)
     else:
         s = ys_norm_closed_form(alpha, p, 0.0)["B"] - gap
         grid = ys_quadrature_grid(dom, p, s)
         f, gamma, q = ys_family(alpha, p, s), 0.0, p / (p - 1.0)
         exact = ys_norm_closed_form(alpha, p, s)["value"]
-    return f, dom, gamma, q, grid, exact
+        log_abs = lambda pts: _ys_log_abs(s, pts)
+    return f, dom, gamma, q, grid, exact, log_abs
 
 
 @pytest.mark.parametrize("fam,beta", [("fs", 0.0), ("fs", 0.1), ("ys", 0.0)])
@@ -164,19 +187,21 @@ def test_norm_keeps_tip_mass(fam, beta):
     # once x**(1 + 1/alpha) < 1e-308; the 2-D path then drops the tip's
     # contribution (relative error -6.3e-4, which its refined grid drops
     # too), while the factors keep it up to the 0.2 * tol truncation tail
-    f, dom, gamma, q, grid, exact = _family_norm(fam, 0.5, beta, 3.0, 0.02)
-    val, rel = weighted_lp_norm(f, dom, gamma, q, grid)
+    f, dom, gamma, q, grid, exact, _ = _family_norm(fam, 0.5, beta, 3.0,
+                                                    0.02)
+    val, rel = _norm_and_rel(f, dom, gamma, q, grid)
     assert rel < 1e-3
     assert abs(val**q / exact - 1.0) <= 3e-4
 
 
-def _flat(grid):
-    """The same grid as plain 2-D arrays, refining to plain arrays."""
-    def refine():
-        fine = grid.refined()
-        return QuadratureGrid(fine.nodes, fine.weights)
-
-    return QuadratureGrid(grid.nodes, grid.weights, refine)
+def _surrogate_norm_at_nodes(log_abs, dom, gamma, q, grid):
+    """||f d^gamma||_{L^q} summed at the 2-D nodes of grid, d the surrogate
+    distance: the product sums' oracle."""
+    d = geometry.surrogate_distance(dom, grid.nodes)
+    with np.errstate(divide="ignore"):      # tip weights may underflow
+        logc = (q * log_abs(grid.nodes) + gamma * q * np.log(d)
+                + np.log(grid.weights))
+    return float(np.sum(np.exp(logc)) ** (1.0 / q))
 
 
 @settings(max_examples=30, deadline=None)
@@ -186,7 +211,8 @@ def _flat(grid):
 def test_product_norm_matches_2d_oracle(fam, alpha, p, beta_frac, gap):
     # beta from alpha - 1 up to 95% of the bound 1/p'
     beta = (alpha - 1.0) + beta_frac * (1.0 - 1.0 / p - (alpha - 1.0))
-    f, dom, gamma, q, grid, _ = _family_norm(fam, alpha, beta, p, gap)
+    f, dom, gamma, q, grid, _, log_abs = _family_norm(fam, alpha, beta, p,
+                                                      gap)
     # where the 2-D arrays are exact (checked at the smallest x- and
     # u-nodes): no tip weight underflows, and the tau-nodes 1 - u resolve
     # the margin.  Their absolute rounding eps moves
@@ -199,13 +225,13 @@ def test_product_norm_matches_2d_oracle(fam, alpha, p, beta_frac, gap):
            and np.finfo(float).eps * grid.u[0] ** min(e, 0.0) <= 1e-12)
     # cost: the refined 2-D oracle has 4 (16/12)^2 times the nodes
     assume(len(grid.x) * 2 * len(grid.u) <= 400_000)
-    for est in (False, True):
-        val, rel = weighted_lp_norm(f, dom, gamma, q, grid,
-                                    estimate_error=est)
-        ref, ref_rel = weighted_lp_norm(f, dom, gamma, q, _flat(grid),
-                                        estimate_error=est)
-        assert val == pytest.approx(ref, rel=1e-12)
-        assert rel == pytest.approx(ref_rel, abs=1e-12)
+    vals = [weighted_lp_norm(f, dom, gamma, q, g)
+            for g in (grid, grid.refined())]
+    refs = [_surrogate_norm_at_nodes(log_abs, dom, gamma, q, g)
+            for g in (grid, grid.refined())]
+    assert vals == pytest.approx(refs, rel=1e-12)
+    rel, ref_rel = (abs(v[1] - v[0]) / v[1] for v in (vals, refs))
+    assert rel == pytest.approx(ref_rel, abs=1e-12)
 
 
 def _reference_tensor_arrays(domain, order, n_x, n_tau, x_min, tau_min):
@@ -252,9 +278,10 @@ def test_ball_grid_total_weight_matches_disk_area():
     dfn = lambda pts: geometry.distance(dom, pts)
     r = 0.1
     g = ball_grid(dfn, (0.5, 0.0), r, 1.0 / 1024.0)
-    assert g.total_weight() == pytest.approx(math.pi * r * r, rel=2e-3)
-    fine = g.refined()
-    assert fine.total_weight() == pytest.approx(math.pi * r * r, rel=1e-3)
+    assert np.sum(g.weights) == pytest.approx(math.pi * r * r, rel=2e-3)
+    # halved floor and rim resolution
+    fine = ball_grid(dfn, (0.5, 0.0), r, 1.0 / 2048.0, rim_frac=1.0 / 256.0)
+    assert np.sum(fine.weights) == pytest.approx(math.pi * r * r, rel=1e-3)
 
 
 def test_ball_grid_montecarlo_weighted_average():
@@ -263,7 +290,7 @@ def test_ball_grid_montecarlo_weighted_average():
     dfn = lambda pts: geometry.distance(dom, pts)
     c, r, mu = np.array([0.5, 0.25]), 0.1, 1.5
     g = ball_grid(dfn, c, r, 1.0 / 2048.0)
-    quad = g.integrate(dfn(g.nodes) ** mu) / g.total_weight()
+    quad = np.dot(g.weights, dfn(g.nodes) ** mu) / np.sum(g.weights)
     rng = np.random.default_rng(7)
     u = rng.uniform(-1.0, 1.0, size=(200_000, 2))
     u = u[np.hypot(u[:, 0], u[:, 1]) <= 1.0]
@@ -366,17 +393,3 @@ def test_estimate_ap_constant_small_plan():
     # mu = 0 gives ratio exactly 1 on every ball
     flat = estimate_ap_constant(dom, WeightSpec(0.0), 2.0, sampling=sampling)
     assert flat.value == pytest.approx(1.0, abs=1e-12)
-
-
-def test_estimate_ap_constant_rejects_surrogate_weight():
-    # the plan holds exact distances; a surrogate weight would be ignored
-    dom = CuspDomain(0.5)
-    sampling = {
-        "boundary_centers": np.array([[0.5, 0.25]]),
-        "interior_centers": np.array([[0.5, 0.0]]),
-        "radii": np.array([0.125]),
-        "resolution": 256,
-    }
-    with pytest.raises(ValueError, match="exact"):
-        estimate_ap_constant(dom, WeightSpec(0.5, "surrogate"), 2.0,
-                             sampling=sampling)
