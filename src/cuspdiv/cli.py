@@ -28,11 +28,10 @@ class RunConfig:
     subcommand: str
     params: dict
     outdir: str = "."
-    seed: int = 0
 
     def to_dict(self):
         return {"subcommand": self.subcommand, "params": dict(self.params),
-                "outdir": self.outdir, "seed": self.seed}
+                "outdir": self.outdir}
 
 
 def _read_config_file(path):
@@ -310,7 +309,6 @@ def run(cfg: RunConfig) -> int:
     """Execute a configured run; returns the process exit code."""
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    np.random.seed(cfg.seed)
     manifest_name = f"{cfg.subcommand}_manifest.json"
     t0 = time.time()
     try:
@@ -338,7 +336,7 @@ def run(cfg: RunConfig) -> int:
 
 _FLOAT_KEYS = {"alpha", "beta", "mu", "p", "h", "grading", "t", "r",
                "x_tip", "min_angle"}
-_INT_KEYS = {"kmax", "resolution", "levels", "cells", "centers", "seed"}
+_INT_KEYS = {"kmax", "resolution", "levels", "cells", "centers"}
 # the parameters of each subcommand, as flags and as config-file keys
 _SPECS = {
     "whitney": ["alpha", "kmax"],
@@ -363,7 +361,6 @@ def _build_parser():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value config file")
         sp.add_argument("--outdir", default=None)
-        sp.add_argument("--seed", type=int, default=None)
         for key in keys:
             if key in _FLOAT_KEYS:
                 sp.add_argument(f"--{key}", type=float, default=None)
@@ -386,7 +383,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     params = {}
-    outdir, seed = ".", 0
+    outdir = "."
     if args.config:
         try:
             entries = _read_config_file(args.config)
@@ -396,7 +393,7 @@ def main(argv=None) -> int:
             if key == "outdir":
                 outdir = val
                 continue
-            if key != "seed" and key not in _SPECS[args.subcommand]:
+            if key not in _SPECS[args.subcommand]:
                 parser.error(f"{args.config}: unknown key {key!r} for "
                              f"{args.subcommand}")
             try:
@@ -404,24 +401,19 @@ def main(argv=None) -> int:
             except ValueError:
                 parser.error(f"{args.config}: {key} = {val!r} is not a "
                              f"valid value")
-            if key == "seed":
-                seed = val
-            else:
-                params[key] = val
+            params[key] = val
     for key, val in vars(args).items():
         if key in ("config", "subcommand") or val is None:
             continue
         if key == "outdir":
             outdir = val
-        elif key == "seed":
-            seed = val
         else:
             params[key] = val
     required = ("alpha", "mu") if args.subcommand == "ap-check" else ("alpha",)
     for key in required:
         if key not in params:
             parser.error(f"{args.subcommand}: --{key} is required")
-    cfg = RunConfig(args.subcommand, params, outdir, seed)
+    cfg = RunConfig(args.subcommand, params, outdir)
     return run(cfg)
 
 

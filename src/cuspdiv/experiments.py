@@ -51,9 +51,9 @@ class FitResult:
 
 _SCAN = 256    # rate_fit's scan points in log(T - max s)
 # optimality_sweep calls fitted thresholds equal within this relative
-# distance: over alpha in {0.3, 0.5, 0.75, 1}, p in {1.5, 2, 3, 4} and five
-# beta each, the fits reach the closed-form A and B to rounding for p >= 2
-# and within 2.7e-6 for p = 1.5 (tol = 1e-3)
+# distance: over alpha in {0.3, 0.5, 0.75, 1}, p in {1.1, 1.2, 1.5, 2, 3, 4}
+# and five beta each, the fits reach the closed-form A and B within 1.4e-15
+# (tol = 1e-3), far inside it
 _T_RTOL = 1e-5
 
 

@@ -144,20 +144,13 @@ def _column_cell_counts(domain, xs):
     spacing[-1] = gaps[-1]
     spacing[1:-1] = 0.5 * (gaps[:-1] + gaps[1:])
     m = 2 * np.maximum(1, np.round(heights / spacing).astype(int))
-    # smooth so neighbouring columns differ by at most 2x
-    for _ in range(len(m)):
-        changed = False
-        for k in range(len(m) - 1):
-            if m[k + 1] > 2 * m[k]:
-                m[k] = (m[k + 1] + 1) // 2
-                m[k] += m[k] % 2
-                changed = True
-            if m[k] > 2 * m[k + 1]:
-                m[k + 1] = (m[k] + 1) // 2
-                m[k + 1] += m[k + 1] % 2
-                changed = True
-        if not changed:
-            break
+    # raise counts so neighbouring columns differ by at most 2x, each to the
+    # least even value a neighbour forces (2 ceil(m/4) beside m): counts
+    # only grow, so one sweep each way leaves every pair within the rule
+    for k in range(1, len(m)):
+        m[k] = max(m[k], 2 * -(-m[k - 1] // 4))
+    for k in range(len(m) - 2, -1, -1):
+        m[k] = max(m[k], 2 * -(-m[k + 1] // 4))
     return m
 
 

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from . import geometry
+from . import geometry, whitney
 
 __all__ = [
     "WeightSpec",
@@ -147,11 +147,11 @@ def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
 
 def _x_panels(e1, tol, threshold):
     """(x_min, n_x) for an x-integrand x**(e1 - 1): the tail below x_min is
-    0.2 tol of the total, and ~3 geometric panels per decade keep the
-    per-panel Gauss error ~1e-9."""
+    0.2 tol of the total for every e1 (the blow-up fits need that), and ~3
+    geometric panels per decade keep the per-panel Gauss error ~1e-9."""
     if e1 <= 0.0:
         raise ValueError(f"s >= {threshold}: norm integrand not integrable")
-    x_min = float(np.clip(math.exp(math.log(0.2 * tol) / e1), 1e-240, 0.3))
+    x_min = max(math.exp(math.log(0.2 * tol) / e1), 1e-240)
     return x_min, max(24, int(3.3 * math.log10(1.0 / x_min)))
 
 
@@ -305,31 +305,30 @@ def ys_norm_closed_form(alpha, p, s):
 # ---------------------------------------------------------------------------
 
 _G2 = 0.5 / np.sqrt(3.0)   # 2x2 Gauss offsets on a unit cell
+_OPEN_FRAC = 0.25          # ball cells split while larger than this * d
 
 
 def ball_grid(distance_fn, center, r, delta_min, *,
-              open_frac=0.25, rim_frac=1.0 / 128.0) -> QuadratureGrid:
+              rim_frac=1.0 / 128.0) -> QuadratureGrid:
     """Adaptive quadrature grid over the ball B(center, r).
 
-    Square cells are split while larger than open_frac times the distance of
-    their center to F (so d^mu is smooth per cell), down to the absolute
-    floor delta_min; cells meeting the ball rim are additionally split to
-    rim_frac * r to control the staircase error of the ball indicator.  Each
-    final cell carries a 2x2 Gauss rule restricted to the ball.  The distance
-    is evaluated only at the centres whose split it decides: kept cells above
-    delta_min, except rim cells above rim_frac * r, which split anyway.
+    The cells are (k, i, j) rows of the ball's box, refined by
+    `whitney.refine`: split while larger than _OPEN_FRAC times the distance
+    of their center to F (so d^mu is smooth per cell), down to the floor
+    delta_min; cells meeting the ball rim are also split to rim_frac * r to
+    control the staircase error of the ball indicator.  Each final cell
+    carries a 2x2 Gauss rule restricted to the ball.  The distance is only
+    evaluated where it decides a split: at kept cells above delta_min,
+    except rim cells above rim_frac * r, which split anyway.
     """
     cx, cy = float(center[0]), float(center[1])
-    cells = np.array([[cx - r, cy - r, 2.0 * r]])
-    done = []
-    while len(cells):
-        x0, y0, s = cells[:, 0], cells[:, 1], cells[:, 2]
-        mx, my = x0 + s / 2.0, y0 + s / 2.0
+
+    def classify(k, mx, my, s):
         rad = np.hypot(mx - cx, my - cy)
-        half_diag = s * (_SQ2 / 2.0)
+        half_diag = s * (whitney._SQRT2 / 2.0)
         keep = rad - half_diag <= r              # discard cells outside B
         rim = np.abs(rad - r) <= half_diag
-        # kept cells split while s > max(delta_min, open_frac d), rim cells
+        # kept cells split while s > max(delta_min, _OPEN_FRAC d), rim cells
         # also while s > max(delta_min, rim_frac r): d decides only the rest
         big = keep & (s > delta_min)
         split = big & rim & (s > rim_frac * r)
@@ -337,20 +336,11 @@ def ball_grid(distance_fn, center, r, delta_min, *,
         if ask.any():
             d = np.asarray(distance_fn(np.column_stack([mx[ask], my[ask]])),
                            dtype=float)
-            split[ask] = s[ask] > d * open_frac
-        done.append(cells[keep & ~split])
-        parents = cells[split]
-        if len(parents) == 0:
-            break
-        h = parents[:, 2:3] / 2.0
-        offs = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        cells = np.concatenate(
-            [np.column_stack([parents[:, 0] + ox * h[:, 0],
-                              parents[:, 1] + oy * h[:, 0], h[:, 0]])
-             for ox, oy in offs]
-        )
-    cells = np.concatenate(done)
-    x0, y0, s = cells[:, 0], cells[:, 1], cells[:, 2]
+            split[ask] = s > d * _OPEN_FRAC
+        return keep & ~split, split
+
+    box = whitney.Box(cx - r, cy - r, 2.0 * r)
+    x0, y0, s = box.cells(*whitney.refine(box, classify).T)
     offs = np.array([[-_G2, -_G2], [_G2, -_G2], [-_G2, _G2], [_G2, _G2]])
     nodes = np.concatenate(
         [np.column_stack([x0 + (0.5 + ox) * s, y0 + (0.5 + oy) * s])
@@ -359,9 +349,6 @@ def ball_grid(distance_fn, center, r, delta_min, *,
     weights = np.concatenate([s * s / 4.0] * 4)
     inside = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) <= r
     return QuadratureGrid(nodes[inside], weights[inside])
-
-
-_SQ2 = float(np.sqrt(2.0))
 
 
 @dataclass

@@ -2,9 +2,9 @@
 
 Cubes are dyadic squares relative to a square bounding box: generation k
 splits the box into 4**k squares of side L * 2**-k, and the cube (k, i, j)
-has its lower-left corner at (x0 + i * L * 2**-k, y0 + j * L * 2**-k).  A
-cube Q with diameter l is accepted when l <= d(Q, F) <= 4*l.  During the
-recursion the cube-to-set distance is bracketed by d(center) -+ l/2 (valid
+has its lower-left corner at (x0 + i * L * 2**-k, y0 + j * L * 2**-k).
+`refine` splits such cells; `decompose` accepts a cube Q with diameter l
+when l <= d(Q, F) <= 4*l, with d(Q, F) bracketed by d(center) -+ l/2 (valid
 for any 1-Lipschitz distance function), so acceptance is decided
 conservatively and the returned cubes satisfy the band exactly.  The
 accepted cubes are one (n, 3) integer array of (k, i, j) rows in
@@ -22,6 +22,7 @@ __all__ = [
     "Box",
     "WhitneyDecomposition",
     "decompose",
+    "refine",
     "count_generation",
     "generation_count_slope",
     "verify_mset",
@@ -39,6 +40,11 @@ class Box:
     x0: float
     y0: float
     side: float
+
+    def cells(self, k, i, j):
+        """Corners x0, y0 and sides s of cells (k, i, j); k may be a scalar."""
+        s = np.ldexp(self.side, -k)
+        return self.x0 + i * s, self.y0 + j * s, s
 
 
 def default_box() -> Box:
@@ -59,8 +65,7 @@ class WhitneyDecomposition:
     def geometry(self, cubes=None):
         """Lower-left corners x0, y0 and sides s of (k, i, j) rows."""
         cubes = self.cubes if cubes is None else np.atleast_2d(cubes)
-        s = np.ldexp(self.box.side, -cubes[:, 0])
-        return self.box.x0 + cubes[:, 1] * s, self.box.y0 + cubes[:, 2] * s, s
+        return self.box.cells(*cubes.T)
 
     def generation(self, k: int) -> np.ndarray:
         """The generation-k rows (a contiguous slice of cubes)."""
@@ -118,6 +123,28 @@ class WhitneyDecomposition:
         return float(d[0]) if np.ndim(cubes) == 1 else d
 
 
+def refine(box: Box, classify) -> np.ndarray:
+    """Accepted (k, i, j) rows, generation by generation, of box refined by
+    classify(k, cx, cy, s): it gets the centres of the active generation-k
+    cells and their side s and returns the masks (accept, split).  A split
+    (k, i, j) passes on its children (k+1, 2i+di, 2j+dj) in the order
+    (di, dj) = (0,0), (1,0), (0,1), (1,1); the other cells end.
+    """
+    accepted = []
+    k, i, j = 0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    while len(i):
+        # a centre is the (1, 1) child's corner, rounded as x0 + (i + 0.5) * s
+        cx, cy, half = box.cells(k + 1, 2 * i + 1, 2 * j + 1)
+        accept, split = classify(k, cx, cy, 2.0 * half)
+        accepted.append(np.column_stack(
+            [np.full(np.count_nonzero(accept), k), i[accept], j[accept]]))
+        i, j = 2 * i[split], 2 * j[split]
+        i = np.concatenate([i, i + 1, i, i + 1])
+        j = np.concatenate([j, j, j + 1, j + 1])
+        k += 1
+    return np.concatenate(accepted)
+
+
 def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
     """Whitney decomposition of box \\ F where F = {distance_fn == 0}.
 
@@ -128,32 +155,18 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
 
-    accepted = []
-    active = np.array([[0, 0]], dtype=np.int64)
-    for k in range(kmax + 1):
-        if len(active) == 0:
-            break
-        s = box.side * 2.0 ** (-k)
+    def classify(k, cx, cy, s):
         ell = s * _SQRT2
-        centers = np.column_stack(
-            [box.x0 + (active[:, 0] + 0.5) * s, box.y0 + (active[:, 1] + 0.5) * s]
-        )
-        d = np.asarray(distance_fn(centers), dtype=float)
+        d = np.asarray(distance_fn(np.column_stack([cx, cy])), dtype=float)
         # d(Q,F) in [d_center - l/2, d_center + l/2]; accept when the
         # bracket certifies l <= d(Q,F) <= 4l.
         accept = (d >= 1.5 * ell) & (d <= 3.5 * ell)
         # cubes certified farther than 4l can never yield accepted children
         # (children need d <= 1.75*l but inherit d >= d_parent - l/4)
         hopeless = d - 0.5 * ell > 4.0 * ell
-        rows = active[accept]
-        accepted.append(np.column_stack([np.full(len(rows), k), rows]))
-        if k == kmax:
-            break
-        base = active[~accept & ~hopeless] * 2
-        active = np.concatenate(
-            [base + off for off in np.array([[0, 0], [1, 0], [0, 1], [1, 1]])]
-        )
-    cubes = np.concatenate(accepted)
+        return accept, ~accept & ~hopeless & (k < kmax)
+
+    cubes = refine(box, classify)
     if len(cubes) == 0:
         raise RuntimeError("kmax too small: no cube was accepted")
     cubes = cubes[np.lexsort(cubes.T[::-1])]

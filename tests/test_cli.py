@@ -106,6 +106,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
     cfgfile.write_text("alpha = 0.5\nmu = 0.5\n")
     with pytest.raises(SystemExit):
         run_cli(["whitney", "--config", str(cfgfile)])
+    # so is seed: no computation draws from a global random state
+    cfgfile.write_text("alpha = 0.5\nseed = 3\n")
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["whitney", "--config", str(cfgfile)])
+    assert exc.value.code == 2
+    assert "unknown key 'seed' for whitney" in capsys.readouterr().err
 
 
 def test_missing_alpha_is_usage_error(tmp_path):

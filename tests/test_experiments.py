@@ -248,14 +248,23 @@ def test_optimality_sweep_verdict_at_equal_thresholds(alpha, p):
 @pytest.mark.parametrize("alpha,expected", [(0.5, "T_A < T_B"),
                                             (1.0, "T_A = T_B")])
 def test_optimality_sweep_fits_at_p_three_halves(alpha, expected):
-    # at p = 1.5 the fits land up to 1.6e-6 (alpha 0.5) and 2.4e-6 (alpha 1)
-    # relative off the closed-form thresholds, not to rounding as for
-    # p >= 2; the verdict tolerance must still cover them
+    # p = 1.5 is the CLI smoke case; the verdict tolerance covers the fits
     _, fits = optimality_sweep(alpha, 0.0, 1.5)
     for fam in ("A", "B"):
         exact = fits[f"{fam}_exact"]
         assert abs(fits[fam].T - exact) <= experiments._T_RTOL * exact
     assert fits["comparison"] == expected
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0])
+@pytest.mark.parametrize("p", [1.1, 1.2])
+def test_optimality_sweep_fits_to_rounding_below_p_two(alpha, p):
+    # the x-tail left out below x_min is 0.2 tol at every fit point, however
+    # steep the integrand (p' up to 11 here), so the fit absorbs it into c
+    _, fits = optimality_sweep(alpha, 0.0, p)
+    for fam in ("A", "B"):
+        exact = fits[f"{fam}_exact"]
+        assert abs(fits[fam].T - exact) <= 1e-14 * exact
 
 
 def test_optimality_sweep_rejects_bad_grid():

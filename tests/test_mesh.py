@@ -308,3 +308,36 @@ def test_retry_skips_unchanged_columns(monkeypatch):
     with pytest.raises(MeshQualityError):
         generate_graded_mesh(dom, h, min_angle_deg=60.0)
     assert len(calls) == 1
+
+
+def smoothed_counts_reference(domain, xs):
+    """Column cell counts with the 2x rule restated as a repeat-until-stable
+    pass over neighbouring pairs (test oracle)."""
+    gaps = np.diff(xs)
+    spacing = np.concatenate([gaps[:1], 0.5 * (gaps[:-1] + gaps[1:]),
+                              gaps[-1:]])
+    m = [2 * max(1, int(np.round(hk / sk)))
+         for hk, sk in zip(xs**domain.gamma, spacing)]
+    changed = True
+    while changed:
+        changed = False
+        for k in range(len(m) - 1):
+            for lo, hi in ((k, k + 1), (k + 1, k)):
+                if m[hi] > 2 * m[lo]:
+                    m[lo] = (m[hi] + 1) // 2
+                    m[lo] += m[lo] % 2
+                    changed = True
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.3, 1.0),
+       xs=st.lists(st.integers(1, 1000), min_size=2, max_size=40,
+                   unique=True))
+def test_column_cell_counts_match_repeated_smoothing(alpha, xs):
+    dom = CuspDomain(alpha)
+    xs = np.sort(np.array(xs)) / 1000.0
+    m = meshmod._column_cell_counts(dom, xs)
+    assert m.tolist() == smoothed_counts_reference(dom, xs)
+    assert np.all(m % 2 == 0)
+    assert np.all(m[1:] <= 2 * m[:-1]) and np.all(m[:-1] <= 2 * m[1:])

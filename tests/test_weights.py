@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -357,6 +358,55 @@ def test_ball_grid_skips_undeciding_distances(alpha):
             assert np.array_equal(g.nodes, nodes), (name, r)
             assert np.array_equal(g.weights, wts), (name, r)
             assert new < sum(counts), (name, r)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.07])
+def test_ball_grid_non_dyadic_radius_matches_oracle(r):
+    # cell corners and centres are box.x0 + i * s and box.x0 + (i + 0.5) * s,
+    # one rounding each, where the oracle adds half sides generation by
+    # generation; for a power-of-two radius (every plan radius) both agree
+    # to the bit, otherwise the nodes may differ in the last bits
+    dom = CuspDomain(0.5)
+    dfn = lambda pts: geometry.distance(dom, pts)
+    c = (0.4, 0.16)
+    g = ball_grid(dfn, c, r, 1.0 / 512.0)
+    nodes, wts = ball_grid_oracle(dfn, c, r, 1.0 / 512.0)
+    assert g.nodes.shape == nodes.shape
+    assert np.all(np.abs(g.nodes - nodes) <= 4.0 * np.spacing(np.abs(nodes)))
+    assert np.array_equal(g.weights, wts)
+
+
+def plan_digest(dom, sampling):
+    """sha256 of a ball plan: each ball's grid nodes and weights as raw
+    float64 and its node distances to 12 digits (their last bits come from
+    vectorized exp/log/power, which may round differently across CPUs)."""
+    plan = weights.build_ball_plan(dom, sampling)
+    dfn = lambda pts: geometry.distance(dom, pts)
+    h = hashlib.sha256()
+    for ball in plan["balls"]:
+        g = ball_grid(dfn, ball["center"], ball["radius"],
+                      1.0 / sampling["resolution"])
+        assert np.array_equal(g.weights, ball["weights"])
+        h.update(g.nodes.astype("<f8").tobytes())
+        h.update(ball["weights"].astype("<f8").tobytes())
+        h.update(" ".join(f"{v:.12e}" for v in ball["d"]).encode())
+    return h.hexdigest()
+
+
+GOLDEN_PLAN_SAMPLING = {
+    "boundary_centers": np.array([[0.0, 0.0], [0.3, 0.3 ** (4.0 / 3.0)]]),
+    "interior_centers": np.array([[0.5, 0.1]]),
+    "radii": np.array([0.125, 1.0 / 32.0]),
+    "resolution": 256,
+}
+# recorded from the ball grids with float cell rows and their own split loop
+GOLDEN_PLAN = \
+    "14146bbde973dfc4afd566d5bef388dcdfa1c9fe4a6f6a1ba88b68f1ba0bfda6"
+
+
+def test_golden_ball_plan():
+    dom = CuspDomain(0.75)
+    assert plan_digest(dom, GOLDEN_PLAN_SAMPLING) == GOLDEN_PLAN
 
 
 def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():

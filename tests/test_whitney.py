@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cuspdiv import geometry, whitney
@@ -77,6 +77,48 @@ def test_matches_recursive_reference_for_cusp(alpha):
     dfn = lambda p: geometry.distance(dom, p)
     dec = decompose(dfn, box, kmax=7)
     assert_matches_reference(dec, recursive_reference(dfn, box, 7))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ox=st.floats(-1.5, 1.5), oy=st.floats(-1.5, 1.5),
+       bx=st.floats(-1.0, 0.0), by=st.floats(-1.0, 0.0),
+       side=st.floats(0.5, 3.0), kmax=st.integers(2, 6))
+# a point at a box corner puts cell centres on the acceptance bound 1.5 l up
+# to rounding, so the centre must be rounded as the reference rounds it
+@example(ox=0.0, oy=-1.0, bx=0.0, by=-1.0, side=1.8736447816646349, kmax=6)
+def test_matches_recursive_reference_for_random_point_sets(ox, oy, bx, by,
+                                                           side, kmax):
+    box = Box(bx, by, side)
+    dfn = point_distance_fn((ox, oy))
+    ref = recursive_reference(dfn, box, kmax)
+    if not ref:
+        with pytest.raises(RuntimeError):
+            decompose(dfn, box, kmax)
+        return
+    assert_matches_reference(decompose(dfn, box, kmax), ref)
+
+
+def test_refine_children_order_and_centres():
+    box = Box(-1.0, 0.5, 4.0)
+    seen = []
+
+    def classify(k, cx, cy, s):
+        seen.append((k, cx, cy, s))
+        return np.full(len(cx), k == 2), np.full(len(cx), k < 2)
+
+    rows = whitney.refine(box, classify)
+    # generation by generation; each generation lists the (0,0) children
+    # of all parents, then the (1,0), (0,1) and (1,1) children
+    gen1 = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
+    assert rows[:4].tolist() == [[2, 2 * i, 2 * j] for _, i, j in gen1]
+    assert rows[4:8].tolist() == [[2, 2 * i + 1, 2 * j] for _, i, j in gen1]
+    assert rows.dtype == np.int64 and len(rows) == 16
+    assert len({tuple(r) for r in rows.tolist()}) == 16
+    k, cx, cy, s = seen[2]
+    assert k == 2 and s == 1.0
+    x0, y0, side = box.cells(*rows.T)
+    assert np.array_equal(side, np.full(16, 1.0))
+    assert np.array_equal(cx, x0 + 0.5) and np.array_equal(cy, y0 + 0.5)
 
 
 def test_band_is_exact_for_point_set():
