@@ -12,26 +12,15 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, experiments, fem, geometry, weights, whitney
-from .mesh import generate_graded_mesh, load_mesh, refine, save_mesh
+from .mesh import generate_graded_mesh, load_mesh
 
-__all__ = ["RunConfig", "run", "main"]
-
-
-@dataclass
-class RunConfig:
-    subcommand: str
-    params: dict
-    outdir: str = "."
-
-    def to_dict(self):
-        return {"subcommand": self.subcommand, "params": dict(self.params),
-                "outdir": self.outdir}
+__all__ = ["run", "main"]
 
 
 def _read_config_file(path):
@@ -80,13 +69,13 @@ def _fmt(v):
 
 
 # ---------------------------------------------------------------------------
-# subcommand handlers: each returns (summary dict, list of artifact names)
+# subcommand handlers: each takes the output directory, the manifest name and
+# the subcommand's resolved parameters, and returns (summary dict, list of
+# artifact names)
 # ---------------------------------------------------------------------------
 
 
-def _cmd_whitney(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
-    kmax = int(cfg.params.get("kmax", 8))
+def _cmd_whitney(outdir, manifest_name, alpha, kmax):
     dom = geometry.CuspDomain(alpha)
     dec = whitney.decompose(lambda pts: geometry.distance(dom, pts),
                             whitney.default_box(), kmax)
@@ -99,11 +88,7 @@ def _cmd_whitney(cfg, outdir, manifest_name):
     return summary, [name]
 
 
-def _cmd_ap_check(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
-    mu = cfg.params["mu"]
-    p = cfg.params.get("p", 2.0)
-    resolution = int(cfg.params.get("resolution", 2048))
+def _cmd_ap_check(outdir, manifest_name, alpha, mu, p, resolution):
     dom = geometry.CuspDomain(alpha)
     sampling = weights.default_sampling(alpha)
     sampling["resolution"] = resolution
@@ -123,27 +108,19 @@ def _cmd_ap_check(cfg, outdir, manifest_name):
     return summary, [csv_name]
 
 
-def _load_or_generate_mesh(cfg, alpha):
-    if "mesh" in cfg.params:
-        mesh = load_mesh(cfg.params["mesh"])
-        if mesh.alpha != alpha:
-            raise ValueError(f"mesh file {cfg.params['mesh']} is for alpha "
-                             f"{mesh.alpha!r}, not {alpha!r}")
-        return mesh
-    dom = geometry.CuspDomain(alpha)
-    kwargs = {}
-    if "x_tip" in cfg.params:
-        kwargs["x_tip"] = cfg.params["x_tip"]
-    if "min_angle" in cfg.params:
-        kwargs["min_angle_deg"] = cfg.params["min_angle"]
-    return generate_graded_mesh(dom, cfg.params.get("h", 0.1),
-                                cfg.params.get("grading"), **kwargs)
+def _load_or_generate_mesh(alpha, h, mesh, x_tip, min_angle):
+    if mesh is not None:
+        loaded = load_mesh(mesh)
+        if loaded.alpha != alpha:
+            raise ValueError(f"mesh file {mesh} is for alpha "
+                             f"{loaded.alpha!r}, not {alpha!r}")
+        return loaded
+    return generate_graded_mesh(geometry.CuspDomain(alpha), h, x_tip=x_tip,
+                                min_angle_deg=min_angle)
 
 
-def _cmd_div_solve(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
-    method = cfg.params.get("method", "potential")
-    t = cfg.params.get("t", 0.2)
+def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
+                   **mesh_keys):
     dom = geometry.CuspDomain(alpha)
 
     def f(pts):
@@ -153,8 +130,7 @@ def _cmd_div_solve(cfg, outdir, manifest_name):
     if method == "potential":
         from . import potential
 
-        n = int(cfg.params.get("cells", 256))
-        src = potential.SourceField.from_function(f, n)
+        src = potential.SourceField.from_function(f, cells)
         sol = potential.newtonian_solve(src)
         probes = np.array([[0.9, 0.0], [0.55, 0.0], [0.3, 0.1]])
         resid = potential.divergence_residual(sol, f, probes)
@@ -163,12 +139,12 @@ def _cmd_div_solve(cfg, outdir, manifest_name):
                                    tau_min=1e-6)
         ratio = potential.check_weighted_estimate(sol, f, dom, gamma, 2.0,
                                                   grid)
-        summary = {"alpha": alpha, "method": method, "t": t, "cells": n,
+        summary = {"alpha": alpha, "method": method, "t": t, "cells": cells,
                    "divergence_residual": resid,
                    "weighted_ratio": ratio, "gamma": gamma}
         return summary, []
     if method == "fem":
-        mesh = _load_or_generate_mesh(cfg, alpha)
+        mesh = _load_or_generate_mesh(alpha, **mesh_keys)
         u, info = fem.solve_div_right_inverse(mesh, alpha, f)
         fw = fem.source_weighted_norm(mesh, f, alpha - 1.0)
         summary = {"alpha": alpha, "method": method, "t": t,
@@ -180,11 +156,10 @@ def _cmd_div_solve(cfg, outdir, manifest_name):
     raise ValueError(f"unknown div-solve method {method!r}")
 
 
-def _cmd_stokes(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
+def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for stokes")
-    mesh = _load_or_generate_mesh(cfg, alpha)
+    mesh = _load_or_generate_mesh(alpha, **mesh_keys)
 
     def f(pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -193,8 +168,9 @@ def _cmd_stokes(cfg, outdir, manifest_name):
     system = fem.assemble(mesh, alpha)
     u, q, info = fem.solve_stokes(mesh, alpha, f, system=system)
     infsup = fem.discrete_infsup(mesh, alpha, system=system)
-    r_max = 2.0 / (3.0 - 2.0 * alpha)
-    r = cfg.params.get("r", 1.3 if 1.3 < r_max else 0.5 * (1.0 + r_max))
+    if r is None:
+        r_max = 2.0 / (3.0 - 2.0 * alpha)
+        r = 1.3 if 1.3 < r_max else 0.5 * (1.0 + r_max)
     lr = fem.pressure_lr_norm(mesh, alpha, q.coeffs, r)
     summary = {"alpha": alpha, "h": mesh.h, "vertices": mesh.num_vertices,
                "energy": info["energy"],
@@ -207,22 +183,23 @@ def _cmd_stokes(cfg, outdir, manifest_name):
     return summary, []
 
 
-def _constant_sweep(cfg, which, manifest_name, outdir):
-    alpha = cfg.params["alpha"]
-    beta = cfg.params.get("beta", alpha)
-    levels = int(cfg.params.get("levels", 3))
-    h0 = cfg.params.get("h", 0.2)
+def _constant_sweep(which, outdir, manifest_name, alpha, beta, levels, h):
+    if levels < 1:
+        raise ValueError("levels must be at least 1")
+    if beta is None:
+        beta = alpha
     dom = geometry.CuspDomain(alpha)
     rows = []
     for lvl in range(levels):
-        h = h0 * 2.0 ** (-lvl)
-        mesh = generate_graded_mesh(dom, h)
+        h_lvl = h * 2.0 ** (-lvl)
+        mesh = generate_graded_mesh(dom, h_lvl)
         if which == "korn":
             est = fem.korn_best_constant(mesh, alpha, beta, level=lvl)
         else:
             est = fem.improved_poincare_constant(mesh, alpha, beta,
                                                  level=lvl)
-        rows.append((lvl, h, mesh.num_vertices, est.constant, est.residual))
+        rows.append((lvl, h_lvl, mesh.num_vertices, est.constant,
+                     est.residual))
     csv_name = f"{which}_alpha{alpha:g}_beta{beta:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["level", "h", "vertices", "constant", "eig_residual"],
@@ -235,10 +212,7 @@ def _constant_sweep(cfg, which, manifest_name, outdir):
     return summary, [csv_name]
 
 
-def _cmd_optimality(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
-    beta = cfg.params.get("beta", 0.0)
-    p = cfg.params.get("p", 2.0)
+def _cmd_optimality(outdir, manifest_name, alpha, beta, p):
     records, fits = experiments.optimality_sweep(alpha, beta, p)
     csv_name = f"optimality_alpha{alpha:g}_beta{beta:g}_p{p:g}.csv"
     _write_csv(Path(outdir) / csv_name,
@@ -261,9 +235,8 @@ def _cmd_optimality(cfg, outdir, manifest_name):
     return summary, [csv_name]
 
 
-def _cmd_necessity(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
-    rows = experiments.necessity_demo(alpha, h=cfg.params.get("h", 0.1))
+def _cmd_necessity(outdir, manifest_name, alpha, h):
+    rows = experiments.necessity_demo(alpha, h=h)
     csv_name = f"necessity_alpha{alpha:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["t", "h1_norm", "f_weighted_norm", "f_unweighted_norm",
@@ -279,77 +252,89 @@ def _cmd_necessity(cfg, outdir, manifest_name):
     return summary, [csv_name]
 
 
-def _cmd_mset(cfg, outdir, manifest_name):
-    alpha = cfg.params["alpha"]
+def _cmd_mset(outdir, manifest_name, alpha, centers):
     dom = geometry.CuspDomain(alpha)
-    nc = int(cfg.params.get("centers", 6))
-    t = np.linspace(0.15, 0.9, nc)
-    centers = [np.array([ti, ti**dom.gamma]) for ti in t]
+    t = np.linspace(0.15, 0.9, centers)
+    points = [np.array([ti, ti**dom.gamma]) for ti in t]
     radii = [0.02, 0.04, 0.08]
     res = whitney.verify_mset(
-        lambda c, r: geometry.boundary_measure(dom, c, r), centers, radii)
-    summary = {"alpha": alpha, "centers": nc, "radii": radii, **res}
+        lambda c, r: geometry.boundary_measure(dom, c, r), points, radii)
+    summary = {"alpha": alpha, "centers": centers, "radii": radii, **res}
     return summary, []
 
 
-_HANDLERS = {
-    "whitney": _cmd_whitney,
-    "ap-check": _cmd_ap_check,
-    "div-solve": _cmd_div_solve,
-    "stokes": _cmd_stokes,
-    "korn-sweep": lambda c, o, m: _constant_sweep(c, "korn", m, o),
-    "poincare-sweep": lambda c, o, m: _constant_sweep(c, "poincare", m, o),
-    "optimality-sweep": _cmd_optimality,
-    "necessity-demo": _cmd_necessity,
-    "mset-check": _cmd_mset,
+# ---------------------------------------------------------------------------
+# the parameter table: one type per key, and per subcommand its handler and
+# its keys with their defaults.  Flags, config-file keys, the required and
+# unknown-key errors, the --help defaults and the manifest's params all come
+# from here.  A None default is resolved by the handler or the library, as
+# _DERIVED says.
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
+
+_TYPES = {"alpha": float, "beta": float, "mu": float, "p": float, "h": float,
+          "t": float, "r": float, "x_tip": float, "min_angle": float,
+          "kmax": int, "resolution": int, "levels": int, "cells": int,
+          "centers": int, "method": str, "mesh": str}
+_DERIVED = {"beta": "alpha",
+            "r": "1.3, or (1 + r_max)/2 if r_max = 2/(3 - 2 alpha) <= 1.3",
+            "mesh": "a graded mesh from h, x_tip and min_angle",
+            "x_tip": "the area-defect rule of generate_graded_mesh"}
+# the finite-element subcommands' mesh: a --mesh file, or a generated one
+_MESH_KEYS = {"h": 0.1, "mesh": None, "x_tip": None, "min_angle": 15.0}
+_SWEEP_KEYS = {"alpha": _REQUIRED, "beta": None, "levels": 3, "h": 0.2}
+
+_SUBCOMMANDS = {
+    "whitney": (_cmd_whitney, {"alpha": _REQUIRED, "kmax": 8}),
+    "ap-check": (_cmd_ap_check, {"alpha": _REQUIRED, "mu": _REQUIRED,
+                                 "p": 2.0, "resolution": 2048}),
+    "div-solve": (_cmd_div_solve, {"alpha": _REQUIRED, "method": "potential",
+                                   "t": 0.2, "cells": 256, **_MESH_KEYS}),
+    "stokes": (_cmd_stokes, {"alpha": _REQUIRED, "r": None, **_MESH_KEYS}),
+    "korn-sweep": (partial(_constant_sweep, "korn"), _SWEEP_KEYS),
+    "poincare-sweep": (partial(_constant_sweep, "poincare"), _SWEEP_KEYS),
+    "optimality-sweep": (_cmd_optimality, {"alpha": _REQUIRED, "beta": 0.0,
+                                           "p": 2.0}),
+    "necessity-demo": (_cmd_necessity, {"alpha": _REQUIRED, "h": 0.1}),
+    "mset-check": (_cmd_mset, {"alpha": _REQUIRED, "centers": 6}),
 }
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a configured run; returns the process exit code."""
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
-    manifest_name = f"{cfg.subcommand}_manifest.json"
+def run(subcommand, params, outdir) -> int:
+    """Run a subcommand on all of its parameters; returns the exit code."""
+    path = Path(outdir)
+    path.mkdir(parents=True, exist_ok=True)
+    manifest_name = f"{subcommand}_manifest.json"
     t0 = time.time()
     try:
-        summary, artifacts = _HANDLERS[cfg.subcommand](cfg, outdir,
-                                                       manifest_name)
+        summary, artifacts = _SUBCOMMANDS[subcommand][0](path, manifest_name,
+                                                         **params)
     except (ValueError, RuntimeError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    summary_name = f"{cfg.subcommand}_summary.json"
+    summary_name = f"{subcommand}_summary.json"
     summary["manifest"] = manifest_name
-    _write_json(outdir / summary_name, summary)
+    _write_json(path / summary_name, summary)
     import scipy
 
     manifest = {
-        "config": cfg.to_dict(),
+        "config": {"subcommand": subcommand, "params": params,
+                   "outdir": outdir},
         "versions": {"python": sys.version.split()[0],
                      "numpy": np.__version__, "scipy": scipy.__version__,
                      "cuspdiv": __version__},
         "wall_time_s": time.time() - t0,
         "outputs": sorted(artifacts + [summary_name]),
     }
-    _write_json(outdir / manifest_name, manifest)
+    _write_json(path / manifest_name, manifest)
     return 0
 
 
-_FLOAT_KEYS = {"alpha", "beta", "mu", "p", "h", "grading", "t", "r",
-               "x_tip", "min_angle"}
-_INT_KEYS = {"kmax", "resolution", "levels", "cells", "centers"}
-# the parameters of each subcommand, as flags and as config-file keys
-_SPECS = {
-    "whitney": ["alpha", "kmax"],
-    "ap-check": ["alpha", "mu", "p", "resolution"],
-    "div-solve": ["alpha", "method", "t", "cells", "h", "grading",
-                  "mesh", "x_tip", "min_angle"],
-    "stokes": ["alpha", "h", "grading", "mesh", "r"],
-    "korn-sweep": ["alpha", "beta", "levels", "h"],
-    "poincare-sweep": ["alpha", "beta", "levels", "h"],
-    "optimality-sweep": ["alpha", "beta", "p"],
-    "necessity-demo": ["alpha", "h"],
-    "mset-check": ["alpha", "centers"],
-}
+def _help(key, default):
+    if default is _REQUIRED:
+        return "required"
+    return f"default: {_DERIVED[key] if default is None else default}"
 
 
 def _build_parser():
@@ -357,33 +342,21 @@ def _build_parser():
         prog="cuspdiv",
         description="Weighted-divergence computations on planar cusp domains")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, keys in _SPECS.items():
+    for name, (_, table) in _SUBCOMMANDS.items():
         sp = sub.add_parser(name)
         sp.add_argument("--config", help="key=value config file")
-        sp.add_argument("--outdir", default=None)
-        for key in keys:
-            if key in _FLOAT_KEYS:
-                sp.add_argument(f"--{key}", type=float, default=None)
-            elif key in _INT_KEYS:
-                sp.add_argument(f"--{key}", type=int, default=None)
-            else:
-                sp.add_argument(f"--{key}", default=None)
+        sp.add_argument("--outdir", help="default: .")
+        for key, default in table.items():
+            sp.add_argument(f"--{key}", type=_TYPES[key],
+                            help=_help(key, default))
     return parser
-
-
-def _coerce(key, val):
-    if key in _FLOAT_KEYS:
-        return float(val)
-    if key in _INT_KEYS:
-        return int(val)
-    return val
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    params = {}
-    outdir = "."
+    table = _SUBCOMMANDS[args.subcommand][1]
+    given = {}
     if args.config:
         try:
             entries = _read_config_file(args.config)
@@ -391,30 +364,25 @@ def main(argv=None) -> int:
             parser.error(f"{args.config}: {exc}")
         for key, val in entries.items():
             if key == "outdir":
-                outdir = val
+                given[key] = val
                 continue
-            if key not in _SPECS[args.subcommand]:
+            if key not in table:
                 parser.error(f"{args.config}: unknown key {key!r} for "
                              f"{args.subcommand}")
             try:
-                val = _coerce(key, val)
+                given[key] = _TYPES[key](val)
             except ValueError:
                 parser.error(f"{args.config}: {key} = {val!r} is not a "
                              f"valid value")
-            params[key] = val
-    for key, val in vars(args).items():
-        if key in ("config", "subcommand") or val is None:
-            continue
-        if key == "outdir":
-            outdir = val
-        else:
-            params[key] = val
-    required = ("alpha", "mu") if args.subcommand == "ap-check" else ("alpha",)
-    for key in required:
-        if key not in params:
+    # flags override the config file, which overrides the table's defaults
+    given.update((k, v) for k, v in vars(args).items()
+                 if v is not None and k not in ("config", "subcommand"))
+    outdir = given.pop("outdir", ".")
+    params = {**table, **given}
+    for key, val in params.items():
+        if val is _REQUIRED:
             parser.error(f"{args.subcommand}: --{key} is required")
-    cfg = RunConfig(args.subcommand, params, outdir)
-    return run(cfg)
+    return run(args.subcommand, params, outdir)
 
 
 if __name__ == "__main__":

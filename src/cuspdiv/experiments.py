@@ -190,8 +190,9 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     family with the smaller threshold).
     """
     domain = geometry.CuspDomain(alpha)
-    pp = p / (p - 1.0)
+    # the closed forms raise unless p > 1
     A = weights.fs_norm_closed_form(alpha, beta, p, 0.0)["A"]
+    pp = p / (p - 1.0)
     B = weights.ys_norm_closed_form(alpha, p, 0.0)["B"]
     if s_grid is None:
         s_grid = fit_grid(min(A, B))
@@ -247,7 +248,7 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     return records, fits
 
 
-def necessity_demo(alpha, p=2.0, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
+def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
                    x_tip=None, min_angle_deg=13.0):
     """Weighted vs unweighted ratios of the discrete divergence inverse.
 
@@ -259,8 +260,6 @@ def necessity_demo(alpha, p=2.0, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
     stays bounded while r_u grows as t -> 0; on the triangle (alpha = 1)
     both stay bounded.
     """
-    if p != 2.0:
-        raise ValueError("the discrete solver is p=2 only")
     domain = geometry.CuspDomain(alpha)
     if x_tip is None:
         x_tip = min(t_values) / 4.0

@@ -1,6 +1,6 @@
 """Graded conforming triangulations of the cusp domain.
 
-The generator lays out vertical node columns with abscissas graded toward
+The generator lays out vertical node columns spaced h x^(1/alpha) toward
 the cusp tip, places the top and bottom node of every column exactly on the
 boundary curves, and zipper-triangulates adjacent columns.  The nodes are
 written straight into one vertex array; for each strip the minimum-angle
@@ -15,7 +15,7 @@ x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -107,14 +107,13 @@ def _tip_abscissa(domain: CuspDomain, h: float) -> float:
     return min(x_tip, 0.25)
 
 
-def _column_abscissas(domain: CuspDomain, h: float, grading: float,
-                      aspect_cap: float, x_tip: float = None) -> np.ndarray:
+def _column_abscissas(domain: CuspDomain, h: float, x_tip: float = None):
     if x_tip is None:
         x_tip = _tip_abscissa(domain, h)
     g = domain.gamma
 
     def step(x):
-        return max(1e-7, min(h * x**grading, h, aspect_cap * x**g))
+        return max(1e-7, h * x**g)
 
     xs = [1.0]
     x = 1.0
@@ -154,41 +153,31 @@ def _column_cell_counts(domain, xs):
     return m
 
 
-def generate_graded_mesh(domain: CuspDomain, h: float, grading: float = None,
+def generate_graded_mesh(domain: CuspDomain, h: float, *,
                          x_tip: float = None,
                          min_angle_deg: float = 15.0) -> TriangulatedMesh:
     """Conforming graded triangulation of Omega(alpha).
 
-    Element diameters scale like h * x**grading away from the tip (clipped
-    by the local domain width so elements stay shape regular).  grading
-    defaults to 1/alpha, which equilibrates distance-power weights across
-    elements.  x_tip overrides the truncation abscissa chosen from the
-    area-defect rule (useful when sources concentrate near the tip).
+    Column spacing, and so the element diameter, is h * x**(1/alpha): h
+    times the half-width of the cusp at x, which keeps elements shape regular
+    and equilibrates distance-power weights across them.  The mesh records
+    1/alpha as its grading.  x_tip overrides the truncation abscissa chosen
+    from the area-defect rule (useful when sources concentrate near the
+    tip).  Raises MeshQualityError if the smallest angle is below
+    min_angle_deg.
     """
     if not (0.0 < h < 1.0):
         raise ValueError("h must be in (0, 1)")
-    if grading is None:
-        grading = domain.gamma
-    if grading < 1.0:
-        raise ValueError("grading must be >= 1")
-
-    last_err = None
-    tried = None
-    for aspect_cap in (2.0, 1.4, 1.0):
-        xs, tip = _column_abscissas(domain, h, grading, aspect_cap, x_tip)
-        if tried is not None and np.array_equal(xs, tried):
-            continue            # same columns, same mesh: nothing to retry
-        tried = xs
-        mesh = _build(domain, h, grading, xs, tip)
-        if mesh.min_angle() >= min_angle_deg:
-            return mesh
-        last_err = mesh.min_angle()
-    raise MeshQualityError(
-        f"could not reach min angle {min_angle_deg} deg (best {last_err:.2f})"
-    )
+    mesh = _build(domain, h, *_column_abscissas(domain, h, x_tip))
+    angle = mesh.min_angle()
+    if not angle >= min_angle_deg:
+        raise MeshQualityError(
+            f"could not reach min angle {min_angle_deg} deg (got {angle:.2f})"
+        )
+    return mesh
 
 
-def _build(domain, h, grading, xs, x_tip):
+def _build(domain, h, xs, x_tip):
     m = _column_cell_counts(domain, xs)
 
     # column k holds vertices start[k] .. start[k + 1] - 1, bottom to top
@@ -204,14 +193,10 @@ def _build(domain, h, grading, xs, x_tip):
     for left, right in zip(columns[:-1], columns[1:]):
         tris.extend(_zip_columns(left, right, vertices))
 
+    # CCW by construction: each zipper triangle is (left[i], right[j],
+    # left[i + 1]) or (left[i], right[j], right[j + 1]), so its signed area
+    # is (x_right - x_left) times the rise of its vertical side
     triangles = np.array(tris, dtype=int)
-    # enforce CCW orientation
-    p = vertices[triangles]
-    signed = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
-        p[:, 2, 0] - p[:, 0, 0]
-    ) * (p[:, 1, 1] - p[:, 0, 1])
-    flip = signed < 0.0
-    triangles[flip] = triangles[flip][:, [0, 2, 1]]
 
     boundary = []
     for left, right in zip(columns[:-1], columns[1:]):
@@ -225,7 +210,7 @@ def _build(domain, h, grading, xs, x_tip):
         boundary.append((a, b, "tip"))
 
     return TriangulatedMesh(vertices, triangles, boundary, domain.alpha,
-                            h=h, grading=grading, x_tip=x_tip)
+                            h=h, grading=domain.gamma, x_tip=x_tip)
 
 
 def _min_angles(pa, pb, pc):

@@ -51,6 +51,8 @@ class SourceField:
     @classmethod
     def from_function(cls, f, n, box=(0.0, -1.0, 1.0, 1.0)):
         """Sample f at cell midpoints of an n-cells-per-unit grid on box."""
+        if not n >= 1:
+            raise ValueError("n (cells per unit length) must be at least 1")
         x0, y0, x1, y1 = box
         h = (x1 - x0) / n
         nx, ny = n, int(round((y1 - y0) / h))

@@ -393,6 +393,8 @@ def build_ball_plan(domain, sampling=None):
     """
     if sampling is None:
         sampling = default_sampling(domain.alpha)
+    if not sampling["resolution"] > 0:
+        raise ValueError("resolution must be positive")
     distance_fn = lambda pts: geometry.distance(domain, pts)
     delta_min = 1.0 / float(sampling["resolution"])
     radii = np.asarray(sampling["radii"], dtype=float)
@@ -422,6 +424,7 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
     Both averages of a ball share one node set, so each ratio is exactly 1
     for mu = 0 and at least 1 in general (discrete Jensen inequality).
     """
+    _pprime(p)                   # raises unless p > 1
     if plan is None:
         plan = build_ball_plan(domain, sampling)
     delta_min = 1.0 / float(plan["sampling"]["resolution"])

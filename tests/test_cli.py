@@ -127,6 +127,83 @@ def test_ap_check_without_mu_is_usage_error(tmp_path, capsys):
     assert "--mu is required" in capsys.readouterr().err
 
 
+# every parameter of each subcommand, as its manifest records it; the
+# expensive ap-check resolution is the one value set below its default
+ALL_PARAMS = {
+    "whitney": {"alpha": 0.75, "kmax": 8},
+    "ap-check": {"alpha": 0.75, "mu": 0.5, "p": 2.0, "resolution": 256},
+    "div-solve": {"alpha": 0.75, "method": "potential", "t": 0.2,
+                  "cells": 256, "h": 0.1, "mesh": None, "x_tip": None,
+                  "min_angle": 15.0},
+    "stokes": {"alpha": 0.75, "r": None, "h": 0.1, "mesh": None,
+               "x_tip": None, "min_angle": 15.0},
+    "korn-sweep": {"alpha": 0.75, "beta": None, "levels": 3, "h": 0.2},
+    "poincare-sweep": {"alpha": 0.75, "beta": None, "levels": 3, "h": 0.2},
+    "optimality-sweep": {"alpha": 0.75, "beta": 0.0, "p": 2.0},
+    "necessity-demo": {"alpha": 0.75, "h": 0.1},
+    "mset-check": {"alpha": 0.75, "centers": 6},
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(ALL_PARAMS))
+def test_manifest_records_every_parameter(tmp_path, subcommand):
+    args = [subcommand, "--alpha", "0.75", "--outdir", str(tmp_path)]
+    if subcommand == "ap-check":
+        args += ["--mu", "0.5", "--resolution", "256"]
+    assert run_cli(args) == 0
+    manifest = json.loads(read(tmp_path / f"{subcommand}_manifest.json"))
+    params = manifest["config"]["params"]
+    assert params == ALL_PARAMS[subcommand]
+    assert [type(v) for v in params.values()] == \
+        [type(ALL_PARAMS[subcommand][k]) for k in params]
+
+
+def test_help_shows_defaults(capsys):
+    with pytest.raises(SystemExit):
+        run_cli(["ap-check", "--help"])
+    out = " ".join(capsys.readouterr().out.split())
+    assert "--resolution RESOLUTION default: 2048" in out
+    assert "--mu MU required" in out
+
+
+def test_stokes_takes_the_mesh_keys(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("alpha = 0.75\nh = 0.2\nx_tip = 0.06\n"
+                       "min_angle = 14\n")
+    assert run_cli(["stokes", "--config", str(cfgfile),
+                    "--outdir", str(tmp_path)]) == 0
+    summary = json.loads(read(tmp_path / "stokes_summary.json"))
+    mesh = generate_graded_mesh(CuspDomain(0.75), 0.2, x_tip=0.06,
+                                min_angle_deg=14.0)
+    assert summary["vertices"] == mesh.num_vertices
+    assert run_cli(["stokes", "--alpha", "0.75", "--h", "0.2", "--x_tip",
+                    "0.06", "--outdir", str(tmp_path)]) == 0
+    assert json.loads(read(tmp_path / "stokes_summary.json")) == summary
+
+
+@pytest.mark.parametrize("args,message", [
+    (["ap-check", "--alpha", "0.75", "--mu", "0.5", "--p", "0.5"],
+     "p must exceed 1"),
+    (["ap-check", "--alpha", "0.75", "--mu", "0.5", "--p", "1"],
+     "p must exceed 1"),
+    (["ap-check", "--alpha", "0.75", "--mu", "0.5", "--resolution", "0"],
+     "resolution must be positive"),
+    (["ap-check", "--alpha", "0.75", "--mu", "0.5", "--resolution", "-4"],
+     "resolution must be positive"),
+    (["div-solve", "--alpha", "0.75", "--cells", "0"],
+     "n (cells per unit length) must be at least 1"),
+    (["optimality-sweep", "--alpha", "0.75", "--p", "1"],
+     "p must exceed 1"),
+    (["korn-sweep", "--alpha", "0.75", "--levels", "0"],
+     "levels must be at least 1"),
+])
+def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
+                                             message):
+    assert run_cli(args + ["--outdir", str(tmp_path)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / f"{args[0]}_summary.json").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate", "--alpha", "0.5"])

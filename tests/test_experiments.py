@@ -285,8 +285,3 @@ def test_necessity_demo_contrast():
     r_w = [r.values["r_w"] for r in rows]
     assert r_u[-1] / r_u[0] > 1.3
     assert max(r_w) / min(r_w) < max(r_u) / min(r_u)
-
-
-def test_necessity_demo_rejects_other_p():
-    with pytest.raises(ValueError):
-        necessity_demo(0.75, p=3.0)
