@@ -131,6 +131,8 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
         from . import potential
 
         src = potential.SourceField.from_function(f, cells)
+        if not np.any(src.values):
+            raise ValueError("source vanishes on the source grid")
         sol = potential.newtonian_solve(src)
         probes = np.array([[0.9, 0.0], [0.55, 0.0], [0.3, 0.1]])
         resid = potential.divergence_residual(sol, f, probes)
@@ -145,8 +147,10 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
         return summary, []
     if method == "fem":
         mesh = _load_or_generate_mesh(alpha, **mesh_keys)
-        u, info = fem.solve_div_right_inverse(mesh, alpha, f)
         fw = fem.source_weighted_norm(mesh, f, alpha - 1.0)
+        if fw == 0.0:
+            raise ValueError("source vanishes on the mesh")
+        u, info = fem.solve_div_right_inverse(mesh, alpha, f)
         summary = {"alpha": alpha, "method": method, "t": t,
                    "h": mesh.h, "vertices": mesh.num_vertices,
                    "h1_norm": info["h1_norm"],

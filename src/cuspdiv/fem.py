@@ -11,7 +11,10 @@ in the SaddleSystem for every later solve.  Weighted constant pressures are
 removed by a bordered (deflated) saddle solve, factored once per assembled
 system.  The inf-sup, Korn and improved-Poincare constants are generalized
 Rayleigh-quotient extremes, all computed by one shift-invert Lanczos path
-(_min_eig) that raises when it does not converge.
+(_min_eig) that raises when it does not converge.  Every sparse LU (the
+saddle, Korn and Poincare matrices) comes from _factor: SuperLU in symmetric
+mode with a small diagonal-pivot threshold, whose factors one probe solve
+checks by its backward error.
 """
 
 from __future__ import annotations
@@ -330,6 +333,43 @@ def assemble(mesh: TriangulatedMesh, alpha=None) -> SaddleSystem:
     return SaddleSystem(mesh, alpha, A, B, Mw, c, free, quad)
 
 
+# Diagonal-pivot threshold of _factor.  SuperLU's default partial pivoting
+# (threshold 1.0) picks off-diagonal pivots these structurally symmetric
+# matrices do not need, and they add fill.  On the alpha = 0.75 saddle,
+# symmetric mode at 1e-6 has fill 1,863,888 against 2,455,826 at h = 0.1
+# (16.6M against 22.9M at h = 0.05) and factors in 0.5 to 0.7 of the time;
+# Korn keeps its fill and factors in 0.5 to 1 of the time, Poincare is
+# unchanged.  Threshold 0 breaks the saddle of the unweighted B (mesh alpha
+# 0.75, h = 0.3, weight alpha 1): probe backward error 1.1e-4, against
+# 2.5e-19 at 1e-6, which has the fill of threshold 0 on the other saddles.
+# 1e-3 and 1e-2 raise the h = 0.1 saddle fill to 3.54M and 3.56M.
+_DIAG_PIVOT_THRESH = 1e-6
+# largest normwise backward error _factor accepts for its probe solve
+_FACTOR_TOL = 1e-12
+
+
+def _factor(A, order):
+    """SuperLU factors of the structurally symmetric CSC matrix A.
+
+    Symmetric mode (row order = column order, diagonal pivots preferred down
+    to _DIAG_PIVOT_THRESH times the column maximum) in column order `order`.
+    One probe solve for a seeded right-hand side b checks the factors: its
+    normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), in the max
+    norm, above _FACTOR_TOL raises RuntimeError.
+    """
+    lu = splu(A, permc_spec=order, diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+              options={"SymmetricMode": True})
+    b = np.random.default_rng(0).standard_normal(A.shape[0])
+    x = lu.solve(b)
+    norm_a = float(abs(A).sum(axis=1).max())
+    err = float(np.max(np.abs(A @ x - b)) / (
+        norm_a * np.max(np.abs(x)) + np.max(np.abs(b))))
+    if not err <= _FACTOR_TOL:
+        raise RuntimeError(f"sparse LU inaccurate: backward error "
+                           f"{err:.3e} > {_FACTOR_TOL:g}")
+    return lu
+
+
 def _bordered_solver(Af, Bf, c):
     """Factor the deflated saddle system once and return its solve.
 
@@ -347,14 +387,14 @@ def _bordered_solver(Af, Bf, c):
     nu, npress = Af.shape[0], Bf.shape[0]
     # Fill-reducing order: reverse Cuthill-McKee on the sparse leading block
     # [[Af, Bf'], [Bf, 0]], with the dense border row and column of c kept
-    # last; SuperLU factors in that order (NATURAL) with its default partial
-    # pivoting.  On these matrices it has about half of COLAMD's fill.
+    # last; _factor keeps that order (NATURAL).  On these matrices it has
+    # about 0.4 of COLAMD's fill.
     K = sparse.bmat([[Af, Bf.T], [Bf, None]], format="csr")
     perm = np.append(reverse_cuthill_mckee(K, symmetric_mode=True),
                      nu + npress)
     border = sparse.csr_matrix(np.append(np.zeros(nu), c).reshape(-1, 1))
     full = sparse.bmat([[K, border], [border.T, None]], format="csr")
-    lu = splu(full[perm][:, perm].tocsc(), permc_spec="NATURAL")
+    lu = _factor(full[perm][:, perm].tocsc(), "NATURAL")
 
     def solve(rhs_u, rhs_p):
         sol = np.empty(nu + npress + 1)
@@ -366,8 +406,9 @@ def _bordered_solver(Af, Bf, c):
 
 _EIG_TOL = 1e-8
 # Column order for the symmetric Korn and Poincare matrices: minimum degree
-# on A'A + A has about half of COLAMD's fill there.  (On the saddle it is
-# slower than COLAMD; _bordered_solver orders that matrix itself.)
+# on A'A + A has about half of COLAMD's fill there.  (As an order for the
+# saddle it factors slower than COLAMD; _bordered_solver orders that matrix
+# itself, by reverse Cuthill-McKee.)
 _KORN_POINCARE_ORDER = "MMD_AT_PLUS_A"
 
 
@@ -558,7 +599,7 @@ def korn_best_constant(mesh, alpha, beta, ball=None, level=0):
     E = _assemble_eps(quad, quad.weight(2.0 * (alpha - beta)))
     Mb = _assemble_p2(quad, _ball_indicator(quad.pts, ball), "mass")
     MB = sparse.block_diag([Mb, Mb]).tocsr()
-    lu = splu((E + MB).tocsc(), permc_spec=_KORN_POINCARE_ORDER)
+    lu = _factor((E + MB).tocsc(), _KORN_POINCARE_ORDER)
     mu, resid = _min_eig(lu.solve, G)
     return ConstantEstimate(
         {"alpha": alpha, "beta": beta, "ball": ball},
@@ -592,8 +633,8 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     c = _load(quad.space.tri_dofs,
               np.einsum("tq,qm->tm", quad.wq * bump, _P2_N), quad.space.n_dofs)
     cc = sparse.csc_matrix(c.reshape(-1, 1))
-    lu = splu(sparse.bmat([[S, cc], [cc.T, None]], format="csc"),
-              permc_spec=_KORN_POINCARE_ORDER)
+    lu = _factor(sparse.bmat([[S, cc], [cc.T, None]], format="csc"),
+                 _KORN_POINCARE_ORDER)
     mu, resid = _min_eig(lambda y: lu.solve(np.append(y, 0.0))[:-1], M)
     return ConstantEstimate(
         {"alpha": alpha, "beta": beta, "ball": ball},

@@ -161,13 +161,15 @@ def generate_graded_mesh(domain: CuspDomain, h: float, *,
     Column spacing, and so the element diameter, is h * x**(1/alpha): h
     times the half-width of the cusp at x, which keeps elements shape regular
     and equilibrates distance-power weights across them.  The mesh records
-    1/alpha as its grading.  x_tip overrides the truncation abscissa chosen
-    from the area-defect rule (useful when sources concentrate near the
-    tip).  Raises MeshQualityError if the smallest angle is below
+    1/alpha as its grading.  x_tip, in (0, 1), overrides the truncation
+    abscissa chosen from the area-defect rule (useful when sources
+    concentrate near the tip).  Raises MeshQualityError if the smallest angle is below
     min_angle_deg.
     """
     if not (0.0 < h < 1.0):
         raise ValueError("h must be in (0, 1)")
+    if x_tip is not None and not (0.0 < x_tip < 1.0):
+        raise ValueError("x_tip must be in (0, 1)")
     mesh = _build(domain, h, *_column_abscissas(domain, h, x_tip))
     angle = mesh.min_angle()
     if not angle >= min_angle_deg:

@@ -196,6 +196,12 @@ def test_stokes_takes_the_mesh_keys(tmp_path):
      "p must exceed 1"),
     (["korn-sweep", "--alpha", "0.75", "--levels", "0"],
      "levels must be at least 1"),
+    (["div-solve", "--alpha", "0.75", "--method", "fem", "--h", "0.3",
+      "--t", "-1"], "source vanishes on the mesh"),
+    (["div-solve", "--alpha", "0.75", "--t", "-1"],
+     "source vanishes on the source grid"),
+    (["stokes", "--alpha", "0.75", "--h", "0.3", "--x_tip", "2"],
+     "x_tip must be in (0, 1)"),
 ])
 def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
                                              message):

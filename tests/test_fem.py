@@ -262,15 +262,9 @@ def relative_error(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
 
 
-# h, largest saddle fill as a fraction of COLAMD's (0.85 and 0.54 measured)
-@pytest.mark.parametrize("h, saddle_fill", [(0.25, 1.0), (0.1, 0.6)])
-def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
-    mesh = generate_graded_mesh(CuspDomain(0.75), h)
-    factored = record_lu(monkeypatch)
-    rng = np.random.default_rng(3)
-    # saddle: the bordered solve against a default-order LU of the bordered
-    # matrix in its own dof order
-    system = assemble(mesh, 0.75)
+def check_bordered_solve(system, rng):
+    """The bordered solve against a default (COLAMD, partial pivoting) LU of
+    the bordered matrix in its own dof order, which it returns."""
     Af, Bf = system.restrict()
     c = sparse.csc_matrix(system.c.reshape(-1, 1))
     oracle = splu(sparse.bmat([[Af, Bf.T, None], [Bf, None, c],
@@ -280,6 +274,16 @@ def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
     u, q, mu = system.bordered_solve(rhs[:nu], rhs[nu:-1])
     assert relative_error(np.concatenate([u, q, [mu]]),
                           oracle.solve(rhs)) <= 1e-10
+    return oracle
+
+
+# h, largest saddle fill as a fraction of COLAMD's (0.70 and 0.41 measured)
+@pytest.mark.parametrize("h, saddle_fill", [(0.25, 1.0), (0.1, 0.45)])
+def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
+    mesh = generate_graded_mesh(CuspDomain(0.75), h)
+    factored = record_lu(monkeypatch)
+    rng = np.random.default_rng(3)
+    oracle = check_bordered_solve(assemble(mesh, 0.75), rng)
     assert len(factored) == 1
     assert lu_fill(factored[0][1]) <= saddle_fill * lu_fill(oracle)
     # Korn and Poincare: the factored matrix against its default-order LU
@@ -291,6 +295,43 @@ def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
         b = rng.standard_normal(A.shape[0])
         assert relative_error(lu.solve(b), oracle.solve(b)) <= 1e-10
         assert lu_fill(lu) <= lu_fill(oracle)
+
+
+# (mesh alpha, h, weight alpha): the unweighted B of (0.75, 0.3, 1.0) needs
+# the off-diagonal pivots a zero pivot threshold refuses (backward error
+# 3.5e-4 at threshold 0); alpha 0.5 is left out, its h = 0.1 saddle has
+# 15M fill
+@pytest.mark.parametrize("mesh_alpha, h, alpha", [
+    (0.75, 0.3, 1.0), (0.75, 0.3, 0.55), (0.75, 0.1, 0.75), (1.0, 0.3, 1.0),
+])
+def test_bordered_solver_matches_partial_pivoting(mesh_alpha, h, alpha):
+    mesh = generate_graded_mesh(CuspDomain(mesh_alpha), h)
+    system = assemble(mesh, alpha)
+    rng = np.random.default_rng(11)
+    for _ in range(2):
+        check_bordered_solve(system, rng)
+
+
+def test_inaccurate_factors_raise(mesh075, tmp_path, capsys, monkeypatch):
+    # factors of A + 1e-6 max|A| I: the probe solve of _factor must reject
+    # them before any caller solves with them
+    splu_ = fem.splu
+
+    def perturbed(A, **kw):
+        shift = 1e-6 * abs(A).max() * sparse.identity(A.shape[0],
+                                                        format="csc")
+        return splu_((A + shift).tocsc(), **kw)
+
+    monkeypatch.setattr(fem, "splu", perturbed)
+    for estimate in (korn_best_constant, improved_poincare_constant):
+        with pytest.raises(RuntimeError, match="backward error"):
+            estimate(mesh075, 0.75, 0.75)
+    with pytest.raises(RuntimeError, match="backward error"):
+        discrete_infsup(mesh075, 0.75)
+    assert cli.main(["stokes", "--alpha", "0.75", "--h", "0.25",
+                     "--outdir", str(tmp_path)]) == 1
+    assert "error: sparse LU inaccurate" in capsys.readouterr().err
+    assert not (tmp_path / "stokes_summary.json").exists()
 
 
 def dense_infsup_oracle(system):

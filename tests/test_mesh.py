@@ -105,6 +105,9 @@ def test_bad_parameters_rejected():
     dom = CuspDomain(0.5)
     with pytest.raises(ValueError):
         generate_graded_mesh(dom, 1.5)
+    for x_tip in (0.0, -0.1, 1.0, 2.0):
+        with pytest.raises(ValueError, match="x_tip"):
+            generate_graded_mesh(dom, 0.3, x_tip=x_tip)
     # x_tip and min_angle_deg are keyword-only: no third positional argument
     with pytest.raises(TypeError):
         generate_graded_mesh(dom, 0.1, 2.0)
