@@ -8,12 +8,17 @@ the exact distance), a Newtonian-potential right inverse of the divergence,
 weighted Taylor-Hood finite elements (divergence right inverse, Stokes,
 inf-sup, Korn/Poincare constants), and the sweep / rate-fitting experiments
 tying the pieces together.
+
+`fem`, and with it scipy.sparse, is imported on first use: `cuspdiv.fem`
+works as an attribute, and the subcommands and experiments that assemble
+import it where they do.
 """
+
+import importlib
 
 __version__ = "0.1.0"
 
-from . import (cli, experiments, fem, geometry, mesh, potential, weights,
-               whitney)
+from . import cli, experiments, geometry, mesh, potential, weights, whitney
 from .geometry import CuspDomain, distance, surrogate_distance
 from .mesh import TriangulatedMesh, generate_graded_mesh, refine
 from .weights import WeightSpec, estimate_ap_constant, weighted_lp_norm
@@ -41,3 +46,9 @@ __all__ = [
     "experiments",
     "cli",
 ]
+
+
+def __getattr__(name):
+    if name == "fem":
+        return importlib.import_module(".fem", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, experiments, fem, geometry, weights, whitney
+from . import __version__, experiments, geometry, weights, whitney
 from .mesh import generate_graded_mesh, load_mesh
 
 __all__ = ["run", "main"]
@@ -146,6 +146,8 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
                    "weighted_ratio": ratio, "gamma": gamma}
         return summary, []
     if method == "fem":
+        from . import fem
+
         mesh = _load_or_generate_mesh(alpha, **mesh_keys)
         fw = fem.source_weighted_norm(mesh, f, alpha - 1.0)
         if fw == 0.0:
@@ -161,6 +163,8 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
 
 
 def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
+    from . import fem
+
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for stokes")
     mesh = _load_or_generate_mesh(alpha, **mesh_keys)
@@ -188,6 +192,8 @@ def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
 
 
 def _constant_sweep(which, outdir, manifest_name, alpha, beta, levels, h):
+    from . import fem
+
     if levels < 1:
         raise ValueError("levels must be at least 1")
     if beta is None:

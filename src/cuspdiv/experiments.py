@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import fem, geometry, weights
+from . import geometry, weights
 from .mesh import generate_graded_mesh
 
 __all__ = [
@@ -260,6 +260,8 @@ def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
     stays bounded while r_u grows as t -> 0; on the triangle (alpha = 1)
     both stay bounded.
     """
+    from . import fem
+
     domain = geometry.CuspDomain(alpha)
     if x_tip is None:
         x_tip = min(t_values) / 4.0

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -78,6 +78,12 @@ class TensorGrid:
     """
 
     def __init__(self, domain, order, n_x, n_tau, x_min, tau_min):
+        if not min(order, n_x, n_tau) >= 1:
+            raise ValueError("order, n_x and n_tau must be at least 1, got "
+                             f"{order}, {n_x}, {n_tau}")
+        if not (0.0 < x_min < 1.0 and 0.0 < tau_min < 1.0):
+            raise ValueError("x_min and tau_min must lie in (0, 1), got "
+                             f"{x_min}, {tau_min}")
         self.domain = domain
         self.order, self.n_x, self.n_tau = order, n_x, n_tau
         self.x_min, self.tau_min = x_min, tau_min
@@ -116,9 +122,19 @@ class TensorGrid:
                            x_min=self.x_min, tau_min=self.tau_min)
 
 
+@cache
+def _gauss_rule(order):
+    """The Gauss-Legendre rule of `order` on [-1, 1], built once per order;
+    its arrays are read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
 def _gauss_panels(breaks, order):
     """Gauss-Legendre nodes/weights over consecutive panels of `breaks`."""
-    xg, wg = np.polynomial.legendre.leggauss(order)
+    xg, wg = _gauss_rule(order)
     a = breaks[:-1, None]
     b = breaks[1:, None]
     nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
@@ -140,7 +156,9 @@ def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
     The u-factor carries the same panels in u = 1 - |tau|, where a margin
     below the spacing of doubles near 1 stays representable; the 2-D arrays
     place the tau-nodes at 1 - u rounded, and their weights underflow once
-    x**(1 + 1/alpha) drops below the smallest double.
+    x**(1 + 1/alpha) drops below the smallest double.  Raises ValueError
+    unless order, n_x and n_tau are at least 1 and x_min, tau_min lie in
+    (0, 1).
     """
     return TensorGrid(domain, order, n_x, n_tau, x_min, tau_min)
 
@@ -202,7 +220,9 @@ def lp_norms_at_nodes(log_abs, domain, gamma, p, grid):
     if not np.all(log_abs < np.inf):
         raise ValueError("integrand is not finite at quadrature nodes")
     log_weight = 0.0
-    if gamma != 0.0:    # before the (k, n) sums: the distance is the memory peak
+    # the distance before the (k, n) sums: at k = 3 and 120k nodes the call
+    # then peaks 4.8 MB above its input (tracemalloc), 7.3 MB after them
+    if gamma != 0.0:
         log_weight = gamma * p * np.log(geometry.distance(domain, grid.nodes))
     logc = p * log_abs
     logc += log_weight

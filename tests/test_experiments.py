@@ -157,12 +157,15 @@ def test_import_loads_no_optimize_or_integrate():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (src, env.get("PYTHONPATH")) if p)
+    # fem, and with it scipy.sparse, loads on first use of cuspdiv.fem
     code = ("import sys, cuspdiv; print(sorted(m for m in sys.modules "
-            "if m in ('scipy.optimize', 'scipy.integrate')))")
+            "if m in ('scipy.optimize', 'scipy.integrate', 'scipy.sparse'))); "
+            "print(cuspdiv.fem.assemble.__module__, "
+            "'scipy.sparse' in sys.modules)")
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", "cuspdiv.fem True"]
 
 
 def test_fit_grid_geometry():

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -179,6 +181,66 @@ def test_curve_distance_raises_when_unconverged():
     with pytest.raises(RuntimeError):
         geometry._curve_distance(dom, np.array([0.4]), np.array([0.1]),
                                  max_iter=1)
+
+
+def unblocked_distance(dom, pts):
+    """The kernel on every point in one pass: the reference for the blocks
+    of `geometry.distance`."""
+    x, y = pts[:, 0], pts[:, 1]
+    return np.minimum(geometry._curve_distance(dom, x, np.abs(y)),
+                      geometry._edge_distance(x, y))
+
+
+def _mixed_points(dom, n, seed):
+    """n points, shuffled: on both arcs, at and next to the tip, on the right
+    edge, outside Omega and inside it."""
+    rng = np.random.default_rng(seed)
+    m = n // 4 + 1
+    t = rng.uniform(0.0, 1.0, m)
+    arcs = np.column_stack([t, rng.choice([-1.0, 1.0], m) * t**dom.gamma])
+    tip = np.vstack([[0.0, 0.0], rng.uniform(-1e-6, 1e-6, size=(m - 1, 2))])
+    edge = np.column_stack([np.ones(m), rng.uniform(-1.0, 1.0, m)])
+    outside = rng.uniform([-0.5, -1.5], [1.5, 1.5], size=(m, 2))
+    with np.errstate(invalid="ignore"):    # x**gamma at x < 0
+        outside = outside[~geometry.contains(dom, outside)]
+    x = rng.uniform(0.0, 1.0, m)
+    inside = np.column_stack([x, rng.uniform(-1.0, 1.0, m) * x**dom.gamma])
+    pool = np.vstack([arcs, tip, edge, outside, inside])
+    return pool[rng.permutation(len(pool))[:n]]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
+def test_blocked_distance_is_bitwise_unblocked(alpha):
+    dom = CuspDomain(alpha)
+    block = geometry._BLOCK
+    pts = _mixed_points(dom, 2 * block + 1, seed=int(100 * alpha))
+    ref = unblocked_distance(dom, pts)
+    for k in (1, 2):
+        for n in (k * block - 1, k * block, k * block + 1):
+            d = geometry.distance(dom, pts[:n])
+            assert d.shape == (n,)
+            assert d.tobytes() == ref[:n].tobytes()
+    p = pts[block]
+    d = geometry.distance(dom, p)
+    assert isinstance(d, float)
+    assert d == unblocked_distance(dom, p[None, :])[0]
+    empty = geometry.distance(dom, np.empty((0, 2)))
+    assert empty.shape == (0,) and empty.dtype == float
+
+
+def test_blocked_distance_memory_peak():
+    # ten blocks (163,840 points): the kernel in one pass over all of them
+    # (`unblocked_distance`, what `distance` did before it used blocks)
+    # peaks at 25.6 MB of tracemalloc'd memory, one block at a time at 3.9 MB
+    dom = CuspDomain(0.75)
+    pts = _mixed_points(dom, 10 * geometry._BLOCK, seed=7)
+    tracemalloc.start()
+    try:
+        geometry.distance(dom, pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 _box = default_box()

@@ -50,6 +50,28 @@ def test_tensor_grid_handles_integrable_tip_singularity():
                                                                  rel=1e-8)
 
 
+@pytest.mark.parametrize("bad", [
+    {"order": 0}, {"n_x": 0}, {"n_tau": 0},
+    {"x_min": 0.0}, {"x_min": 1.0}, {"x_min": 2.0}, {"x_min": math.nan},
+    {"tau_min": 0.0}, {"tau_min": 1.0}, {"tau_min": 1.5}, {"tau_min": -1e-3},
+])
+def test_tensor_grid_rejects_bad_parameters(bad):
+    # x_min = 2 put nodes outside Omega with NaN log weights, n_x = 0 gave
+    # an empty grid and tau_min = 1.5 NaN weights
+    with pytest.raises(ValueError):
+        tensor_grid(CuspDomain(0.5), **bad)
+
+
+@pytest.mark.parametrize("order", [1, 10, 12, 16])
+def test_gauss_rule_is_shared_read_only_leggauss(order):
+    rule = weights._gauss_rule(order)
+    assert weights._gauss_rule(order) is rule
+    for got, fresh in zip(rule, np.polynomial.legendre.leggauss(order)):
+        assert got.tobytes() == fresh.tobytes()
+        with pytest.raises(ValueError):
+            got[0] = 0.0
+
+
 _ONE = (np.zeros_like, np.zeros_like)      # log |f| of f = 1, factored
 
 
