@@ -230,8 +230,8 @@ def test_blocked_distance_is_bitwise_unblocked(alpha):
 
 def test_blocked_distance_memory_peak():
     # ten blocks (163,840 points): the kernel in one pass over all of them
-    # (`unblocked_distance`, what `distance` did before it used blocks)
-    # peaks at 25.6 MB of tracemalloc'd memory, one block at a time at 3.9 MB
+    # (`unblocked_distance`) peaks at 25.6 MB of tracemalloc'd memory, one
+    # block at a time at 3.9 MB
     dom = CuspDomain(0.75)
     pts = _mixed_points(dom, 10 * geometry._BLOCK, seed=7)
     tracemalloc.start()
