@@ -15,17 +15,23 @@ derivative F of the squared distance is convex for alpha >= 1/2, and
 concave then convex, with a closed-form inflection, for alpha < 1/2; split
 there, each piece holds at most one foot point, which one bracketed Newton
 solve finds (`_curve_distance`).
+
+The boundary measure H^1(boundary & B(c, r)) (`boundary_measure`) takes
+the right edge as a closed-form chord and both curved arcs as the upper
+arc, seen from c and from its mirror image: the same foot-point function
+brackets the crossings with the circle, and fixed Gauss-Legendre panels
+integrate the arclength between them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "CuspDomain",
-    "BoundaryArc",
     "contains",
     "distance",
     "surrogate_distance",
@@ -49,57 +55,21 @@ class CuspDomain:
         return 1.0 / self.alpha
 
     def curve(self, t):
-        """Height of the upper boundary curve at abscissa t."""
-        return np.abs(t) ** self.gamma
+        """Height of the upper boundary curve at abscissa t.  np.power takes
+        numpy's array loop for a scalar t too (a numpy scalar's ** calls the
+        C library's pow, which can differ by an ulp)."""
+        return np.power(np.abs(t), self.gamma)
 
     def area(self) -> float:
         """|Omega| = 2 * integral of x**(1/alpha) = 2*alpha/(alpha+1)."""
         return 2.0 * self.alpha / (self.alpha + 1.0)
 
 
-@dataclass(frozen=True)
-class BoundaryArc:
-    """One of the three arcs partitioning the boundary of Omega(alpha).
-
-    kind is 'upper-curve' ((t, t**(1/alpha)), t in [0,1]),
-    'lower-curve' ((t, -t**(1/alpha))) or 'right-edge' ((1, t), t in [-1,1]).
-    """
-
-    kind: str
-    t0: float
-    t1: float
-
-    def point(self, domain: CuspDomain, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind == "upper-curve":
-            return np.stack([t, domain.curve(t)], axis=-1)
-        if self.kind == "lower-curve":
-            return np.stack([t, -domain.curve(t)], axis=-1)
-        if self.kind == "right-edge":
-            return np.stack([np.ones_like(t), t], axis=-1)
-        raise ValueError(f"unknown arc kind {self.kind!r}")
-
-    def speed(self, domain: CuspDomain, t):
-        t = np.asarray(t, dtype=float)
-        if self.kind in ("upper-curve", "lower-curve"):
-            g = domain.gamma
-            return np.sqrt(1.0 + (g * t ** (g - 1.0)) ** 2)
-        return np.ones_like(t)
-
-
-def boundary_arcs(domain: CuspDomain) -> list[BoundaryArc]:
-    return [
-        BoundaryArc("upper-curve", 0.0, 1.0),
-        BoundaryArc("lower-curve", 0.0, 1.0),
-        BoundaryArc("right-edge", -1.0, 1.0),
-    ]
-
-
 def contains(domain: CuspDomain, p) -> np.ndarray | bool:
     """Strict membership test: 0 < x < 1 and |y| < x**(1/alpha)."""
     p = np.asarray(p, dtype=float)
     x, y = p[..., 0], p[..., 1]
-    inside = (x > 0.0) & (x < 1.0) & (np.abs(y) < x**domain.gamma)
+    inside = (x > 0.0) & (x < 1.0) & (np.abs(y) < domain.curve(x))
     return bool(inside) if inside.ndim == 0 else inside
 
 
@@ -150,6 +120,13 @@ def _newton(fdf, t, lo, hi, x, y, max_iter):
     return out
 
 
+def _foot(g, t, x, y):
+    """F = phi'/2 for phi(t) = (t - x)**2 + (t**g - y)**2: zero at a foot
+    point of (x, y) on the arc {(t, t**g)}."""
+    p1 = t ** (g - 1.0)
+    return t - x + g * p1 * (t * p1 - y)
+
+
 def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     """Distance from points (x, y), y >= 0, to the arc {(t, t**g) : t in [0, 1]}.
 
@@ -179,10 +156,6 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     if g == 1.0:
         t = np.clip(0.5 * (x + y), 0.0, 1.0)
         return np.hypot(x - t, y - t)
-
-    def F(t, x, y):
-        p1 = t ** (g - 1.0)
-        return t - x + g * p1 * (t * p1 - y)
 
     def F_dF(t, x, y):
         p1 = t ** (g - 1.0)
@@ -235,7 +208,7 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
             t_tip = np.exp(np.log(g * ys) / (2.0 - g))
         tm = np.exp(_newton(fdf, np.clip(s_tip, s_lo, s_hi), s_lo, s_hi,
                             xs, ys, max_iter))
-        ok = sign * F(tm, xs, ys) < 0.0
+        ok = sign * _foot(g, tm, xs, ys) < 0.0
         if sign > 0.0:
             lo, t = tm, np.clip(t_tip, tm, hi)
         else:
@@ -246,7 +219,7 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     ya = y**domain.alpha
     a = np.clip(np.minimum(x, ya), 0.0, 1.0)
     b = np.clip(np.maximum(x, ya), 0.0, 1.0)
-    Fa, Fb = F(a, x, y), F(b, x, y)
+    Fa, Fb = _foot(g, a, x, y), _foot(g, b, x, y)
     for end, is_min in ((a, Fa >= 0.0), (b, Fb <= 0.0)):
         idx = np.flatnonzero(is_min)
         if idx.size:
@@ -254,7 +227,7 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     if g > 2.0:
         c = np.clip(((g - 2.0) * y / (2.0 * (2.0 * g - 1.0))) ** domain.alpha,
                     a, b)
-        Fc = F(c, x, y)
+        Fc = _foot(g, c, x, y)
         idx = np.flatnonzero((Fa < 0.0) & (Fc >= 0.0))
         zero(idx, a, c)
         idx = np.flatnonzero((Fa < 0.0) & (Fc <= 0.0))
@@ -324,62 +297,72 @@ def surrogate_distance(domain: CuspDomain, p) -> np.ndarray | float:
     return float(s[0]) if scalar else s
 
 
-def on_boundary(domain: CuspDomain, p, tol: float = 1e-10) -> bool:
-    return distance(domain, np.asarray(p, dtype=float)) <= tol
+
+# Parameter points per curved arc in the sign scan of `boundary_measure`.
+_SCAN = 4096
 
 
 def boundary_measure(domain: CuspDomain, center, r: float, tol: float = 1e-10) -> float:
     """Arclength of (boundary of Omega) intersected with B(center, r).
 
-    center must lie on the boundary (within tol).  Curved contributions are
-    integrated by adaptive quadrature of the arclength element restricted to
-    the parameter set where the arc is inside the ball.
+    center must lie on the boundary (within tol).  The right edge gives the
+    chord of the ball on x = 1, clipped to |y| <= 1; the lower arc is the
+    upper arc measured from the mirrored centre (cx, -cy).
     """
-    center = np.asarray(center, dtype=float)
-    if r <= 0.0:
+    cx, cy = np.asarray(center, dtype=float)
+    if not r > 0.0:
         raise ValueError("r must be positive")
-    if not on_boundary(domain, center, tol):
+    if not distance(domain, center) <= tol:
         raise ValueError(f"center {center} is not on the boundary (tol {tol})")
+    total = _curve_length_in_ball(domain, cx, cy, r)
+    total += _curve_length_in_ball(domain, cx, -cy, r)
+    d = 1.0 - cx
+    w = (r - d) * (r + d)
+    if w > 0.0:
+        half = np.sqrt(w)
+        total += max(0.0, min(cy + half, 1.0) - max(cy - half, -1.0))
+    return float(total)
 
-    total = 0.0
-    for arc in boundary_arcs(domain):
-        total += _arc_length_in_ball(domain, arc, center, r)
-    return total
 
+def _curve_length_in_ball(domain, cx, cy, r):
+    """Length of the upper arc {(t, t**g) : 0 <= t <= 1} inside B((cx, cy), r).
 
-def _arc_length_in_ball(domain, arc, center, r, n_scan=4096):
-    """Arclength of one boundary arc inside the ball B(center, r)."""
-    # imported here, so that `import cuspdiv` loads neither module
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
+    The arc crosses the circle where phi(t) = (t - cx)**2 + (t**g - cy)**2
+    - r**2 changes sign.  A sign scan of phi on _SCAN equal steps and at
+    t = cx (so that a ball about a point of the arc smaller than one step
+    is seen) brackets each crossing, and one `_newton` solve on f = +-phi,
+    f' = +-2F (F = `_foot`) finds them all.  The crossings and the panel
+    breaks cut [0, 1]; a panel whose midpoint has phi < 0 lies inside, and
+    a 10-point Gauss-Legendre rule integrates the speed
+    sqrt(1 + (g t**(g-1))**2) over it.  The breaks are 2**-k toward the
+    tip, where the speed is not smooth for 1 < g < 2, and 2 ceil(g) equal
+    panels, since for g > 2 the speed has complex singularities at
+    |t| = g**(-1/(g-1)), arg t = pi/(2g - 2), which near t = 1 approach
+    the real axis as g grows.  Against a 30-digit quadrature of the speed
+    the rule is within 1.3e-15 relative for alpha from 0.01 to 1.
+    """
+    # imported here: weights imports this module
+    from .weights import _gauss_panels
 
-    def gap(t):
-        pt = arc.point(domain, t)
-        return np.hypot(pt[..., 0] - center[0], pt[..., 1] - center[1]) - r
+    g = domain.gamma
 
-    ts = np.linspace(arc.t0, arc.t1, n_scan + 1)
-    gs = gap(ts)
-    # locate the sub-intervals where the arc is strictly inside the ball
-    crossings = []
-    for i in range(n_scan):
-        if gs[i] == 0.0:
-            crossings.append(ts[i])
-        elif gs[i] * gs[i + 1] < 0.0:
-            crossings.append(brentq(gap, ts[i], ts[i + 1], xtol=1e-14))
-    if gs[-1] == 0.0:
-        crossings.append(ts[-1])
+    def phi(t):
+        return (t - cx) ** 2 + (domain.curve(t) - cy) ** 2 - r * r
 
-    knots = np.unique(np.concatenate([[arc.t0, arc.t1], crossings]))
-    length = 0.0
-    for a, b in zip(knots[:-1], knots[1:]):
-        if b - a <= 0.0:
-            continue
-        mid = 0.5 * (a + b)
-        if gap(mid) < 0.0:
-            val, _ = quad(
-                lambda t: float(arc.speed(domain, t)), a, b,
-                epsrel=1e-9, epsabs=1e-13, limit=200,
-            )
-            length += val
-    return length
+    def fdf(t, s, _):
+        # s = +-1 makes f rise across each bracket
+        return s * phi(t), 2.0 * s * _foot(g, t, cx, cy)
 
+    ts = np.sort(np.append(np.linspace(0.0, 1.0, _SCAN + 1),
+                           np.clip(cx, 0.0, 1.0)))
+    f = phi(ts)
+    i = np.flatnonzero(f[:-1] * f[1:] < 0.0)
+    s = np.sign(f[i + 1])
+    lo, hi = ts[i], ts[i + 1]
+    knots = np.unique(np.concatenate([
+        2.0 ** -np.arange(64.0), np.linspace(0.0, 1.0, 2 * math.ceil(g) + 1),
+        ts[f == 0.0], _newton(fdf, 0.5 * (lo + hi), lo, hi, s, s, 100)]))
+    inside = phi(0.5 * (knots[:-1] + knots[1:])) < 0.0
+    t, w = (v.reshape(len(inside), -1)[inside]
+            for v in _gauss_panels(knots, 10))
+    return np.sum(w * np.sqrt(1.0 + (g * t ** (g - 1.0)) ** 2))

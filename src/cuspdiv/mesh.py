@@ -15,6 +15,7 @@ x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,12 +353,15 @@ def save_mesh(mesh: TriangulatedMesh, path_or_buf) -> None:
 
 
 def load_mesh(path_or_buf) -> TriangulatedMesh:
+    """Read a `save_mesh` file.  ValueError if the header gives no alpha, a
+    block name is unknown, a block has fewer lines than its count or a line
+    has other than 3 fields."""
     if hasattr(path_or_buf, "read"):
         lines = path_or_buf.read().splitlines()
     else:
         with open(path_or_buf) as fh:
             lines = fh.read().splitlines()
-    meta = {"alpha": 1.0, "h": 0.0, "grading": 1.0, "x_tip": 0.0}
+    meta = {"alpha": None, "h": 0.0, "grading": 1.0, "x_tip": 0.0}
     it = iter(lines)
     verts, tris, boundary = [], [], []
     for line in it:
@@ -373,14 +377,24 @@ def load_mesh(path_or_buf) -> TriangulatedMesh:
             continue
         block, count = line.split()
         count = int(count)
-        for _ in range(count):
-            parts = next(it).split()
+        if block not in ("vertices", "triangles", "boundary"):
+            raise ValueError(f"mesh file: unknown block {block!r}")
+        rows = list(itertools.islice(it, count))
+        if len(rows) < count:
+            raise ValueError(f"mesh file: block {block!r} ends after "
+                             f"{len(rows)} of its {count} lines")
+        for parts in map(str.split, rows):
+            if len(parts) != 3:
+                raise ValueError(f"mesh file: {block} line {parts} does not "
+                                 f"have 3 fields")
             if block == "vertices":
                 verts.append((float(parts[1]), float(parts[2])))
             elif block == "triangles":
                 tris.append(tuple(int(p) for p in parts))
-            elif block == "boundary":
+            else:
                 boundary.append((int(parts[0]), int(parts[1]), parts[2]))
+    if meta["alpha"] is None:
+        raise ValueError("mesh file: no alpha in its '# cuspdiv mesh' header")
     return TriangulatedMesh(
         np.array(verts, dtype=float), np.array(tris, dtype=int), boundary,
         meta["alpha"], h=meta["h"], grading=meta["grading"], x_tip=meta["x_tip"],

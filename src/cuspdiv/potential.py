@@ -16,6 +16,7 @@ estimate uses without finite differences.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -157,15 +158,14 @@ class PotentialSolution:
 
     source: SourceField
 
+    @cached_property
     def _nonzero(self):
         """Centres zeta (complex) and masses f h^2 / 2pi of nonzero cells."""
-        if not hasattr(self, "_nz"):
-            xc, yc = self.source.cell_centers()
-            I, J = np.nonzero(self.source.values)
-            h = self.source.h
-            self._nz = (xc[I] + 1j * yc[J],
-                        self.source.values[I, J] * (h * h / (2.0 * np.pi)))
-        return self._nz
+        xc, yc = self.source.cell_centers()
+        I, J = np.nonzero(self.source.values)
+        h = self.source.h
+        return (xc[I] + 1j * yc[J],
+                self.source.values[I, J] * (h * h / (2.0 * np.pi)))
 
     def _accumulate(self, pts):
         """phi, v1, v2, d1v1, d2v1 = d1v2, d2v2 at pts (n, 6) in one pass.
@@ -194,7 +194,7 @@ class PotentialSolution:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if not np.all(np.isfinite(pts)):
             raise ValueError("targets must be finite")
-        zeta, mass = self._nonzero()
+        zeta, mass = self._nonzero
         out = np.zeros((len(pts), 6))
         if len(mass) == 0 or len(pts) == 0:
             return out
@@ -229,7 +229,7 @@ class PotentialSolution:
         """Add the expansions of the leaf boxes of one level, and at the
         finest level the close sources, to their targets; return the
         targets of the other boxes."""
-        zeta, mass = self._nonzero()
+        zeta, mass = self._nonzero
         R = side / np.sqrt(2.0)
         sep2 = max(3.0 * R, R + _NEAR_CELLS * self.source.h) ** 2
         passed = []
@@ -269,7 +269,7 @@ class PotentialSolution:
     def _near(self, out, z, idx, first, close):
         """Add the pairwise sums of the close sources of each finest box
         (close: boxes x sources) to its targets idx[first[b]:first[b + 1]]."""
-        zeta, mass = self._nonzero()
+        zeta, mass = self._nonzero
         for b, row in enumerate(close):
             src = np.flatnonzero(row)
             if len(src) == 0:

@@ -240,6 +240,38 @@ def test_mesh_file_must_match_alpha(tmp_path, capsys):
     assert summary["vertices"] == m075.num_vertices
 
 
+@pytest.mark.parametrize("edit, message", [
+    # without its header an alpha = 0.75 file once loaded as alpha = 1
+    (lambda text: text.split("\n", 1)[1], "no alpha"),
+    # a truncated file once escaped as a StopIteration traceback
+    (lambda text: text[:len(text) // 2], "ends after"),
+], ids=["no-header", "truncated"])
+def test_malformed_mesh_file_is_an_error(tmp_path, capsys, edit, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(generate_graded_mesh(CuspDomain(0.75), 0.3), path)
+    path.write_text(edit(path.read_text()))
+    assert run_cli(["stokes", "--alpha", "1", "--mesh", str(path),
+                    "--outdir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "error: mesh file: " in err and message in err
+    assert not (tmp_path / "stokes_summary.json").exists()
+
+
+def test_mset_check_loads_no_scipy_submodule(tmp_path):
+    src = str(Path(cuspdiv.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys; from cuspdiv import cli; "
+            "assert cli.main(['mset-check', '--alpha', '0.75', '--outdir', "
+            "sys.argv[1]]) == 0; print(sorted(m for m in sys.modules "
+            "if m in ('scipy.integrate', 'scipy.optimize', 'scipy.sparse')))")
+    proc = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 def test_mset_check_summary(tmp_path):
     code = run_cli(["mset-check", "--alpha", "0.5", "--centers", "4",
                     "--outdir", str(tmp_path)])

@@ -1,9 +1,12 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from cuspdiv import geometry
 from cuspdiv.geometry import CuspDomain
@@ -278,6 +281,9 @@ def test_distance_zero_on_boundary_property(alpha, t, s, sign):
 @given(alpha=st.sampled_from([0.2, 0.4, 0.5, 0.75, 1.0]),
        x=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
        s=st.floats(-1.0, 1.0, exclude_min=True, exclude_max=True))
+# contains on one point must use numpy's array power, as surrogate_distance
+# does on its (1, 2) array
+@example(alpha=0.4, x=0.9999999999999999, s=0.9999999999999999)
 def test_surrogate_bounds_distance_property(alpha, x, s):
     # the vertical distance x^(1/a) - |y| to the arc bounds dist inside
     # Omega; within an ulp of the arc both carry rounding errors of about an
@@ -303,6 +309,14 @@ def test_contains():
     assert not geometry.contains(dom, np.array([-0.1, 0.0]))
     # the boundary itself is excluded (strict inequalities)
     assert not geometry.contains(dom, np.array([0.5, 0.25]))
+
+
+def test_contains_warns_nothing_left_of_the_tip():
+    # x < 0 with non-integer 1/alpha made x**gamma a NaN with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        inside = geometry.contains(CuspDomain(0.75), [[-0.1, 0.0]])
+    assert inside.tolist() == [False]
 
 
 def test_area_closed_form():
@@ -331,10 +345,91 @@ def test_boundary_measure_at_tip():
         assert 2.0 * r <= m <= 4.0 * r
 
 
+def quad_boundary_measure(domain, center, r, n_scan=4096):
+    """Reference boundary measure: per boundary arc, a scan of the gap
+    |point - center| - r on n_scan steps and at the centre's own parameter,
+    brentq at each sign change, and quad of the speed where the arc is
+    inside the ball."""
+    g = domain.gamma
+    cx, cy = center
+
+    def curve_speed(t):
+        return np.sqrt(1.0 + (g * t ** (g - 1.0)) ** 2)
+
+    arcs = [(lambda t: (t, t**g), curve_speed, 0.0, 1.0, cx),
+            (lambda t: (t, -t**g), curve_speed, 0.0, 1.0, cx),
+            (lambda t: (1.0 + 0.0 * t, t), lambda t: 1.0, -1.0, 1.0, cy)]
+    total = 0.0
+    for point, speed, t0, t1, own in arcs:
+        def gap(t):
+            x, y = point(t)
+            return np.hypot(x - cx, y - cy) - r
+
+        ts = np.unique(np.append(np.linspace(t0, t1, n_scan + 1),
+                                 np.clip(own, t0, t1)))
+        gs = gap(ts)
+        cuts = [t0, t1, *ts[gs == 0.0]]
+        for i in np.flatnonzero(gs[:-1] * gs[1:] < 0.0):
+            cuts.append(brentq(gap, ts[i], ts[i + 1], xtol=1e-15))
+        cuts = np.unique(cuts)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            if gap(0.5 * (a + b)) < 0.0:
+                total += quad(speed, a, b, epsabs=1e-15, epsrel=1e-13,
+                              limit=200)[0]
+    return total
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75, 1.0])
+def test_boundary_measure_matches_quad_reference(alpha):
+    dom = CuspDomain(alpha)
+    centers = [(0.0, 0.0), (1.0, 1.0), (1.0, -1.0), (1.0, -0.5), (1.0, 0.3)]
+    centers += [(t, s * t**dom.gamma) for t in (0.2, 0.85) for s in (1, -1)]
+    for c in centers:
+        for r in (1e-3, 0.03, 0.3, 3.0):
+            ref = quad_boundary_measure(dom, c, r)
+            assert geometry.boundary_measure(dom, c, r) == pytest.approx(
+                ref, rel=1e-10), (c, r)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 0.75])
+def test_boundary_measure_sees_a_ball_between_scan_points(alpha):
+    # a ball on the arc narrower than one scan step holds no scan point;
+    # it read 0 before the centre's own parameter joined the scan
+    dom = CuspDomain(alpha)
+    r = 3e-5
+    m = geometry.boundary_measure(dom, (0.50005, 0.50005**dom.gamma), r)
+    assert m == pytest.approx(2.0 * r, rel=1e-8)
+
+
+def test_boundary_measure_at_the_corners():
+    # the edge and the curved arc each give about r near (1, +-1)
+    dom = CuspDomain(0.75)
+    r = 1e-3
+    upper = geometry.boundary_measure(dom, (1.0, 1.0), r)
+    assert upper == pytest.approx(2.0 * r, rel=1e-6)
+    assert geometry.boundary_measure(dom, (1.0, -1.0), r) == pytest.approx(
+        upper, rel=1e-15)
+
+
+def test_boundary_measure_ball_tangent_to_the_edge():
+    # 1 - cx = r: the chord on x = 1 is exactly empty
+    dom = CuspDomain(0.75)
+    cx, cy, r = 0.5, 0.5**dom.gamma, 0.5
+    curves = (geometry._curve_length_in_ball(dom, cx, cy, r)
+              + geometry._curve_length_in_ball(dom, cx, -cy, r))
+    assert geometry.boundary_measure(dom, (cx, cy), r) == curves
+    assert curves == pytest.approx(quad_boundary_measure(dom, (cx, cy), r),
+                                   rel=1e-10)
+
+
 def test_boundary_measure_requires_boundary_center():
     dom = CuspDomain(0.5)
     with pytest.raises(ValueError):
         geometry.boundary_measure(dom, np.array([0.5, 0.0]), 0.1)
+    # a NaN radius read 0
+    for r in (0.0, np.nan):
+        with pytest.raises(ValueError, match="r must be positive"):
+            geometry.boundary_measure(dom, np.array([0.0, 0.0]), r)
 
 
 def test_invalid_alpha():

@@ -90,6 +90,36 @@ def test_save_load_round_trip(mesh05):
     assert back.x_tip == mesh05.x_tip
 
 
+def _without_header(text):
+    return text.split("\n", 1)[1]
+
+
+def _truncated(text):
+    lines = text.splitlines(keepends=True)
+    return "".join(lines[:len(lines) - 3])
+
+
+def _renamed_block(text):
+    return text.replace("\nboundary ", "\nedges ")
+
+
+def _short_row(text):
+    return text.replace("\n0 ", "\n0\n", 1)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_without_header, "no alpha"),
+    (_truncated, "block 'boundary' ends after"),
+    (_renamed_block, "unknown block 'edges'"),
+    (_short_row, "does not have 3 fields"),
+])
+def test_load_mesh_rejects_malformed_files(mesh05, edit, message):
+    buf = io.StringIO()
+    save_mesh(mesh05, buf)
+    with pytest.raises(ValueError, match=message):
+        load_mesh(io.StringIO(edit(buf.getvalue())))
+
+
 def test_x_tip_override():
     dom = CuspDomain(0.75)
     m = generate_graded_mesh(dom, 0.1, x_tip=0.02, min_angle_deg=13.0)
