@@ -3,10 +3,9 @@
 The generator lays out vertical node columns spaced h x^(1/alpha) toward
 the cusp tip, places the top and bottom node of every column exactly on the
 boundary curves, and zipper-triangulates adjacent columns.  The nodes are
-written straight into one vertex array; for each strip the minimum-angle
-quality of both candidate triangles on a band of (left, right) node pairs
-around the strip's diagonal is one array operation, and the zipper walk
-reads its choices from that band (widened when the walk leaves it).
+placed in one vertex array, and the zipper walks of all strips advance
+together, one step of every strip per pass, so the number of passes is
+the longest strip's cell count, not the number of strips.
 For alpha < 1 a shape-regular triangulation cannot reach the tip itself
 (the cusp opening angle vanishes), so the mesh stops at a tiny abscissa
 x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
@@ -53,16 +52,6 @@ class TriangulatedMesh:
     @property
     def num_triangles(self) -> int:
         return len(self.triangles)
-
-    def triangle_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * np.abs(
-            (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
-        )
-
-    def area(self) -> float:
-        return float(self.triangle_areas().sum())
 
     def min_angle(self) -> float:
         """Smallest interior angle over all triangles, in degrees."""
@@ -185,32 +174,24 @@ def _build(domain, h, xs, x_tip):
 
     # column k holds vertices start[k] .. start[k + 1] - 1, bottom to top
     start = np.concatenate([[0], np.cumsum(m + 1)])
-    vertices = np.empty((start[-1], 2))
-    for k, x in enumerate(xs):
-        col = vertices[start[k]:start[k + 1]]
-        col[:, 0] = x
-        col[:, 1] = x**domain.gamma * np.linspace(-1.0, 1.0, m[k] + 1)
-    columns = [list(range(a, b)) for a, b in zip(start[:-1], start[1:])]
+    col = np.repeat(np.arange(len(m)), m + 1)
+    # np.linspace(-1, 1, m[k] + 1) of each column, bit for bit, scaled by
+    # the scalar power x**gamma (numpy's array power may differ by an ulp)
+    t = (np.arange(start[-1]) - start[col]) * (2.0 / m[col]) - 1.0
+    t[start[1:] - 1] = 1.0
+    heights = np.array([x**domain.gamma for x in xs])
+    vertices = np.column_stack([xs[col], heights[col] * t])
+    triangles = _zip_strips(vertices, start)
 
-    tris = []
-    for left, right in zip(columns[:-1], columns[1:]):
-        tris.extend(_zip_columns(left, right, vertices))
-
-    # CCW by construction: each zipper triangle is (left[i], right[j],
-    # left[i + 1]) or (left[i], right[j], right[j + 1]), so its signed area
-    # is (x_right - x_left) times the rise of its vertical side
-    triangles = np.array(tris, dtype=int)
-
+    # strip k has bottom nodes a, b and top nodes b - 1, c - 1
+    strips = zip(start[:-2].tolist(), start[1:-1].tolist(), start[2:].tolist())
     boundary = []
-    for left, right in zip(columns[:-1], columns[1:]):
-        boundary.append((left[0], right[0], "lower-curve"))
-        boundary.append((left[-1], right[-1], "upper-curve"))
-    rightmost = columns[-1]
-    for a, b in zip(rightmost[:-1], rightmost[1:]):
-        boundary.append((a, b, "right-edge"))
-    first = columns[0]
-    for a, b in zip(first[:-1], first[1:]):
-        boundary.append((a, b, "tip"))
+    for a, b, c in strips:
+        boundary.append((a, b, "lower-curve"))
+        boundary.append((b - 1, c - 1, "upper-curve"))
+    boundary += [(a, a + 1, "right-edge")
+                 for a in range(start[-2], start[-1] - 1)]
+    boundary += [(a, a + 1, "tip") for a in range(start[0], start[1] - 1)]
 
     return TriangulatedMesh(vertices, triangles, boundary, domain.alpha,
                             h=h, grading=domain.gamma, x_tip=x_tip)
@@ -235,54 +216,41 @@ def _min_angles(pa, pb, pc):
     return np.where(degenerate, 0.0, best)
 
 
-# half-width of the zipper's first quality band, in right-column cells
-_BAND = 2
+def _zip_strips(vertices, start):
+    """Triangulate every strip between adjacent node columns (bottom to top).
 
-
-def _zip_columns(left, right, vertices):
-    """Triangulate the strip between two node columns (bottom to top).
-
-    At each step both admissible triangles are compared and the one with the
-    larger minimum angle is taken, which picks diagonals aligned against the
-    local shear of the boundary-following rows.  Both qualities are computed
-    up front, as one array operation, on a band of left/right node pairs
-    (i, j) around the diagonal j = i nr / nl, so the walk itself only reads
-    booleans.  A walk that leaves the band is redone on a band twice as
-    wide; the band that spans the whole strip cannot be left.
+    Strip k joins column k (vertices start[k] .. start[k + 1] - 1) to
+    column k + 1.  Its walk holds a node a on the left and b on the right,
+    from the bottom ones, and takes one step per cell of the two columns:
+    step s adds (a, b, a + 1) or (a, b, b + 1) as row offset[k] + s and
+    moves a or b up.  Where both moves are open the triangle with the
+    larger minimum angle is taken, which picks diagonals aligned against
+    the local shear of the boundary-following rows.  All strips walk in
+    lockstep: pass s takes step s of every strip that has one, with one
+    _min_angles call on the stacked candidates of the strips where both
+    moves are open.  Triangles are CCW, since each has signed area
+    (x_right - x_left) times the rise of its vertical side.
     """
-    nl, nr = len(left) - 1, len(right) - 1
-    pl, pr = vertices[left], vertices[right]
-    half = _BAND
-    while True:
-        # row i holds the pairs (i, lo[i]) .. (i, lo[i] + width - 1)
-        width = min(nr, 2 * half + -(-nr // nl))
-        lo = np.clip(np.arange(nl) * nr // nl - half, 0, nr - width)
-        cols = lo[:, None] + np.arange(width)
-        pa, pb = pl[:-1, None], pr[cols]
-        qi = _min_angles(pa, pb, pl[1:, None])
-        qj = _min_angles(pa, pb, pr[cols + 1])
-        tris = _walk(left, right, (qi >= qj).tolist(), lo.tolist(), width)
-        if tris is not None:
-            return tris
-        half *= 2
-
-
-def _walk(left, right, adv, lo, width):
-    """The zipper walk over the band adv[i][j - lo[i]]; None if it leaves."""
-    nl, nr = len(left) - 1, len(right) - 1
-    tris = []
-    i, j = 0, 0
-    while i < nl or j < nr:
-        if i < nl and j < nr:
-            k = j - lo[i]
-            if not 0 <= k < width:
-                return None
-        if i < nl and (j == nr or adv[i][k]):
-            tris.append((left[i], right[j], left[i + 1]))
-            i += 1
-        else:
-            tris.append((left[i], right[j], right[j + 1]))
-            j += 1
+    steps = start[2:] - start[:-2] - 2
+    offset = np.concatenate([[0], np.cumsum(steps)[:-1]])
+    # longest walks first, so the strips still walking are a prefix
+    order = np.argsort(-steps, kind="stable")
+    walking = np.searchsorted(-steps[order], -np.arange(steps.max()))
+    a, b, offset = start[:-2][order], start[1:-1][order], offset[order]
+    a_top, b_top = b - 1, start[2:][order] - 1
+    tris = np.empty((steps.sum(), 3), dtype=int)
+    for s, n in enumerate(walking.tolist()):
+        an, bn = a[:n], b[:n]
+        adv = an < a_top[:n]
+        both = np.flatnonzero(adv & (bn < b_top[:n]))
+        a2, b2 = an[both], bn[both]
+        q = _min_angles(vertices[a2], vertices[b2],
+                        vertices[np.stack([a2, b2]) + 1])
+        adv[both] = q[0] >= q[1]
+        tris[offset[:n] + s] = np.column_stack(
+            [an, bn, np.where(adv, an, bn) + 1])
+        an += adv
+        bn += ~adv
     return tris
 
 
@@ -354,8 +322,8 @@ def save_mesh(mesh: TriangulatedMesh, path_or_buf) -> None:
 
 def load_mesh(path_or_buf) -> TriangulatedMesh:
     """Read a `save_mesh` file.  ValueError if the header gives no alpha, a
-    block name is unknown, a block has fewer lines than its count or a line
-    has other than 3 fields."""
+    block name is unknown, a block has fewer lines than its count, a line
+    has other than 3 fields or a vertex index is outside [0, nv)."""
     if hasattr(path_or_buf, "read"):
         lines = path_or_buf.read().splitlines()
     else:
@@ -363,7 +331,7 @@ def load_mesh(path_or_buf) -> TriangulatedMesh:
             lines = fh.read().splitlines()
     meta = {"alpha": None, "h": 0.0, "grading": 1.0, "x_tip": 0.0}
     it = iter(lines)
-    verts, tris, boundary = [], [], []
+    verts, tris, boundary = np.empty((0, 3)), np.empty((0, 3), int), []
     for line in it:
         line = line.strip()
         if line.startswith("#"):
@@ -383,19 +351,48 @@ def load_mesh(path_or_buf) -> TriangulatedMesh:
         if len(rows) < count:
             raise ValueError(f"mesh file: block {block!r} ends after "
                              f"{len(rows)} of its {count} lines")
-        for parts in map(str.split, rows):
-            if len(parts) != 3:
-                raise ValueError(f"mesh file: {block} line {parts} does not "
-                                 f"have 3 fields")
-            if block == "vertices":
-                verts.append((float(parts[1]), float(parts[2])))
-            elif block == "triangles":
-                tris.append(tuple(int(p) for p in parts))
-            else:
+        if block == "vertices":
+            verts = _table(block, rows, float)
+        elif block == "triangles":
+            tris = _table(block, rows, int)
+        else:
+            for parts in map(str.split, rows):
+                _check_fields(block, parts)
                 boundary.append((int(parts[0]), int(parts[1]), parts[2]))
     if meta["alpha"] is None:
         raise ValueError("mesh file: no alpha in its '# cuspdiv mesh' header")
+    nv = len(verts)
+    ends = np.array([e[:2] for e in boundary], dtype=int)
+    for block, index in (("triangles", tris), ("boundary", ends)):
+        bad = index[(index < 0) | (index >= nv)]
+        if bad.size:
+            raise ValueError(f"mesh file: {block} block: vertex index "
+                             f"{bad[0]} is outside [0, {nv})")
     return TriangulatedMesh(
-        np.array(verts, dtype=float), np.array(tris, dtype=int), boundary,
+        verts[:, 1:].copy(), tris, boundary,
         meta["alpha"], h=meta["h"], grading=meta["grading"], x_tip=meta["x_tip"],
     )
+
+
+def _check_fields(block, parts):
+    if len(parts) != 3:
+        raise ValueError(f"mesh file: {block} line {parts} does not "
+                         f"have 3 fields")
+
+
+def _table(block, rows, dtype):
+    """The lines of a vertices or triangles block as one (n, 3) array."""
+    if not rows:
+        return np.empty((0, 3), dtype=dtype)
+    try:
+        table = np.loadtxt(rows, dtype=dtype, comments=None, ndmin=2)
+    except ValueError as err:
+        reason = err
+    else:
+        # loadtxt skips blank lines, and takes any number of fields
+        if table.shape == (len(rows), 3):
+            return table
+        reason = f"{table.shape[0]} rows of {table.shape[1]} fields"
+    for parts in map(str.split, rows):    # name a line that is short or long
+        _check_fields(block, parts)
+    raise ValueError(f"mesh file: {block} block: {reason}")

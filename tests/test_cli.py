@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -245,7 +246,10 @@ def test_mesh_file_must_match_alpha(tmp_path, capsys):
     (lambda text: text.split("\n", 1)[1], "no alpha"),
     # a truncated file once escaped as a StopIteration traceback
     (lambda text: text[:len(text) // 2], "ends after"),
-], ids=["no-header", "truncated"])
+    # a negative index once reached numpy as "negative axis 0 index: -3"
+    (lambda text: re.sub(r"(\ntriangles \d+\n).*", r"\g<1>0 9 -3", text,
+                         count=1), "vertex index -3 is outside"),
+], ids=["no-header", "truncated", "index-out-of-range"])
 def test_malformed_mesh_file_is_an_error(tmp_path, capsys, edit, message):
     path = tmp_path / "mesh.txt"
     save_mesh(generate_graded_mesh(CuspDomain(0.75), 0.3), path)

@@ -18,14 +18,23 @@ def mesh05():
     return generate_graded_mesh(CuspDomain(0.5), 0.15)
 
 
+def mesh_area(m):
+    """Sum of the triangle areas of a mesh (test oracle)."""
+    p = m.vertices[m.triangles]
+    return float(0.5 * np.abs(
+        (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
+        - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1])
+    ).sum())
+
+
 def test_mesh_area_accounts_for_tip_sliver(mesh05):
     dom = CuspDomain(0.5)
     # the omitted sliver {x < x_tip} has area 2a/(a+1) x_tip^((a+1)/a)
     sliver = dom.area() * mesh05.x_tip ** ((0.5 + 1.0) / 0.5)
     # chords of the convex arcs lie above the curve, so the polygon slightly
     # overshoots the truncated domain, by O(h^2)
-    assert mesh05.area() > dom.area() - sliver - 1e-12
-    assert mesh05.area() < dom.area() - sliver + 0.02
+    assert mesh_area(mesh05) > dom.area() - sliver - 1e-12
+    assert mesh_area(mesh05) < dom.area() - sliver + 0.02
 
 
 def test_min_angle_floor(mesh05):
@@ -69,7 +78,8 @@ def test_refine_quadruples_and_snaps(mesh05):
     fine = refine(mesh05)
     assert fine.num_triangles == 4 * mesh05.num_triangles
     assert fine.h == mesh05.h / 2.0
-    assert abs(fine.area() - mesh05.area()) < 5e-3  # curved snap adds area
+    # the curved snap adds area
+    assert abs(mesh_area(fine) - mesh_area(mesh05)) < 5e-3
     # boundary midpoints were moved onto the arcs
     for v0, v1, kind in fine.boundary_edges:
         x, y = fine.vertices[v1]
@@ -107,11 +117,29 @@ def _short_row(text):
     return text.replace("\n0 ", "\n0\n", 1)
 
 
+def _first_row(block, row):
+    """An edit that makes `row` the first line of `block`."""
+    def edit(text):
+        head, rest = text.split(f"\n{block} ", 1)
+        count, _, tail = rest.split("\n", 2)
+        return f"{head}\n{block} {count}\n{row}\n{tail}"
+    edit.__name__ = f"{block}_row_{row.replace(' ', '_') or 'blank'}"
+    return edit
+
+
 @pytest.mark.parametrize("edit, message", [
     (_without_header, "no alpha"),
     (_truncated, "block 'boundary' ends after"),
     (_renamed_block, "unknown block 'edges'"),
     (_short_row, "does not have 3 fields"),
+    (_first_row("triangles", ""), "does not have 3 fields"),
+    (_first_row("vertices", "0 0.5 0.1 0.2"), "does not have 3 fields"),
+    (_first_row("triangles", "0 9 -3"),
+     "triangles block: vertex index -3 is outside"),
+    (_first_row("triangles", "0 9 99999"),
+     "triangles block: vertex index 99999 is outside"),
+    (_first_row("boundary", "99999 0 tip"),
+     "boundary block: vertex index 99999 is outside"),
 ])
 def test_load_mesh_rejects_malformed_files(mesh05, edit, message):
     buf = io.StringIO()
@@ -223,47 +251,57 @@ def zip_full_table(left, right, vertices):
     return tris
 
 
-def strip(yl, yr, dx=1.0):
-    """Vertices and index lists of a left column at x = 0 and a right one
-    at x = dx, nodes bottom to top."""
-    vertices = np.concatenate([np.column_stack([np.zeros(len(yl)), yl]),
-                               np.column_stack([np.full(len(yr), dx), yr])])
-    return list(range(len(yl))), list(range(len(yl), len(vertices))), vertices
+def zip_all_full_tables(vertices, start):
+    """zip_full_table of every strip between adjacent columns, in order."""
+    tris = []
+    for k in range(len(start) - 2):
+        tris += zip_full_table(list(range(start[k], start[k + 1])),
+                               list(range(start[k + 1], start[k + 2])),
+                               vertices)
+    return tris
 
 
-def count_band_exits(monkeypatch):
-    exits = []
-    walk = meshmod._walk
+def node_columns(ys, xs):
+    """Vertices and column starts of node columns ys[k] (bottom to top) at
+    abscissas xs[k]."""
+    vertices = np.concatenate([np.column_stack([np.full(len(y), x), y])
+                               for x, y in zip(xs, ys)])
+    return vertices, np.cumsum([0] + [len(y) for y in ys])
 
-    def recording_walk(*args):
-        tris = walk(*args)
-        exits.append(tris is None)
-        return tris
 
-    monkeypatch.setattr(meshmod, "_walk", recording_walk)
-    return exits
+def zip_strips(vertices, start):
+    return list(map(tuple, meshmod._zip_strips(vertices, start).tolist()))
+
+
+def bunched(n, end):
+    """n + 1 nodes bunched at one end of [-1, 1]."""
+    t = np.linspace(0.0, 1.0, n + 1) ** 6
+    return 0.2 * t - 1.0 if end == "bottom" else 1.0 - 0.2 * t[::-1]
 
 
 @pytest.mark.parametrize("nl,nr", [(2, 60), (3, 40), (4, 17)])
 @pytest.mark.parametrize("end", ["bottom", "top"])
-def test_zipper_band_widens_to_the_full_walk(nl, nr, end, monkeypatch):
+def test_zipper_walks_bunched_strips_like_the_full_table(nl, nr, end):
     # a few left nodes against many right ones bunched at one end: the
-    # walk runs far off the diagonal j = i nr / nl and leaves every narrow
-    # band, so only a widened band gives the full table's triangles
-    t = np.linspace(0.0, 1.0, nr + 1) ** 6
-    yr = 0.2 * t - 1.0 if end == "bottom" else 1.0 - 0.2 * t[::-1]
-    left, right, vertices = strip(np.linspace(-1.0, 1.0, nl + 1), yr)
-    exits = count_band_exits(monkeypatch)
-    assert meshmod._zip_columns(left, right, vertices) == \
-        zip_full_table(left, right, vertices)
-    assert exits[0] and not exits[-1]
+    # walk runs far off the strip's diagonal j = i nr / nl; the same strip
+    # mirrored (right to left) rides along in one call
+    ys = [np.linspace(-1.0, 1.0, nl + 1), bunched(nr, end),
+          np.linspace(-1.0, 1.0, nl + 1)]
+    vertices, start = node_columns(ys, [0.0, 1.0, 2.0])
+    assert zip_strips(vertices, start) == zip_all_full_tables(vertices, start)
 
 
 @settings(max_examples=200, deadline=None)
-@given(nl=st.integers(1, 60), data=st.data(), seed=st.integers(0, 2**32 - 1),
-       dx=st.floats(0.02, 2.0))
-def test_zipper_band_matches_full_table(nl, data, seed, dx):
-    nr = data.draw(st.integers(max(1, -(-nl // 2)), min(60, 2 * nl)))
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_zipper_matches_full_tables_of_strips_of_any_length(data, seed):
+    # several strips of different lengths walk in one call; neighbouring
+    # columns keep the generator's 2x rule
+    counts = [data.draw(st.integers(1, 60))]
+    for _ in range(data.draw(st.integers(1, 5))):
+        n = counts[-1]
+        counts.append(data.draw(st.integers(-(-n // 2), min(60, 2 * n))))
+    gaps = data.draw(st.lists(st.floats(0.02, 2.0), min_size=len(counts) - 1,
+                              max_size=len(counts) - 1))
     rng = np.random.default_rng(seed)
 
     def column(n):
@@ -271,9 +309,9 @@ def test_zipper_band_matches_full_table(nl, data, seed, dx):
         y = np.cumsum(np.append(0.0, rng.exponential(size=n) ** 3 + 1e-3))
         return rng.uniform(-1.0, 0.0) + y / y[-1] * rng.uniform(0.5, 2.0)
 
-    left, right, vertices = strip(column(nl), column(nr), dx)
-    assert meshmod._zip_columns(left, right, vertices) == \
-        zip_full_table(left, right, vertices)
+    vertices, start = node_columns([column(n) for n in counts],
+                                   np.cumsum([0.0] + gaps))
+    assert zip_strips(vertices, start) == zip_all_full_tables(vertices, start)
 
 
 def assert_conforming(m):
