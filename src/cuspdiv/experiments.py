@@ -32,10 +32,6 @@ class SweepRecord:
     values: dict
     provenance: str      # closed-form | quadrature | fem
 
-    def finite(self) -> bool:
-        return all(np.isfinite(v) for v in self.values.values()
-                   if isinstance(v, (int, float)))
-
 
 @dataclass
 class FitResult:

@@ -18,15 +18,17 @@ solve finds (`_curve_distance`).
 
 The boundary measure H^1(boundary & B(c, r)) (`boundary_measure`) takes
 the right edge as a closed-form chord and both curved arcs as the upper
-arc, seen from c and from its mirror image: the same foot-point function
-brackets the crossings with the circle, and fixed Gauss-Legendre panels
-integrate the arclength between them.
+arc, seen from c and from its mirror image.  For c on the boundary the
+same foot-point function has one sign change there, so each arc meets the
+ball in one parameter interval; bracketed Newton solves find its ends and
+fixed Gauss-Legendre panels integrate the arclength between them.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -90,7 +92,7 @@ def _newton(fdf, t, lo, hi, x, y, max_iter):
     """
     out = np.empty_like(t)
     idx = np.arange(t.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for _ in range(max_iter):
             if idx.size == 0:
                 return out
@@ -127,6 +129,14 @@ def _foot(g, t, x, y):
     return t - x + g * p1 * (t * p1 - y)
 
 
+def _foot_dF(g, t, x, y):
+    """(F, F') of `_foot`, for `_newton`; F' is inf or NaN at or near t = 0."""
+    p1 = t ** (g - 1.0)
+    r = t * p1 - y
+    return (t - x + g * p1 * r,
+            1.0 + g * (g - 1.0) * (p1 / t) * r + (g * p1) ** 2)
+
+
 def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
     """Distance from points (x, y), y >= 0, to the arc {(t, t**g) : t in [0, 1]}.
 
@@ -157,11 +167,7 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
         t = np.clip(0.5 * (x + y), 0.0, 1.0)
         return np.hypot(x - t, y - t)
 
-    def F_dF(t, x, y):
-        p1 = t ** (g - 1.0)
-        r = t * p1 - y
-        return (t - x + g * p1 * r,
-                1.0 + g * (g - 1.0) * (p1 / t) * r + (g * p1) ** 2)
+    F_dF = partial(_foot_dF, g)
 
     def dF_dlog(sign):
         # sign * (F', dF'/ds) at t = exp(s): in s = log t the extremum solve
@@ -297,25 +303,22 @@ def surrogate_distance(domain: CuspDomain, p) -> np.ndarray | float:
     return float(s[0]) if scalar else s
 
 
-
-# Parameter points per curved arc in the sign scan of `boundary_measure`.
-_SCAN = 4096
+_ON_BOUNDARY_TOL = 1e-10
 
 
-def boundary_measure(domain: CuspDomain, center, r: float, tol: float = 1e-10) -> float:
+def boundary_measure(domain: CuspDomain, center, r: float) -> float:
     """Arclength of (boundary of Omega) intersected with B(center, r).
 
-    center must lie on the boundary (within tol).  The right edge gives the
-    chord of the ball on x = 1, clipped to |y| <= 1; the lower arc is the
-    upper arc measured from the mirrored centre (cx, -cy).
+    center must lie on the boundary (within _ON_BOUNDARY_TOL).  The right
+    edge gives the chord of the ball on x = 1, clipped to |y| <= 1; the
+    lower arc is the upper arc measured from the mirrored centre (cx, -cy).
     """
     cx, cy = np.asarray(center, dtype=float)
     if not r > 0.0:
         raise ValueError("r must be positive")
-    if not distance(domain, center) <= tol:
-        raise ValueError(f"center {center} is not on the boundary (tol {tol})")
-    total = _curve_length_in_ball(domain, cx, cy, r)
-    total += _curve_length_in_ball(domain, cx, -cy, r)
+    if not distance(domain, center) <= _ON_BOUNDARY_TOL:
+        raise ValueError(f"center {center} is not on the boundary")
+    total = sum(_curve_length_in_ball(domain, cx, s * cy, r) for s in (1, -1))
     d = 1.0 - cx
     w = (r - d) * (r + d)
     if w > 0.0:
@@ -327,42 +330,53 @@ def boundary_measure(domain: CuspDomain, center, r: float, tol: float = 1e-10) -
 def _curve_length_in_ball(domain, cx, cy, r):
     """Length of the upper arc {(t, t**g) : 0 <= t <= 1} inside B((cx, cy), r).
 
-    The arc crosses the circle where phi(t) = (t - cx)**2 + (t**g - cy)**2
-    - r**2 changes sign.  A sign scan of phi on _SCAN equal steps and at
-    t = cx (so that a ball about a point of the arc smaller than one step
-    is seen) brackets each crossing, and one `_newton` solve on f = +-phi,
-    f' = +-2F (F = `_foot`) finds them all.  The crossings and the panel
-    breaks cut [0, 1]; a panel whose midpoint has phi < 0 lies inside, and
-    a 10-point Gauss-Legendre rule integrates the speed
-    sqrt(1 + (g t**(g-1))**2) over it.  The breaks are 2**-k toward the
-    tip, where the speed is not smooth for 1 < g < 2, and 2 ceil(g) equal
-    panels, since for g > 2 the speed has complex singularities at
-    |t| = g**(-1/(g-1)), arg t = pi/(2g - 2), which near t = 1 approach
-    the real axis as g grows.  Against a 30-digit quadrature of the speed
+    For a centre on the boundary, |cy| <= cx**g, F = `_foot` is negative
+    below a = max(cy, 0)**alpha (t < a <= cx, t**g < cy) and increasing
+    above it (each term is), so phi(t) = (t - cx)**2 + (t**g - cy)**2 - r**2,
+    phi' = 2F, falls to one minimum at the zero t0 of F in [a, cx], then
+    rises: the arc meets the ball in one parameter interval.  t0 is a
+    `_newton` solve unless F(a) >= 0 or F(cx) <= 0; one more finds the ends
+    where phi > 0 at 0 or 1 (f = -+phi on [0, t0] and [t0, 1], from where
+    the tangent at t0 leaves the ball, or an ulp off t0).  A 10-point
+    Gauss-Legendre rule integrates the speed sqrt(1 + (g t**(g-1))**2) on
+    panels cut at 2**-k toward the tip, where it is not smooth for
+    1 < g < 2, and at 2 ceil(g) equal steps: for g > 2 it has complex
+    singularities at |t| = g**(-1/(g-1)), arg t = pi/(2g - 2), which near
+    t = 1 approach the real axis as g grows.  Against a 30-digit quadrature
     the rule is within 1.3e-15 relative for alpha from 0.01 to 1.
     """
     # imported here: weights imports this module
     from .weights import _gauss_panels
 
     g = domain.gamma
+    # a centre _ON_BOUNDARY_TOL off the boundary moves onto it, vertically
+    cx = min(max(cx, 0.0), 1.0)
+    cy = min(max(cy, -domain.curve(cx)), domain.curve(cx))
 
     def phi(t):
         return (t - cx) ** 2 + (domain.curve(t) - cy) ** 2 - r * r
 
     def fdf(t, s, _):
-        # s = +-1 makes f rise across each bracket
         return s * phi(t), 2.0 * s * _foot(g, t, cx, cy)
 
-    ts = np.sort(np.append(np.linspace(0.0, 1.0, _SCAN + 1),
-                           np.clip(cx, 0.0, 1.0)))
-    f = phi(ts)
-    i = np.flatnonzero(f[:-1] * f[1:] < 0.0)
-    s = np.sign(f[i + 1])
-    lo, hi = ts[i], ts[i + 1]
-    knots = np.unique(np.concatenate([
+    a = min(max(cy, 0.0) ** domain.alpha, cx)
+    if _foot(g, a, cx, cy) >= 0.0:
+        t0 = a
+    elif _foot(g, cx, cx, cy) <= 0.0:
+        t0 = cx
+    else:   # t from cx, in the bracket [a, cx], for the point (cx, cy)
+        t0 = _newton(partial(_foot_dF, g),
+                     *np.array([[cx], [a], [cx], [cx], [cy]]), 100)[0]
+    if not phi(t0) < 0.0:
+        return 0.0
+    ends = np.array([0.0, 1.0])
+    out = phi(ends) > 0.0
+    s, lo, hi = (np.array(v)[out] for v in ((-1.0, 1.0), (0.0, t0), (t0, 1.0)))
+    dt = max(np.sqrt(-phi(t0)) / np.hypot(1.0, g * t0 ** (g - 1.0)),
+             np.spacing(t0))
+    ends[out] = _newton(fdf, np.clip(t0 + s * dt, lo, hi), lo, hi, s, s, 100)
+    knots = np.unique(np.clip(np.concatenate([
         2.0 ** -np.arange(64.0), np.linspace(0.0, 1.0, 2 * math.ceil(g) + 1),
-        ts[f == 0.0], _newton(fdf, 0.5 * (lo + hi), lo, hi, s, s, 100)]))
-    inside = phi(0.5 * (knots[:-1] + knots[1:])) < 0.0
-    t, w = (v.reshape(len(inside), -1)[inside]
-            for v in _gauss_panels(knots, 10))
+        ends]), *ends))
+    t, w = _gauss_panels(knots, 10)
     return np.sum(w * np.sqrt(1.0 + (g * t ** (g - 1.0)) ** 2))

@@ -72,14 +72,6 @@ class SourceField:
         yc = self.y0 + (np.arange(ny) + 0.5) * self.h
         return xc, yc
 
-    def integral(self) -> float:
-        return float(np.sum(self.values)) * self.h**2
-
-    def refined(self) -> "SourceField":
-        """Grid with half the cell size and the same cell values (1 -> 4)."""
-        vals = np.repeat(np.repeat(self.values, 2, axis=0), 2, axis=1)
-        return SourceField(self.x0, self.y0, self.h / 2.0, vals)
-
 
 def _cell_integrals(u0, u1, v0, v1):
     """Exact integrals of log r and its first and second derivatives over
@@ -153,8 +145,8 @@ def _horner(coef, rows, t):
 
 @dataclass
 class PotentialSolution:
-    """Evaluators for the potential phi, the field v = grad phi and its
-    gradient, the Hessian of phi."""
+    """Evaluators for the field v = grad phi of the potential phi and for
+    its gradient, the Hessian of phi."""
 
     source: SourceField
 
@@ -280,9 +272,6 @@ class PotentialSolution:
                 d = z[tgt][:, None] - zeta[src]
                 K = _pair_kernel(d.real, d.imag, self.source.h)
                 out[tgt] += (K @ mass[src]).T
-
-    def phi(self, pts):
-        return self._accumulate(pts)[:, 0]
 
     def velocity(self, pts):
         return self._accumulate(pts)[:, 1:3]

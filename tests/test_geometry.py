@@ -345,20 +345,20 @@ def test_boundary_measure_at_tip():
         assert 2.0 * r <= m <= 4.0 * r
 
 
-def quad_boundary_measure(domain, center, r, n_scan=4096):
+def quad_boundary_measure(domain, center, r, n_scan=4096, feet=()):
     """Reference boundary measure: per boundary arc, a scan of the gap
-    |point - center| - r on n_scan steps and at the centre's own parameter,
-    brentq at each sign change, and quad of the speed where the arc is
-    inside the ball."""
+    |point - center| - r on n_scan steps and at the centre's own parameter
+    (and at the parameters `feet` on the curved arcs), brentq at each sign
+    change, and quad of the speed where the arc is inside the ball."""
     g = domain.gamma
     cx, cy = center
 
     def curve_speed(t):
         return np.sqrt(1.0 + (g * t ** (g - 1.0)) ** 2)
 
-    arcs = [(lambda t: (t, t**g), curve_speed, 0.0, 1.0, cx),
-            (lambda t: (t, -t**g), curve_speed, 0.0, 1.0, cx),
-            (lambda t: (1.0 + 0.0 * t, t), lambda t: 1.0, -1.0, 1.0, cy)]
+    arcs = [(lambda t: (t, t**g), curve_speed, 0.0, 1.0, [cx, *feet]),
+            (lambda t: (t, -t**g), curve_speed, 0.0, 1.0, [cx, *feet]),
+            (lambda t: (1.0 + 0.0 * t, t), lambda t: 1.0, -1.0, 1.0, [cy])]
     total = 0.0
     for point, speed, t0, t1, own in arcs:
         def gap(t):
@@ -393,12 +393,92 @@ def test_boundary_measure_matches_quad_reference(alpha):
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75])
 def test_boundary_measure_sees_a_ball_between_scan_points(alpha):
-    # a ball on the arc narrower than one scan step holds no scan point;
-    # it read 0 before the centre's own parameter joined the scan
+    # a ball about a point of the arc, 1.6e-5 wide in the parameter: the
+    # arc runs through it as a nearly straight diameter
     dom = CuspDomain(alpha)
     r = 3e-5
     m = geometry.boundary_measure(dom, (0.50005, 0.50005**dom.gamma), r)
     assert m == pytest.approx(2.0 * r, rel=1e-8)
+
+
+def test_boundary_measure_sees_an_arc_that_grazes_the_ball():
+    # alpha = 1, centre on the edge: the ball just passes the line y = x
+    # (distance 0.7/sqrt(2)), whose part inside is the chord
+    # 2 sqrt(r^2 - 0.245) ~ 6.29e-5; a 4,096-step sign scan read it as 0
+    dom = CuspDomain(1.0)
+    r = 0.7 / np.sqrt(2.0) + 1e-9
+    chord = 2.0 * np.sqrt(r * r - 0.245)
+    assert geometry._curve_length_in_ball(dom, 1.0, 0.3, r) == pytest.approx(
+        chord, rel=1e-6)
+    assert geometry.boundary_measure(dom, (1.0, 0.3), r) == pytest.approx(
+        2.0 * r + chord, rel=1e-12)
+
+
+def test_boundary_measure_sees_a_curved_arc_that_grazes_the_ball():
+    # alpha = 0.75: the ball about an edge point reaches 1e-9 past the
+    # nearest point of the upper arc, so the arc's part lies between two
+    # points of the oracle's scan unless its foot parameter joins it
+    dom = CuspDomain(0.75)
+    g, c = dom.gamma, (1.0, 0.3)
+    foot = brentq(lambda t: t - c[0] + g * t ** (g - 1.0) * (t**g - c[1]),
+                  0.0, 1.0, xtol=1e-15)
+    r = np.hypot(foot - c[0], foot**g - c[1]) + 1e-9
+    arc = geometry._curve_length_in_ball(dom, *c, r)
+    assert 1e-5 < arc < 1e-4
+    assert geometry.boundary_measure(dom, c, r) == pytest.approx(
+        quad_boundary_measure(dom, c, r, feet=[foot]), rel=1e-10)
+
+
+@settings(max_examples=300, deadline=None)
+@given(alpha=st.floats(0.05, 1.0), x=st.floats(0.0, 1.0),
+       s=st.floats(-1.0, 1.0))
+def test_foot_changes_sign_once_upward_for_boundary_centres(alpha, x, s):
+    # the premise of `boundary_measure`: for (x, y) on the boundary,
+    # |y| <= x^g, F = phi'/2 changes sign at most once on [0, 1], from - to
+    # +, so the arc meets a ball about (x, y) in one parameter interval
+    dom = CuspDomain(alpha)
+    y = s * dom.curve(x)
+    t = np.unique(np.concatenate([np.linspace(0.0, 1.0, 4097),
+                                  np.geomspace(1e-12, 1.0, 241),
+                                  [x, abs(y) ** alpha]]))
+    sign = np.sign(geometry._foot(dom.gamma, t, x, y))
+    assert np.all(np.diff(sign) >= 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alpha=st.floats(0.05, 1.0),
+       where=st.sampled_from(["upper", "lower", "edge", "tip"]),
+       u=st.floats(0.0, 1.0), r=st.floats(1e-6, 3.0), grow=st.floats(0.0, 1.0))
+def test_boundary_measure_is_nondecreasing_in_r(alpha, where, u, r, grow):
+    dom = CuspDomain(alpha)
+    c = {"upper": (u, dom.curve(u)), "lower": (u, -dom.curve(u)),
+         "edge": (1.0, 2.0 * u - 1.0), "tip": (0.0, 0.0)}[where]
+    small = geometry.boundary_measure(dom, c, r)
+    large = geometry.boundary_measure(dom, c, r * (1.0 + grow))
+    # rounding: on 20,000 random draws a tiny growth of r lowered the
+    # measure by at most 8.9e-14 relative; a missed arc part is far larger
+    assert large >= small * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("alpha, center, r", [
+    (0.05, (0.0, 5e-11), 0.1),
+    (0.9993579129739139, (3.213e-11, -5.457e-11), 0.0396),
+])
+def test_boundary_measure_of_centres_off_the_tip_within_tol(alpha, center, r):
+    # off the boundary F may change sign twice, so the curved arcs are
+    # measured from the centre moved onto it: unmoved, the first centre
+    # reads 0.1 and the foot solve of the second does not converge
+    dom = CuspDomain(alpha)
+    assert geometry.boundary_measure(dom, center, r) == pytest.approx(
+        geometry.boundary_measure(dom, (0.0, 0.0), r), rel=1e-8)
+
+
+def test_boundary_measure_below_the_parameter_resolution():
+    # r far below ulp(t0): both crossings lie within an ulp of t0, where a
+    # Newton solve started at t0 itself (F = 0) converges only linearly
+    dom = CuspDomain(0.5)
+    m = geometry.boundary_measure(dom, (1e-30, dom.curve(1e-30)), 1e-100)
+    assert 0.0 <= m <= 1e-44
 
 
 def test_boundary_measure_at_the_corners():
