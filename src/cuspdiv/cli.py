@@ -149,10 +149,11 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
         from . import fem
 
         mesh = _load_or_generate_mesh(alpha, **mesh_keys)
-        fw = fem.source_weighted_norm(mesh, f, alpha - 1.0)
+        system = fem.assemble(mesh, alpha)
+        fw = fem.source_weighted_norm(system.quad, f, alpha - 1.0)
         if fw == 0.0:
             raise ValueError("source vanishes on the mesh")
-        u, info = fem.solve_div_right_inverse(mesh, alpha, f)
+        u, info = fem.solve_div_right_inverse(mesh, alpha, f, system=system)
         summary = {"alpha": alpha, "method": method, "t": t,
                    "h": mesh.h, "vertices": mesh.num_vertices,
                    "h1_norm": info["h1_norm"],

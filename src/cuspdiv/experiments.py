@@ -42,7 +42,6 @@ class FitResult:
     c: float
     residual: float      # RMS of log-model error
     n_points: int
-    model: str = "log y = -kappa*log(T - s) + c"
 
 
 _SCAN = 256    # rate_fit's scan points in log(T - max s)
@@ -211,8 +210,6 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
                 "ys_norm_pp": yval**pp,
                 "ys_norm_pp_closed": weights.ys_norm_closed_form(
                     alpha, p, s)["value"],
-                "recip_A": 1.0 / (A - s),
-                "recip_B": 1.0 / (B - s),
                 # the inequality chain: ||f_s||^{p-1} vs C(s ||y x^-s-1|| + 1)
                 "chain_lhs": val ** (p - 1.0),
                 "chain_rhs_core": float(s) * yval + 1.0,
@@ -270,8 +267,8 @@ def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
             return (pts[:, 0] < t).astype(float)
 
         _, info = fem.solve_div_right_inverse(mesh, alpha, f, system=system)
-        fw = fem.source_weighted_norm(mesh, f, alpha - 1.0)
-        fu = fem.source_weighted_norm(mesh, f, 0.0)
+        fw = fem.source_weighted_norm(system.quad, f, alpha - 1.0)
+        fu = fem.source_weighted_norm(system.quad, f, 0.0)
         rows.append(SweepRecord(
             {"alpha": alpha, "t": float(t), "h": h, "x_tip": mesh.x_tip},
             {

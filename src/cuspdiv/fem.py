@@ -485,9 +485,8 @@ def field_h1_norm(quad, coeffs) -> float:
     return float(np.sqrt(np.sum(quad.wq * dens)))
 
 
-def source_weighted_norm(mesh, f, gamma) -> float:
+def source_weighted_norm(quad, f, gamma) -> float:
     """||f||_{L^2(Omega, gamma)} of a callable source by mesh quadrature."""
-    quad = MeshQuadrature(mesh)
     fv = np.asarray(f(quad.pts.reshape(-1, 2)), dtype=float).reshape(
         quad.wq.shape)
     return float(np.sqrt(np.sum(quad.wq * quad.weight(2.0 * gamma) * fv**2)))
@@ -571,7 +570,6 @@ def solve_stokes(mesh, alpha, f, system=None):
         "energy": energy,
         "energy_identity_defect": abs(energy - work) / max(abs(work), 1e-30),
         "div_residual": float(div_resid),
-        "q_weighted_norm": float(np.sqrt(q @ (sys_.Mw @ q))),
         # unweighted mean of q, recorded as a diagnostic
         "q_unweighted_mean": float(np.einsum(
             "tq,qm,tm->", wq, _P1_N, q[mesh.triangles])),

@@ -1,16 +1,17 @@
 """Constructive right inverse of the divergence without boundary conditions.
 
-Extend the source f by zero, form the logarithmic Newtonian potential
-phi(x) = (1/2pi) integral log|x-y| f(y) dy and return v = grad(phi), so that
-div v = Delta phi = f.  Sources are piecewise constant on a regular cell
-grid; each cell contributes the cell integrals of the kernel, its gradient
-and its Hessian, by exact closed-form antiderivatives over rectangles for
-near cells and a midpoint rule for far cells, whose sum is the real part
-of a complex logarithmic potential evaluated through box-local Taylor
-expansions (Greengard & Rokhlin, J. Comput. Phys. 73, 1987).  One pass
-gives v and its exact gradient (the Hessian of the discrete potential,
-whose trace is the source's cell value), which the weighted W^{1,p}
-estimate uses without finite differences.
+Extend the source f by zero and return v = grad(phi) for the logarithmic
+Newtonian potential phi(x) = (1/2pi) integral log|x-y| f(y) dy, so that
+div v = Delta phi = f.  phi itself is never formed.  Sources are piecewise
+constant on a regular cell grid; each cell contributes the cell integrals
+of the kernel's gradient and Hessian, by exact closed-form antiderivatives
+over rectangles for near cells and a midpoint rule for far cells, whose
+sum is given by Phi' = sum m / (z - zeta) and its derivative, evaluated
+through box-local Taylor expansions of Phi' (Greengard & Rokhlin,
+J. Comput. Phys. 73, 1987).  One pass gives v and its exact gradient (the
+Hessian of the discrete potential, whose trace is the source's cell
+value), which the weighted W^{1,p} estimate uses without finite
+differences.
 """
 
 from __future__ import annotations
@@ -74,18 +75,16 @@ class SourceField:
 
 
 def _cell_integrals(u0, u1, v0, v1):
-    """Exact integrals of log r and its first and second derivatives over
+    """Exact integrals of the first and second derivatives of log r over
     the rectangles [u0,u1]x[v0,v1], r = sqrt(u^2+v^2).
 
     Each is the corner sum F(u1,v1) - F(u1,v0) - F(u0,v1) + F(u0,v0) of an
     antiderivative F with d2F/dudv equal to the integrand:
-      log r:          H = uv (log r^2 - 3)/2 + (u^2/2) atan(v/u)
-                          + (v^2/2) atan(u/v);
       u/r^2, v/r^2:   A(u,v) = (v/2) log r^2 - v + u atan(v/u) and A(v,u);
       d_u(u/r^2), d_v(u/r^2) = d_u(v/r^2), d_v(v/r^2):
                       d_u A = atan(v/u), d_v A = (log r^2)/2, atan(u/v).
     log r^2 and atan are taken as 0 where their argument is undefined.
-    Returns the six integrals stacked along the first axis.
+    Returns the five integrals stacked along the first axis.
     """
     u = np.stack([u1, u1, u0, u0])
     v = np.stack([v1, v0, v1, v0])
@@ -95,7 +94,6 @@ def _cell_integrals(u0, u1, v0, v1):
         au = np.where(u != 0.0, np.arctan(np.divide(v, np.where(u != 0, u, 1.0))), 0.0)
         av = np.where(v != 0.0, np.arctan(np.divide(u, np.where(v != 0, v, 1.0))), 0.0)
     F = np.stack([
-        0.5 * u * v * (logr2 - 3.0) + 0.5 * u * u * au + 0.5 * v * v * av,
         0.5 * v * logr2 - v + u * au,
         0.5 * u * logr2 - u + v * av,
         au,
@@ -106,20 +104,19 @@ def _cell_integrals(u0, u1, v0, v1):
 
 
 def _pair_kernel(du, dv, h):
-    """(6, targets, cells) cell averages of log r, (u, v)/r^2 and
+    """(5, targets, cells) cell averages of (u, v)/r^2 and
     (v^2 - u^2, -2uv, u^2 - v^2)/r^4 over the cells centred at offsets
     (du, dv) from the targets: exact within _NEAR_CELLS cells, the midpoint
     values otherwise."""
     r2 = du * du + dv * dv
-    K = np.empty((6,) + r2.shape)
+    K = np.empty((5,) + r2.shape)
     # entries with r2 = 0 are near cells and are overwritten below
     with np.errstate(divide="ignore", invalid="ignore"):
-        K[0] = 0.5 * np.log(r2)
-        np.divide(du, r2, out=K[1])
-        np.divide(dv, r2, out=K[2])
-    np.subtract(K[2] * K[2], K[1] * K[1], out=K[3])
-    np.multiply(-2.0 * K[1], K[2], out=K[4])
-    np.negative(K[3], out=K[5])
+        np.divide(du, r2, out=K[0])
+        np.divide(dv, r2, out=K[1])
+    np.subtract(K[1] * K[1], K[0] * K[0], out=K[2])
+    np.multiply(-2.0 * K[0], K[1], out=K[3])
+    np.negative(K[2], out=K[4])
     ii, jj = np.nonzero(r2 < (_NEAR_CELLS * h) ** 2)
     if len(ii):
         du, dv, half = du[ii, jj], dv[ii, jj], h / 2.0
@@ -129,18 +126,15 @@ def _pair_kernel(du, dv, h):
 
 
 def _horner(coef, rows, t):
-    """Phi, dPhi/dt and d2Phi/dt2 of Phi = sum_k coef[rows, k] t^k."""
+    """P and dP/dt of P = sum_k coef[rows, k] t^k."""
     q = coef[rows, -1]
     d1 = np.zeros_like(q)
-    d2 = np.zeros_like(q)
     for k in range(coef.shape[1] - 2, -1, -1):
-        d2 *= t
-        d2 += d1
         d1 *= t
         d1 += q
         q *= t
         q += coef[rows, k]
-    return q, d1, 2.0 * d2
+    return q, d1
 
 
 @dataclass
@@ -160,13 +154,13 @@ class PotentialSolution:
                 self.source.values[I, J] * (h * h / (2.0 * np.pi)))
 
     def _accumulate(self, pts):
-        """phi, v1, v2, d1v1, d2v1 = d1v2, d2v2 at pts (n, 6) in one pass.
+        """v1, v2, d1v1, d2v1 = d1v2, d2v2 at pts (n, 5) in one pass.
 
         Each cell weighs, by its mass m = f h^2 / 2pi, the cell averages of
-        log r, (u, v)/r^2 and (v^2 - u^2, -2uv, u^2 - v^2)/r^4: exact for
-        near cells (within _NEAR_CELLS cells), the values at the cell
-        centre zeta otherwise.  Those far values are the real parts of
-        Phi(z) = sum m log(z - zeta): phi = Re Phi, v = (Re, -Im) Phi',
+        (u, v)/r^2 and (v^2 - u^2, -2uv, u^2 - v^2)/r^4: exact for near
+        cells (within _NEAR_CELLS cells), the values at the cell centre
+        zeta otherwise.  Those far values come from
+        Phi'(z) = sum m / (z - zeta): v = (Re, -Im) Phi',
         d1v1 = -d2v2 = Re Phi'' and d2v1 = -Im Phi''.
 
         Targets are binned into boxes aligned to the source grid, of side
@@ -175,9 +169,9 @@ class PotentialSolution:
         from its centre is a leaf; a box with closer sources passes its
         targets to the next level.  At k = 0 every box is a leaf for its
         well-separated sources, and its close ones are summed pairwise.
-        Each leaf expands Phi about z_B, Phi = sum_k c_k (z - z_B)^k with
-        c_0 = sum m log(z_B - zeta) and c_k = -sum m (zeta - z_B)^-k / k,
-        kept to k = _TERMS = p.  With rho = |z - z_B| / |zeta - z_B| <= 1/3
+        Each leaf expands Phi' about z_B,
+        Phi' = sum_k e_k (z - z_B)^k with e_k = -sum m (zeta - z_B)^-(k+1),
+        kept to k < _TERMS = p.  With rho = |z - z_B| / |zeta - z_B| <= 1/3
         the truncated Phi' of each source is within rho^p / (1 - rho) =
         8.1e-16 of m / |zeta - z_B| (Phi'' within p rho^(p-1) / (1 - rho)^2
         = 1.2e-13 of m / |zeta - z_B|^2), and no far pair is near, so the
@@ -187,7 +181,7 @@ class PotentialSolution:
         if not np.all(np.isfinite(pts)):
             raise ValueError("targets must be finite")
         zeta, mass = self._nonzero
-        out = np.zeros((len(pts), 6))
+        out = np.zeros((len(pts), 5))
         if len(mass) == 0 or len(pts) == 0:
             return out
         h = self.source.h
@@ -236,23 +230,22 @@ class PotentialSolution:
             leaf = far.all(axis=1) | finest
             tgt = active[bounds[0]:bounds[-1]]
             passed.append(tgt[~leaf[box]])
-            # scaled coefficients c_k R^k of the leaves, 0 for the others
+            # scaled coefficients e_k R^(k+1) of the leaves, 0 for the others
             far &= leaf[:, None]
-            coef = np.empty((len(zb), _TERMS + 1), dtype=complex)
-            coef[:, 0] = np.where(far, 0.5 * np.log(d2), 0.0) @ mass
+            coef = np.empty((len(zb), _TERMS), dtype=complex)
             W = np.where(far, R / D, 0.0)
-            Wk = W * mass
-            for k in range(1, _TERMS + 1):
-                coef[:, k] = Wk.sum(axis=1) / -k
+            Wk = W * -mass
+            for k in range(_TERMS):
+                coef[:, k] = Wk.sum(axis=1)
                 Wk *= W
             on = np.flatnonzero(leaf[box])
             for c0 in range(0, len(on), _BLOCK):
                 sel = on[c0:c0 + _BLOCK]
                 b = box[sel]
-                P, P1, P2 = _horner(coef, b, (z[tgt[sel]] - zb[b]) / R)
+                P1, P2 = _horner(coef, b, (z[tgt[sel]] - zb[b]) / R)
                 P1 /= R
                 P2 /= R * R
-                out[tgt[sel]] += np.stack([P.real, P1.real, -P1.imag, P2.real,
+                out[tgt[sel]] += np.stack([P1.real, -P1.imag, P2.real,
                                            -P2.imag, -P2.real], axis=1)
             if finest:
                 self._near(out, z, active, bounds, ~far)
@@ -274,15 +267,15 @@ class PotentialSolution:
                 out[tgt] += (K @ mass[src]).T
 
     def velocity(self, pts):
-        return self._accumulate(pts)[:, 1:3]
+        return self._accumulate(pts)[:, :2]
 
     def velocity_gradient(self, pts):
         """v and grad v at pts: (n, 2) and (n, 2, 2) with [k, i, j] =
         d_j v_i, from one pass (grad v is the exact, symmetric Hessian of
         the discrete potential)."""
         out = self._accumulate(pts)
-        grad = out[:, [3, 4, 4, 5]].reshape(-1, 2, 2)
-        return out[:, 1:3], grad
+        grad = out[:, [2, 3, 3, 4]].reshape(-1, 2, 2)
+        return out[:, :2], grad
 
 
 def newtonian_solve(f: SourceField) -> PotentialSolution:

@@ -57,7 +57,7 @@ def _cell_value(src, pt):
 
 
 def _direct_sum(src, pts, chunk=128):
-    """phi, v1, v2, d1v1, d2v1, d2v2 at pts by direct summation over every
+    """v1, v2, d1v1, d2v1, d2v2 at pts by direct summation over every
     nonzero cell: exact cell integrals within potential._NEAR_CELLS cells,
     midpoint values otherwise (the summation the box expansions replace)."""
     pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -65,19 +65,18 @@ def _direct_sum(src, pts, chunk=128):
     I, J = np.nonzero(src.values)
     cx, cy, h = xc[I], yc[J], src.h
     mass = src.values[I, J] * (h * h / (2.0 * np.pi))
-    out = np.zeros((len(pts), 6))
+    out = np.zeros((len(pts), 5))
     for lo in range(0, len(pts), chunk):
         du = pts[lo:lo + chunk, 0][:, None] - cx[None, :]
         dv = pts[lo:lo + chunk, 1][:, None] - cy[None, :]
         r2 = du * du + dv * dv
-        K = np.empty((6,) + r2.shape)
+        K = np.empty((5,) + r2.shape)
         with np.errstate(divide="ignore", invalid="ignore"):
-            K[0] = 0.5 * np.log(r2)
-            np.divide(du, r2, out=K[1])
-            np.divide(dv, r2, out=K[2])
-        np.subtract(K[2] * K[2], K[1] * K[1], out=K[3])
-        np.multiply(-2.0 * K[1], K[2], out=K[4])
-        np.negative(K[3], out=K[5])
+            np.divide(du, r2, out=K[0])
+            np.divide(dv, r2, out=K[1])
+        np.subtract(K[1] * K[1], K[0] * K[0], out=K[2])
+        np.multiply(-2.0 * K[0], K[1], out=K[3])
+        np.negative(K[2], out=K[4])
         ii, jj = np.nonzero(r2 < (potential._NEAR_CELLS * h) ** 2)
         if len(ii):
             K[:, ii, jj] = potential._cell_integrals(
@@ -340,3 +339,53 @@ def test_targets_beyond_box_key_range_are_rejected():
                                     rel=1e-12)
     with pytest.raises(ValueError, match="2\\^30"):
         sol.velocity(np.array([[1e12, 0.0]]))
+
+
+def _gauss_cell_integrals(u0, u1, v0, v1, order=20, panels=2):
+    """The five integrands of potential._cell_integrals, and their absolute
+    values, integrated over each rectangle by a tensor Gauss-Legendre rule:
+    two (5, rectangles) arrays."""
+    vals, mags = [], []
+    for a, b, c, d in zip(u0, u1, v0, v1):
+        un, uw = weights._gauss_panels(np.linspace(a, b, panels + 1), order)
+        vn, vw = weights._gauss_panels(np.linspace(c, d, panels + 1), order)
+        U, V = np.meshgrid(un, vn, indexing="ij")
+        r2 = U * U + V * V
+        g = np.stack([U / r2, V / r2, (V * V - U * U) / r2**2,
+                      -2.0 * U * V / r2**2, (U * U - V * V) / r2**2])
+        w = np.outer(uw, vw)
+        vals.append(np.sum(w * g, axis=(1, 2)))
+        mags.append(np.sum(w * np.abs(g), axis=(1, 2)))
+    return np.transpose(vals), np.transpose(mags)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+def test_cell_integrals_match_gauss_rule(scale):
+    # rectangles of sides in [0.5, 1] scale whose gap to the origin is one
+    # to three times the longer side, the range of the near field: the
+    # corner sums of the antiderivatives against an oracle that does not
+    # use them, within 1e-12 of the integral of |integrand| (the integrals
+    # of the odd kernels nearly cancel on rectangles across an axis)
+    rng = np.random.default_rng(7)
+    rects = []
+    while len(rects) < 200:
+        a, b = rng.uniform(0.5, 1.0, 2) * scale
+        cu, cv = rng.uniform(-4.0, 4.0, 2) * scale
+        u0, u1, v0, v1 = cu - a / 2, cu + a / 2, cv - b / 2, cv + b / 2
+        gap = np.hypot(max(u0, -u1, 0.0), max(v0, -v1, 0.0))
+        if max(a, b) <= gap <= 3.0 * max(a, b):
+            rects.append((u0, u1, v0, v1))
+    rects = np.transpose(rects)
+    ref, mag = _gauss_cell_integrals(*rects)
+    got = potential._cell_integrals(*rects)
+    assert np.all(np.abs(got - ref) <= 1e-12 * mag)
+
+
+def test_cell_integrals_hold_the_delta_at_the_origin():
+    # Delta log r = 2 pi delta: d_u(u/r^2) + d_v(v/r^2) integrates to 2 pi
+    # over every rectangle that strictly contains the origin
+    rng = np.random.default_rng(11)
+    lo = -rng.uniform(1e-9, 1.0, (2, 100)) * 10.0 ** rng.integers(-3, 4, 100)
+    hi = rng.uniform(1e-9, 1.0, (2, 100)) * 10.0 ** rng.integers(-3, 4, 100)
+    I = potential._cell_integrals(lo[0], hi[0], lo[1], hi[1])
+    assert np.allclose(I[2] + I[4], 2.0 * np.pi, rtol=1e-14, atol=0.0)
