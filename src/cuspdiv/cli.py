@@ -37,18 +37,9 @@ def _read_config_file(path):
     return out
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not serializable: {type(o)}")
-
-
 def _write_json(path, payload):
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True,
-                  default=_json_default)
+        json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
@@ -121,10 +112,11 @@ def _load_or_generate_mesh(alpha, h, mesh, x_tip, min_angle):
 
 def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
                    **mesh_keys):
+    if not alpha > 0.5:
+        raise ValueError("alpha must exceed 1/2 for div-solve")
     dom = geometry.CuspDomain(alpha)
 
     def f(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return ((pts[:, 0] < t) & geometry.contains(dom, pts)).astype(float)
 
     if method == "potential":
@@ -136,7 +128,7 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
         sol = potential.newtonian_solve(src)
         probes = np.array([[0.9, 0.0], [0.55, 0.0], [0.3, 0.1]])
         resid = potential.divergence_residual(sol, f, probes)
-        gamma = alpha - 1.0 if alpha < 1.0 else 0.0
+        gamma = alpha - 1.0
         grid = weights.tensor_grid(dom, n_x=30, n_tau=20, x_min=1e-6,
                                    tau_min=1e-6)
         ratio = potential.check_weighted_estimate(sol, f, dom, gamma, 2.0,
@@ -171,7 +163,6 @@ def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
     mesh = _load_or_generate_mesh(alpha, **mesh_keys)
 
     def f(pts):
-        pts = np.atleast_2d(np.asarray(pts, dtype=float))
         return np.column_stack([np.ones(len(pts)), np.zeros(len(pts))])
 
     system = fem.assemble(mesh, alpha)

@@ -47,9 +47,11 @@ class FitResult:
 _SCAN = 256    # rate_fit's scan points in log(T - max s)
 # optimality_sweep calls fitted thresholds equal within this relative
 # distance: over alpha in {0.3, 0.5, 0.75, 1}, p in {1.1, 1.2, 1.5, 2, 3, 4}
-# and five beta each, the fits reach the closed-form A and B within 1.4e-15
-# (tol = 1e-3), far inside it
+# and five beta each, the fits reach the closed-form A and B within 1.4e-15,
+# far inside it
 _T_RTOL = 1e-5
+_SPAN = 5.12    # fit_grid's largest distance T - s
+_MIN_ANGLE_DEG = 13.0    # the smallest angle necessity_demo's meshes reach
 
 
 def rate_fit(points) -> FitResult:
@@ -134,15 +136,14 @@ def _gradient_root(s, ly, a, b, ga, gb):
     return a if -ga <= gb else b
 
 
-def fit_grid(T, span=5.12, n=8):
-    """s_i = T - 2^-i * span, i = 1..n: equal spacing in log(T - s).
+def fit_grid(T, n=8):
+    """s_i = T - 2^-i * _SPAN, i = 1..n: equal spacing in log(T - s).
 
-    The default span leaves a smallest gap of 0.02, where the adaptive
-    quadrature keeps its verified sub-0.1% accuracy; the reciprocal-power law
-    is exact at every distance from the threshold, so wide grids only help
-    conditioning.
+    At n = 8 the smallest gap is 0.02, where the family grids keep their
+    verified sub-0.1% accuracy; the reciprocal-power law is exact at every
+    distance from the threshold, so wide grids only help conditioning.
     """
-    return np.array([T - span * 2.0 ** (-i) for i in range(1, n + 1)])
+    return np.array([T - _SPAN * 2.0 ** (-i) for i in range(1, n + 1)])
 
 
 def _norm(family, domain, gamma, p, grid, estimate_error):
@@ -156,21 +157,21 @@ def _norm(family, domain, gamma, p, grid, estimate_error):
     return fine, abs(fine - coarse) / fine if fine > 0 else 0.0, coarse
 
 
-def _fs_norm(domain, beta, p, s, tol, estimate_error):
+def _fs_norm(domain, beta, p, s, estimate_error):
     """_norm of f_s in L^p(Omega, beta) on the grid resolving f_s."""
     f = weights.fs_family(domain.alpha, beta, p, s)
-    grid = weights.fs_quadrature_grid(domain, beta, p, s, tol=tol)
+    grid = weights.fs_quadrature_grid(domain, beta, p, s)
     return _norm(f, domain, beta, p, grid, estimate_error)
 
 
-def _ys_norm(domain, p, s, tol, estimate_error):
+def _ys_norm(domain, p, s, estimate_error):
     """_norm of y x^(-s-1) in L^p'(Omega) on the grid resolving it."""
     f = weights.ys_family(domain.alpha, p, s)
-    grid = weights.ys_quadrature_grid(domain, p, s, tol=tol)
+    grid = weights.ys_quadrature_grid(domain, p, s)
     return _norm(f, domain, 0.0, p / (p - 1.0), grid, estimate_error)
 
 
-def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
+def optimality_sweep(alpha, beta, p, s_grid=None):
     """Norm sweep of both singular families with threshold fits.
 
     Returns (records, fits) where fits = {"A": FitResult, "B": FitResult,
@@ -198,8 +199,8 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     records = []
     known_A, known_B = {}, {}     # s -> norm on the unrefined grid
     for s in s_grid:
-        val, err, known_A[s] = _fs_norm(domain, beta, p, s, tol, True)
-        yval, _, known_B[s] = _ys_norm(domain, p, s, tol, True)
+        val, err, known_A[s] = _fs_norm(domain, beta, p, s, True)
+        yval, _, known_B[s] = _ys_norm(domain, p, s, True)
         records.append(SweepRecord(
             {"alpha": alpha, "beta": beta, "p": p, "s": float(s)},
             {
@@ -221,9 +222,8 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
         return rate_fit([(s, (known[s] if s in known else norm(s)[0]) ** q)
                          for s in fit_grid(T)])
 
-    fit_A = fit(A, known_A, lambda s: _fs_norm(domain, beta, p, s, tol,
-                                               False), p)
-    fit_B = fit(B, known_B, lambda s: _ys_norm(domain, p, s, tol, False), pp)
+    fit_A = fit(A, known_A, lambda s: _fs_norm(domain, beta, p, s, False), p)
+    fit_B = fit(B, known_B, lambda s: _ys_norm(domain, p, s, False), pp)
     if abs(fit_A.T - fit_B.T) <= _T_RTOL * max(fit_A.T, fit_B.T):
         comparison = "T_A = T_B"
     else:
@@ -241,8 +241,7 @@ def optimality_sweep(alpha, beta, p, s_grid=None, tol=1e-3):
     return records, fits
 
 
-def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
-                   x_tip=None, min_angle_deg=13.0):
+def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05)):
     """Weighted vs unweighted ratios of the discrete divergence inverse.
 
     For indicator sources f_t = chi_{x < t} (the solver works against
@@ -251,15 +250,14 @@ def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05),
     r_w = ||u_h||_{H1} / ||f_t||_{L2(Omega, alpha-1)} and
     r_u = ||u_h||_{H1} / ||f_t||_{L2(Omega)}.  On a cusp (alpha < 1) r_w
     stays bounded while r_u grows as t -> 0; on the triangle (alpha = 1)
-    both stay bounded.
+    both stay bounded.  The mesh stops at x_tip = min(t_values) / 4, inside
+    the support of every source, and must reach _MIN_ANGLE_DEG.
     """
     from . import fem
 
-    domain = geometry.CuspDomain(alpha)
-    if x_tip is None:
-        x_tip = min(t_values) / 4.0
-    mesh = generate_graded_mesh(domain, h, x_tip=x_tip,
-                                min_angle_deg=min_angle_deg)
+    mesh = generate_graded_mesh(geometry.CuspDomain(alpha), h,
+                                x_tip=min(t_values) / 4.0,
+                                min_angle_deg=_MIN_ANGLE_DEG)
     system = fem.assemble(mesh, alpha)
     rows = []
     for t in t_values:

@@ -166,6 +166,11 @@ class MeshQuadrature:
             return np.ones(self.wq.shape)
         return self.d**exponent
 
+    def values(self, f):
+        """f at the nodes: (nt, 7) for a scalar f, (nt, 7, 2) for a vector."""
+        fv = np.asarray(f(self.pts.reshape(-1, 2)), dtype=float)
+        return fv.reshape(self.wq.shape + fv.shape[1:])
+
 
 def _apply(J, X):
     """sum_j J[t, i, j] X[..., j]: (nt,) + X.shape from J (nt, 2, 2).
@@ -316,9 +321,8 @@ class SaddleSystem:
         return self._solve(rhs_u, rhs_p)
 
 
-def assemble(mesh: TriangulatedMesh, alpha=None) -> SaddleSystem:
+def assemble(mesh: TriangulatedMesh, alpha) -> SaddleSystem:
     """Assemble the weighted Stokes blocks; requires alpha > 1/2."""
-    alpha = mesh.alpha if alpha is None else alpha
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for the weighted Stokes forms")
     quad = MeshQuadrature(mesh)
@@ -487,9 +491,20 @@ def field_h1_norm(quad, coeffs) -> float:
 
 def source_weighted_norm(quad, f, gamma) -> float:
     """||f||_{L^2(Omega, gamma)} of a callable source by mesh quadrature."""
-    fv = np.asarray(f(quad.pts.reshape(-1, 2)), dtype=float).reshape(
-        quad.wq.shape)
+    fv = quad.values(f)
     return float(np.sqrt(np.sum(quad.wq * quad.weight(2.0 * gamma) * fv**2)))
+
+
+def _system(mesh, alpha, system):
+    """assemble(mesh, alpha), or system, checked to be on mesh for alpha."""
+    if system is None:
+        return assemble(mesh, alpha)
+    if system.mesh is not mesh:
+        raise ValueError("system was assembled on another mesh")
+    if system.alpha != alpha:
+        raise ValueError(f"system was assembled for alpha {system.alpha!r}, "
+                         f"not {alpha!r}")
+    return system
 
 
 def solve_div_right_inverse(mesh, alpha, f, system=None):
@@ -498,15 +513,12 @@ def solve_div_right_inverse(mesh, alpha, f, system=None):
     Minimizes int |Du|^2 over zero-BC vector P2 subject to
     int (div u - f) q d^(2 alpha - 2) = 0 for all P1 pressures q with zero
     weighted mean.  Returns (u: DiscreteField, info dict) with the algebraic
-    constraint residual and the Lagrange multiplier.
+    constraint residual and the Lagrange multiplier.  system, if given, must
+    come from assemble(mesh, alpha).
     """
-    sys_ = assemble(mesh, alpha) if system is None else system
-    if not callable(f):
-        raise TypeError("f must be callable on (n, 2) point arrays")
+    sys_ = _system(mesh, alpha, system)
     quad = sys_.quad
-    fv = np.asarray(f(quad.pts.reshape(-1, 2)), dtype=float).reshape(
-        quad.wq.shape)
-    w = quad.wq * quad.weight(2.0 * sys_.alpha - 2.0) * fv
+    w = quad.wq * quad.weight(2.0 * sys_.alpha - 2.0) * quad.values(f)
     g = _load(mesh.triangles, np.einsum("tq,qm->tm", w, _P1_N),
               mesh.num_vertices)
 
@@ -533,9 +545,9 @@ def discrete_infsup(mesh, alpha, system=None):
     weighted mean (one deflated direction).  The Schur complement is never
     formed: its inverse on that subspace is the pressure block of the
     system's bordered saddle solve with right-hand side [0, -y, 0], which
-    _min_eig applies.
+    _min_eig applies.  system, if given, must come from assemble(mesh, alpha).
     """
-    sys_ = assemble(mesh, alpha) if system is None else system
+    sys_ = _system(mesh, alpha, system)
     zero_u = np.zeros(len(sys_.free))
     mu, _ = _min_eig(lambda y: sys_.bordered_solve(zero_u, -y)[1], sys_.Mw)
     return float(np.sqrt(mu))
@@ -546,13 +558,13 @@ def solve_stokes(mesh, alpha, f, system=None):
 
     Returns (u, q, info); the physical pressure is p = q d^(2 alpha - 2),
     whose L^r norm `pressure_lr_norm` measures.  info carries the energy
-    identity defect and the weighted divergence residual.
+    identity defect and the weighted divergence residual.  system, if given,
+    must come from assemble(mesh, alpha).
     """
-    sys_ = assemble(mesh, alpha) if system is None else system
+    sys_ = _system(mesh, alpha, system)
     Af, Bf = sys_.restrict()
     wq, d, n = sys_.quad.wq, sys_.quad.space.tri_dofs, sys_.quad.space.n_dofs
-    fv = np.asarray(f(sys_.quad.pts.reshape(-1, 2)), dtype=float).reshape(
-        wq.shape + (2,))
+    fv = sys_.quad.values(f)
     contrib_x = np.einsum("tq,tq,qm->tm", wq, fv[..., 0], _P2_N)
     contrib_y = np.einsum("tq,tq,qm->tm", wq, fv[..., 1], _P2_N)
     Ff = _load(np.hstack([d, d + n]), np.hstack([contrib_x, contrib_y]),
@@ -585,10 +597,9 @@ def pressure_lr_norm(mesh, alpha, q, r):
     bound ||p||_{L^2(Omega, 1-alpha)} (int d^(2(alpha-1) r/(2-r)))^((2-r)/(2r))
     and the slack; the bound is only formed for r < 2.
     """
-    if not (1.0 <= r < 2.0 / (3.0 - 2.0 * alpha)):
-        raise ValueError(
-            f"r must lie in [1, {2.0 / (3.0 - 2.0 * alpha):.6f}) "
-            f"for alpha={alpha}")
+    r_max = 2.0 / (3.0 - 2.0 * alpha)
+    if not 1.0 <= r < r_max:
+        raise ValueError(f"r must lie in [1, {r_max:.6f}) for alpha={alpha}")
     quad = MeshQuadrature(mesh)
     qv = np.einsum("qm,tm->tq", _P1_N, np.asarray(q)[mesh.triangles])
     p = qv * quad.weight(2.0 * alpha - 2.0)

@@ -42,8 +42,11 @@ class TriangulatedMesh:
     boundary_edges: list          # [(v0, v1, kind)]
     alpha: float
     h: float = 0.0
-    grading: float = 1.0
     x_tip: float = 0.0
+
+    @property
+    def grading(self) -> float:          # element diameters are h x**grading
+        return 1.0 / self.alpha
 
     @property
     def num_vertices(self) -> int:
@@ -150,11 +153,10 @@ def generate_graded_mesh(domain: CuspDomain, h: float, *,
 
     Column spacing, and so the element diameter, is h * x**(1/alpha): h
     times the half-width of the cusp at x, which keeps elements shape regular
-    and equilibrates distance-power weights across them.  The mesh records
-    1/alpha as its grading.  x_tip, in (0, 1), overrides the truncation
-    abscissa chosen from the area-defect rule (useful when sources
-    concentrate near the tip).  Raises MeshQualityError if the smallest angle is below
-    min_angle_deg.
+    and equilibrates distance-power weights across them.  x_tip, in (0, 1),
+    overrides the truncation abscissa chosen from the area-defect rule
+    (useful when sources concentrate near the tip).  Raises
+    MeshQualityError if the smallest angle is below min_angle_deg.
     """
     if not (0.0 < h < 1.0):
         raise ValueError("h must be in (0, 1)")
@@ -194,7 +196,7 @@ def _build(domain, h, xs, x_tip):
     boundary += [(a, a + 1, "tip") for a in range(start[0], start[1] - 1)]
 
     return TriangulatedMesh(vertices, triangles, boundary, domain.alpha,
-                            h=h, grading=domain.gamma, x_tip=x_tip)
+                            h=h, x_tip=x_tip)
 
 
 def _min_angles(pa, pb, pc):
@@ -294,14 +296,13 @@ def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
     tris = np.stack([t[:, 0], ab, ca, ab, t[:, 1], bc, ca, bc, t[:, 2],
                      ab, bc, ca], axis=1).reshape(-1, 3)
 
-    return TriangulatedMesh(
-        verts, tris, boundary,
-        mesh.alpha, h=mesh.h / 2.0, grading=mesh.grading, x_tip=mesh.x_tip,
-    )
+    return TriangulatedMesh(verts, tris, boundary, mesh.alpha,
+                            h=mesh.h / 2.0, x_tip=mesh.x_tip)
 
 
 def save_mesh(mesh: TriangulatedMesh, path_or_buf) -> None:
-    """Plain-text mesh export (vertices / triangles / boundary blocks)."""
+    """Plain-text mesh export (vertices / triangles / boundary blocks); the
+    header's grading is 1/alpha, and `load_mesh` does not read it back."""
     text = "".join([
         f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
         f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n",
@@ -329,7 +330,7 @@ def load_mesh(path_or_buf) -> TriangulatedMesh:
     else:
         with open(path_or_buf) as fh:
             lines = fh.read().splitlines()
-    meta = {"alpha": None, "h": 0.0, "grading": 1.0, "x_tip": 0.0}
+    meta = {"alpha": None, "h": 0.0, "x_tip": 0.0}
     it = iter(lines)
     verts, tris, boundary = np.empty((0, 3)), np.empty((0, 3), int), []
     for line in it:
@@ -368,10 +369,8 @@ def load_mesh(path_or_buf) -> TriangulatedMesh:
         if bad.size:
             raise ValueError(f"mesh file: {block} block: vertex index "
                              f"{bad[0]} is outside [0, {nv})")
-    return TriangulatedMesh(
-        verts[:, 1:].copy(), tris, boundary,
-        meta["alpha"], h=meta["h"], grading=meta["grading"], x_tip=meta["x_tip"],
-    )
+    return TriangulatedMesh(verts[:, 1:].copy(), tris, boundary,
+                            meta["alpha"], h=meta["h"], x_tip=meta["x_tip"])
 
 
 def _check_fields(block, parts):

@@ -35,6 +35,7 @@ __all__ = [
 _NEAR_CELLS = 2.5   # near-field radius in units of the cell size
 _TERMS = 32         # far-field expansion order p: (1/3)^p / (2/3) = 8.1e-16
 _BLOCK = 1 << 13    # entries of one (boxes x sources), pair or target block
+_BOX = (0.0, -1.0, 1.0, 1.0)   # x0, y0, x1, y1: [0, 1] x [-1, 1] holds Omega
 
 
 @dataclass
@@ -51,21 +52,22 @@ class SourceField:
     values: np.ndarray     # (nx, ny)
 
     @classmethod
-    def from_function(cls, f, n, box=(0.0, -1.0, 1.0, 1.0)):
-        """Sample f at cell midpoints of an n-cells-per-unit grid on box."""
+    def from_function(cls, f, n):
+        """Sample f at cell midpoints of an n-cells-per-unit grid on _BOX."""
         if not n >= 1:
             raise ValueError("n (cells per unit length) must be at least 1")
-        x0, y0, x1, y1 = box
+        x0, y0, x1, y1 = _BOX
         h = (x1 - x0) / n
-        nx, ny = n, int(round((y1 - y0) / h))
-        xc = x0 + (np.arange(nx) + 0.5) * h
-        yc = y0 + (np.arange(ny) + 0.5) * h
-        X, Y = np.meshgrid(xc, yc, indexing="ij")
-        vals = np.asarray(f(np.column_stack([X.ravel(), Y.ravel()])),
-                          dtype=float).reshape(nx, ny)
-        if not np.all(np.isfinite(vals)):
+        shape = (n, int(round((y1 - y0) / h)))
+        # cell_centers reads only the shape: a view allocates nothing, where
+        # a freed np.empty raises malloc's mmap threshold and later peak RSS
+        src = cls(x0, y0, h, np.broadcast_to(0.0, shape))
+        X, Y = np.meshgrid(*src.cell_centers(), indexing="ij")
+        src.values = np.asarray(f(np.column_stack([X.ravel(), Y.ravel()])),
+                                dtype=float).reshape(shape)
+        if not np.all(np.isfinite(src.values)):
             raise ValueError("source values must be finite")
-        return cls(x0, y0, h, vals)
+        return src
 
     def cell_centers(self):
         nx, ny = self.values.shape

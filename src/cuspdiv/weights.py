@@ -46,6 +46,10 @@ __all__ = [
     "ys_norm_closed_form",
 ]
 
+_FAMILY_TOL = 1e-3    # relative size of the tails the family grids omit
+_LOG_TAIL = math.log(0.2 * _FAMILY_TOL)
+_FAMILY_ORDER = 12    # Gauss order of the family grids' panels
+
 
 def _pprime(p: float) -> float:
     if not p > 1.0:
@@ -163,42 +167,41 @@ def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,
     return TensorGrid(domain, order, n_x, n_tau, x_min, tau_min)
 
 
-def _x_panels(e1, tol, threshold):
+def _x_panels(e1, threshold):
     """(x_min, n_x) for an x-integrand x**(e1 - 1): the tail below x_min is
-    0.2 tol of the total for every e1 (the blow-up fits need that), and ~3
-    geometric panels per decade keep the per-panel Gauss error ~1e-9."""
+    0.2 _FAMILY_TOL of the total for every e1 (the blow-up fits need that),
+    and ~3 geometric panels per decade keep the per-panel Gauss error ~1e-9."""
     if e1 <= 0.0:
         raise ValueError(f"s >= {threshold}: norm integrand not integrable")
-    x_min = max(math.exp(math.log(0.2 * tol) / e1), 1e-240)
+    x_min = max(math.exp(_LOG_TAIL / e1), 1e-240)
     return x_min, max(24, int(3.3 * math.log10(1.0 / x_min)))
 
 
-def fs_quadrature_grid(domain, beta, p, s, *, tol=1e-3, order=12):
+def fs_quadrature_grid(domain, beta, p, s):
     """Grid resolving the norm integrand of the singular family f_s.
 
     In graded coordinates the integrand is x**E * (1-|tau|)**(q1-1) with
     E + 1 = p'(A - s) and q1 = 1 - beta*p'; the truncation points are chosen
-    so that the omitted tails are below tol relative to the total.
+    so that the omitted tails are below _FAMILY_TOL relative to the total.
+    Raises ValueError unless p > 1 and beta p' < 1 (`fs_norm_closed_form`).
     """
     pp = _pprime(p)
     A = fs_norm_closed_form(domain.alpha, beta, p, 0.0)["A"]
-    x_min, n_x = _x_panels(pp * (A - s), tol, "A")
+    x_min, n_x = _x_panels(pp * (A - s), "A")
     q1 = 1.0 - beta * pp
-    if q1 <= 0.0:
-        raise ValueError("beta * p' must be below 1")
-    u_min = float(np.clip(math.exp(math.log(0.2 * tol) / min(q1, 1.0)) * 1e-2,
+    u_min = float(np.clip(math.exp(_LOG_TAIL / min(q1, 1.0)) * 1e-2,
                           1e-240, 0.3))
     n_tau = max(16, int(3.3 * math.log10(1.0 / u_min)))
-    return tensor_grid(domain, order=order, n_x=n_x, n_tau=n_tau,
+    return tensor_grid(domain, order=_FAMILY_ORDER, n_x=n_x, n_tau=n_tau,
                        x_min=x_min, tau_min=u_min)
 
 
-def ys_quadrature_grid(domain, p, s, *, tol=1e-3, order=12):
+def ys_quadrature_grid(domain, p, s):
     """Grid resolving |y * x**(-s-1)|**p' whose x-exponent is p'(B-s) - 1."""
     pp = _pprime(p)
     B = ys_norm_closed_form(domain.alpha, p, 0.0)["B"]
-    x_min, n_x = _x_panels(pp * (B - s), tol, "B")
-    return tensor_grid(domain, order=order, n_x=n_x, n_tau=20,
+    x_min, n_x = _x_panels(pp * (B - s), "B")
+    return tensor_grid(domain, order=_FAMILY_ORDER, n_x=n_x, n_tau=20,
                        x_min=x_min, tau_min=1e-8)
 
 
@@ -239,8 +242,7 @@ def weighted_lp_norm(family, domain, gamma, p, grid: TensorGrid) -> float:
     surrogate distance, so log |f d^gamma|^p w splits into a term in x and a
     term in u, each summed once by log-sum-exp.
     """
-    if not p > 1.0:
-        raise ValueError("p must exceed 1")
+    _pprime(p)                   # raises unless p > 1
     log_x, log_u = family
     lx = (p * (log_x(grid.x) + gamma * domain.gamma * np.log(grid.x))
           + grid.log_wx)
@@ -256,11 +258,10 @@ def fs_family(alpha, beta, p, s):
     """The field f_s(x, y) = x**(-s/(p-1)) * d(x, y)**(-p' beta).
 
     d is the surrogate distance x**(1/alpha) u, u = 1 - |y| / x**(1/alpha);
-    returns (log_x, log_u) with log |f_s| = log_x(x) + log_u(u).
+    returns (log_x, log_u) with log |f_s| = log_x(x) + log_u(u).  Raises
+    ValueError unless p > 1, beta p' < 1 (`fs_norm_closed_form`) and s < A.
     """
     pp = _pprime(p)
-    if beta * pp >= 1.0:
-        raise ValueError("beta * p' must be below 1")
     A = fs_norm_closed_form(alpha, beta, p, 0.0)["A"]
     if s >= A:
         raise ValueError(f"s must be below A = {A}")
@@ -326,6 +327,7 @@ def ys_norm_closed_form(alpha, p, s):
 
 _G2 = 0.5 / np.sqrt(3.0)   # 2x2 Gauss offsets on a unit cell
 _OPEN_FRAC = 0.25          # ball cells split while larger than this * d
+_FLAT = 2.0                # admissible_flat: trend and 1/trend below this
 
 
 def ball_grid(distance_fn, center, r, delta_min, *,
@@ -377,8 +379,8 @@ class ApEstimate:
     per_ball: list               # dicts: center_x, center_y, radius, ratio
     trend: float                 # ratio growth factor per radius decade
 
-    def admissible_flat(self, tol=2.0) -> bool:
-        return max(self.trend, 1.0 / self.trend) < tol
+    def admissible_flat(self) -> bool:
+        return max(self.trend, 1.0 / self.trend) < _FLAT
 
 
 def default_sampling(alpha):
@@ -403,16 +405,14 @@ def default_sampling(alpha):
     }
 
 
-def build_ball_plan(domain, sampling=None):
-    """Precompute quadrature weights and node distances for every plan ball.
+def build_ball_plan(domain, sampling):
+    """Quadrature weights and node distances for every ball of sampling.
 
     The grids depend only on geometry and resolution, so one plan serves any
     number of weight exponents; the per-ball records carry the distance
     values at the nodes, making each subsequent ratio a pair of vector
     powers.
     """
-    if sampling is None:
-        sampling = default_sampling(domain.alpha)
     if not sampling["resolution"] > 0:
         raise ValueError("resolution must be positive")
     distance_fn = lambda pts: geometry.distance(domain, pts)
@@ -443,6 +443,7 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
 
     Both averages of a ball share one node set, so each ratio is exactly 1
     for mu = 0 and at least 1 in general (discrete Jensen inequality).
+    The balls are those of plan, or of build_ball_plan(domain, sampling).
     """
     _pprime(p)                   # raises unless p > 1
     if plan is None:

@@ -31,6 +31,7 @@ __all__ = [
 ]
 
 _SQRT2 = float(np.sqrt(2.0))
+_SAMPLE = 5    # cube_set_distance's sample points per cube side
 
 
 @dataclass(frozen=True)
@@ -104,22 +105,22 @@ class WhitneyDecomposition:
                             & (y0 <= y) & (y <= y0 + side))
         return bool(hit[0]) if p.ndim == 1 else hit
 
-    def cube_set_distance(self, cubes, n: int = 5):
-        """A posteriori distance estimate: min of d over an n x n cube sample.
+    def cube_set_distance(self, cubes):
+        """A posteriori distance estimate: min of d over a 5 x 5 cube sample.
 
         cubes is one (k, i, j) row (returns a float) or an (m, 3) array
         (returns an (m,) array).  The sample min overestimates the true
-        cube-set distance by at most diam/8 for n=5 (half the sample-cell
-        diagonal), which is the safety margin used when checking the
-        Whitney band.
+        cube-set distance by at most diam/8 for _SAMPLE = 5 (half the
+        sample-cell diagonal), which is the safety margin used when checking
+        the Whitney band.
         """
         x0, y0, s = self.geometry(cubes)
-        xs = np.linspace(x0, x0 + s, n, axis=1)
-        ys = np.linspace(y0, y0 + s, n, axis=1)
+        xs = np.linspace(x0, x0 + s, _SAMPLE, axis=1)
+        ys = np.linspace(y0, y0 + s, _SAMPLE, axis=1)
         X, Y = np.broadcast_arrays(xs[:, None, :], ys[:, :, None])
         pts = np.column_stack([X.ravel(), Y.ravel()])
         d = np.asarray(self.distance_fn(pts), dtype=float)
-        d = d.reshape(len(s), n * n).min(axis=1)
+        d = d.reshape(len(s), _SAMPLE**2).min(axis=1)
         return float(d[0]) if np.ndim(cubes) == 1 else d
 
 
@@ -218,19 +219,15 @@ def verify_mset(boundary_measure_fn, centers, radii):
     if len(centers) == 0 or len(radii) == 0:
         raise ValueError("centers and radii must be nonempty")
 
-    ratios = []
-    slopes = []
-    degenerate = False
+    ratios, slopes = [], []
     for c in centers:
         measures = np.array([boundary_measure_fn(c, r) for r in radii])
         if np.any(measures <= 0.0):
-            degenerate = True
-            continue
+            return {"Clow": 0.0, "Chigh": 0.0, "m_fit": float("nan"),
+                    "ok": False}
         ratios.extend(measures / radii)
         if len(radii) >= 2:
             slopes.append(np.polyfit(np.log(radii), np.log(measures), 1)[0])
-    if degenerate or not ratios:
-        return {"Clow": 0.0, "Chigh": 0.0, "m_fit": float("nan"), "ok": False}
     return {
         "Clow": float(np.min(ratios)),
         "Chigh": float(np.max(ratios)),

@@ -203,6 +203,9 @@ def test_stokes_takes_the_mesh_keys(tmp_path):
      "source vanishes on the source grid"),
     (["stokes", "--alpha", "0.75", "--h", "0.3", "--x_tip", "2"],
      "x_tip must be in (0, 1)"),
+    (["div-solve", "--alpha", "0.5"], "alpha must exceed 1/2 for div-solve"),
+    (["div-solve", "--alpha", "0.5", "--method", "fem"],
+     "alpha must exceed 1/2 for div-solve"),
 ])
 def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
                                              message):

@@ -139,9 +139,9 @@ def test_rate_fit_replays_blowup_sweep_fits(alpha, beta, p):
     B = weights.ys_norm_closed_form(alpha, p, 0.0)["B"]
     _, fits = optimality_sweep(alpha, beta, p, fit_grid(min(A, B), n=3))
     families = {
-        "A": (A, lambda s: experiments._fs_norm(domain, beta, p, s, 1e-3,
+        "A": (A, lambda s: experiments._fs_norm(domain, beta, p, s,
                                                 False)[0] ** p),
-        "B": (B, lambda s: experiments._ys_norm(domain, p, s, 1e-3,
+        "B": (B, lambda s: experiments._ys_norm(domain, p, s,
                                                 False)[0] ** pp),
     }
     for fam, (exact, norm) in families.items():
@@ -169,7 +169,7 @@ def test_import_loads_no_optimize_or_integrate():
 
 
 def test_fit_grid_geometry():
-    g = fit_grid(2.0, span=5.12, n=8)
+    g = fit_grid(2.0, n=8)
     gaps = 2.0 - g
     assert gaps[-1] == pytest.approx(0.02)
     assert np.allclose(gaps[:-1] / gaps[1:], 2.0)
@@ -227,9 +227,9 @@ def test_optimality_sweep_evaluates_each_norm_once(alpha, beta, p,
     domain = geometry.CuspDomain(alpha)
     pp = p / (p - 1.0)
     for fam, norm_s, q in (
-            ("A", lambda s: experiments._fs_norm(domain, beta, p, s, 1e-3,
+            ("A", lambda s: experiments._fs_norm(domain, beta, p, s,
                                                  False)[0], p),
-            ("B", lambda s: experiments._ys_norm(domain, p, s, 1e-3,
+            ("B", lambda s: experiments._ys_norm(domain, p, s,
                                                  False)[0], pp)):
         s = fit_grid(fits[f"{fam}_exact"])
         assert fits[fam] == rate_fit([(si, norm_s(si) ** q) for si in s])

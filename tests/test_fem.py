@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 
@@ -411,6 +412,22 @@ def test_stokes_identities(mesh075, system075):
     # the deflation enforces zero weighted mean of q
     c = np.asarray(system075.Mw @ np.ones(mesh075.num_vertices))
     assert abs(c @ q.coeffs) < 1e-10 * max(np.linalg.norm(q.coeffs), 1e-30)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda m, a, s: solve_div_right_inverse(m, a, lambda p: p[:, 0], system=s),
+    lambda m, a, s: discrete_infsup(m, a, system=s),
+    lambda m, a, s: solve_stokes(
+        m, a, lambda p: np.zeros((len(p), 2)), system=s),
+], ids=["div", "infsup", "stokes"])
+def test_solves_reject_a_system_of_another_mesh_or_alpha(mesh075, system075,
+                                                          solve):
+    # an equal copy of the mesh is another mesh: the system keeps its own
+    copy = dataclasses.replace(mesh075)
+    with pytest.raises(ValueError, match="assembled on another mesh"):
+        solve(copy, 0.75, system075)
+    with pytest.raises(ValueError, match="assembled for alpha 0.75, not 0.9"):
+        solve(mesh075, 0.9, system075)
 
 
 def test_pressure_lr_norm_unit_weight_case():

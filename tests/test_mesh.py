@@ -159,6 +159,20 @@ def test_grading_default_follows_cusp_exponent(mesh05):
     assert mesh05.grading == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
+def test_grading_is_one_over_alpha_for_every_mesh(alpha):
+    m = generate_graded_mesh(CuspDomain(alpha), 0.2)
+    buf = io.StringIO()
+    save_mesh(m, buf)
+    assert f" grading={1.0 / alpha!r} " in buf.getvalue()
+    # the header's grading is not read back
+    text = buf.getvalue().replace(f"grading={1.0 / alpha!r}", "grading=7.0")
+    built = meshmod.TriangulatedMesh(m.vertices, m.triangles,
+                                     m.boundary_edges, alpha)
+    for other in (m, refine(m), load_mesh(io.StringIO(text)), built):
+        assert other.grading == 1.0 / alpha
+
+
 def test_bad_parameters_rejected():
     dom = CuspDomain(0.5)
     with pytest.raises(ValueError):
