@@ -76,9 +76,10 @@ def contains(domain: CuspDomain, p) -> np.ndarray | bool:
 
 
 _TINY = np.finfo(float).tiny
+_NEWTON_STEPS = 100   # step cap of every `_newton` solve
 
 
-def _newton(fdf, t, lo, hi, x, y, max_iter):
+def _newton(fdf, t, lo, hi, x, y):
     """Zeros in [lo, hi] of increasing functions f(t) = fdf(t, x, y)[0],
     one per point, with f(lo) <= 0 <= f(hi).
 
@@ -88,12 +89,12 @@ def _newton(fdf, t, lo, hi, x, y, max_iter):
     is at most 8 ulp of t, or hi - lo is at most 8 ulp of hi (a relative
     step test can cycle between floats a few ulp apart; next to 0, 8 ulp is
     a few subnormals, and a downhill step that short is no sign of a root);
-    RuntimeError if any is left after max_iter steps.
+    RuntimeError if any is left after _NEWTON_STEPS steps.
     """
     out = np.empty_like(t)
     idx = np.arange(t.size)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_STEPS):
             if idx.size == 0:
                 return out
             f, df = fdf(t, x, y)
@@ -118,7 +119,7 @@ def _newton(fdf, t, lo, hi, x, y, max_iter):
             t = tn
     if idx.size:
         raise RuntimeError(f"foot-point Newton solve: {idx.size} points "
-                           f"unconverged after {max_iter} steps")
+                           f"unconverged after {_NEWTON_STEPS} steps")
     return out
 
 
@@ -137,7 +138,7 @@ def _foot_dF(g, t, x, y):
             1.0 + g * (g - 1.0) * (p1 / t) * r + (g * p1) ** 2)
 
 
-def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
+def _curve_distance(domain: CuspDomain, x, y):
     """Distance from points (x, y), y >= 0, to the arc {(t, t**g) : t in [0, 1]}.
 
     The local minima of phi(t) = (t - x)**2 + (t**g - y)**2 on the arc are
@@ -192,7 +193,7 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
         if idx.size:
             xs, ys = x[idx], y[idx]
             offer(idx, _newton(F_dF, np.clip(xs, lo[idx], hi[idx]), lo[idx],
-                               hi[idx], xs, ys, max_iter), xs, ys)
+                               hi[idx], xs, ys), xs, ys)
 
     def zero_past_extremum(idx, lo, hi, sign):
         # F has one extremum in (lo, hi) where sign * F' changes sign; the
@@ -213,14 +214,14 @@ def _curve_distance(domain: CuspDomain, x, y, max_iter=100):
             s_tip = np.log(g * (g - 1.0) * ys) / (2.0 - g)
             t_tip = np.exp(np.log(g * ys) / (2.0 - g))
         tm = np.exp(_newton(fdf, np.clip(s_tip, s_lo, s_hi), s_lo, s_hi,
-                            xs, ys, max_iter))
+                            xs, ys))
         ok = sign * _foot(g, tm, xs, ys) < 0.0
         if sign > 0.0:
             lo, t = tm, np.clip(t_tip, tm, hi)
         else:
             hi, t = tm, lo
         idx, xs, ys, lo, hi, t = (v[ok] for v in (idx, xs, ys, lo, hi, t))
-        offer(idx, _newton(F_dF, t, lo, hi, xs, ys, max_iter), xs, ys)
+        offer(idx, _newton(F_dF, t, lo, hi, xs, ys), xs, ys)
 
     ya = y**domain.alpha
     a = np.clip(np.minimum(x, ya), 0.0, 1.0)
@@ -366,7 +367,7 @@ def _curve_length_in_ball(domain, cx, cy, r):
         t0 = cx
     else:   # t from cx, in the bracket [a, cx], for the point (cx, cy)
         t0 = _newton(partial(_foot_dF, g),
-                     *np.array([[cx], [a], [cx], [cx], [cy]]), 100)[0]
+                     *np.array([[cx], [a], [cx], [cx], [cy]]))[0]
     if not phi(t0) < 0.0:
         return 0.0
     ends = np.array([0.0, 1.0])
@@ -374,7 +375,7 @@ def _curve_length_in_ball(domain, cx, cy, r):
     s, lo, hi = (np.array(v)[out] for v in ((-1.0, 1.0), (0.0, t0), (t0, 1.0)))
     dt = max(np.sqrt(-phi(t0)) / np.hypot(1.0, g * t0 ** (g - 1.0)),
              np.spacing(t0))
-    ends[out] = _newton(fdf, np.clip(t0 + s * dt, lo, hi), lo, hi, s, s, 100)
+    ends[out] = _newton(fdf, np.clip(t0 + s * dt, lo, hi), lo, hi, s, s)
     knots = np.unique(np.clip(np.concatenate([
         2.0 ** -np.arange(64.0), np.linspace(0.0, 1.0, 2 * math.ceil(g) + 1),
         ends]), *ends))

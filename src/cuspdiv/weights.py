@@ -66,10 +66,12 @@ class WeightSpec:
 
 @dataclass
 class QuadratureGrid:
-    """Positive-weight quadrature nodes (n, 2) and weights (n,)."""
+    """Positive-weight quadrature nodes (n, 2) and weights (n,) of one or
+    more balls, and the node count of each ball, in order."""
 
     nodes: np.ndarray
     weights: np.ndarray
+    counts: np.ndarray
 
 
 class TensorGrid:
@@ -332,20 +334,26 @@ _FLAT = 2.0                # admissible_flat: trend and 1/trend below this
 
 def ball_grid(distance_fn, center, r, delta_min, *,
               rim_frac=1.0 / 128.0) -> QuadratureGrid:
-    """Adaptive quadrature grid over the ball B(center, r).
+    """Adaptive quadrature grids over the balls B(center, r) for r a radius
+    or a vector of radii.
 
-    The cells are (k, i, j) rows of the ball's box, refined by
+    The cells are (b, k, i, j) rows of the balls' boxes, refined together by
     `whitney.refine`: split while larger than _OPEN_FRAC times the distance
     of their center to F (so d^mu is smooth per cell), down to the floor
     delta_min; cells meeting the ball rim are also split to rim_frac * r to
     control the staircase error of the ball indicator.  Each final cell
-    carries a 2x2 Gauss rule restricted to the ball.  The distance is only
+    carries a 2x2 Gauss rule restricted to its ball.  The distance is only
     evaluated where it decides a split: at kept cells above delta_min,
-    except rim cells above rim_frac * r, which split anyway.
+    except rim cells above rim_frac * r, which split anyway; one call per
+    generation serves every ball.  The grid holds the balls' nodes and
+    weights concatenated in the order of r, and counts, their node count
+    per ball; each ball's part is the grid of that radius alone.
     """
     cx, cy = float(center[0]), float(center[1])
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
 
-    def classify(k, mx, my, s):
+    def classify(k, b, mx, my, s):
+        r, s = radii[b], s[b]
         rad = np.hypot(mx - cx, my - cy)
         half_diag = s * (whitney._SQRT2 / 2.0)
         keep = rad - half_diag <= r              # discard cells outside B
@@ -358,19 +366,29 @@ def ball_grid(distance_fn, center, r, delta_min, *,
         if ask.any():
             d = np.asarray(distance_fn(np.column_stack([mx[ask], my[ask]])),
                            dtype=float)
-            split[ask] = s > d * _OPEN_FRAC
+            split[ask] = s[ask] > d * _OPEN_FRAC
         return keep & ~split, split
 
-    box = whitney.Box(cx - r, cy - r, 2.0 * r)
-    x0, y0, s = box.cells(*whitney.refine(box, classify).T)
+    roots = [whitney.Box(cx - q, cy - q, 2.0 * q) for q in radii]
+    rows = whitney.refine(roots, classify)
+    # the nodes go straight to their place in the grid, one Gauss offset of
+    # one ball at a time, so that no part of the grid is held twice
+    nodes, weights = np.empty((4 * len(rows), 2)), np.empty(4 * len(rows))
+    counts = np.zeros(len(radii), dtype=np.int64)
     offs = np.array([[-_G2, -_G2], [_G2, -_G2], [-_G2, _G2], [_G2, _G2]])
-    nodes = np.concatenate(
-        [np.column_stack([x0 + (0.5 + ox) * s, y0 + (0.5 + oy) * s])
-         for ox, oy in offs]
-    )
-    weights = np.concatenate([s * s / 4.0] * 4)
-    inside = np.hypot(nodes[:, 0] - cx, nodes[:, 1] - cy) <= r
-    return QuadratureGrid(nodes[inside], weights[inside])
+    end = 0
+    for b, q in enumerate(radii):
+        x0, y0, s = roots[b].cells(*rows[rows[:, 0] == b, 1:].T)
+        w = s * s / 4.0
+        for ox, oy in offs:
+            x, y = x0 + (0.5 + ox) * s, y0 + (0.5 + oy) * s
+            inside = np.hypot(x - cx, y - cy) <= q
+            n = np.count_nonzero(inside)
+            nodes[end:end + n, 0], nodes[end:end + n, 1] = x[inside], y[inside]
+            weights[end:end + n] = w[inside]
+            counts[b] += n
+            end += n
+    return QuadratureGrid(nodes[:end], weights[:end], counts)
 
 
 @dataclass
@@ -411,7 +429,9 @@ def build_ball_plan(domain, sampling):
     The grids depend only on geometry and resolution, so one plan serves any
     number of weight exponents; the per-ball records carry the distance
     values at the nodes, making each subsequent ratio a pair of vector
-    powers.
+    powers.  The grids of all radii about one centre come from one
+    `ball_grid` call, whose refinement rows are freed before the node
+    distances are evaluated, one ball at a time.
     """
     if not sampling["resolution"] > 0:
         raise ValueError("resolution must be positive")
@@ -422,13 +442,15 @@ def build_ball_plan(domain, sampling):
                          sampling["interior_centers"]])
     balls = []
     for c in centers:
-        for r in radii:
-            grid = ball_grid(distance_fn, c, r, delta_min)
-            d = np.maximum(np.asarray(distance_fn(grid.nodes), dtype=float),
-                           1e-300)
+        grid = ball_grid(distance_fn, c, radii, delta_min)
+        ends = np.cumsum(grid.counts)[:-1]
+        for r, nodes, qw in zip(radii, np.split(grid.nodes, ends),
+                                np.split(grid.weights, ends)):
+            d = np.asarray(distance_fn(nodes), dtype=float)
+            np.maximum(d, 1e-300, out=d)
             balls.append({"center": (float(c[0]), float(c[1])),
-                          "radius": float(r), "weights": grid.weights,
-                          "d": d})
+                          "radius": float(r), "weights": qw, "d": d})
+        del grid, nodes          # before the next centre's grid is built
     return {"sampling": sampling, "balls": balls}
 
 
@@ -443,9 +465,12 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
 
     Both averages of a ball share one node set, so each ratio is exactly 1
     for mu = 0 and at least 1 in general (discrete Jensen inequality).
-    The balls are those of plan, or of build_ball_plan(domain, sampling).
+    The balls are those of plan, or of build_ball_plan(domain, sampling);
+    raises ValueError unless exactly one of the two is given.
     """
     _pprime(p)                   # raises unless p > 1
+    if (sampling is None) == (plan is None):
+        raise ValueError("give exactly one of sampling and plan")
     if plan is None:
         plan = build_ball_plan(domain, sampling)
     delta_min = 1.0 / float(plan["sampling"]["resolution"])

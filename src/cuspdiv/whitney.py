@@ -3,12 +3,13 @@
 Cubes are dyadic squares relative to a square bounding box: generation k
 splits the box into 4**k squares of side L * 2**-k, and the cube (k, i, j)
 has its lower-left corner at (x0 + i * L * 2**-k, y0 + j * L * 2**-k).
-`refine` splits such cells; `decompose` accepts a cube Q with diameter l
-when l <= d(Q, F) <= 4*l, with d(Q, F) bracketed by d(center) -+ l/2 (valid
-for any 1-Lipschitz distance function), so acceptance is decided
-conservatively and the returned cubes satisfy the band exactly.  The
-accepted cubes are one (n, 3) integer array of (k, i, j) rows in
-lexicographic order, so each generation is a contiguous slice.
+`refine` splits such cells, of one box or of several boxes in lockstep;
+`decompose` accepts a cube Q with diameter l when l <= d(Q, F) <= 4*l, with
+d(Q, F) bracketed by d(center) -+ l/2 (valid for any 1-Lipschitz distance
+function), so acceptance is decided conservatively and the returned cubes
+satisfy the band exactly.  The accepted cubes are one (n, 3) integer array
+of (k, i, j) rows in lexicographic order, so each generation is a
+contiguous slice.
 """
 
 from __future__ import annotations
@@ -124,22 +125,35 @@ class WhitneyDecomposition:
         return float(d[0]) if np.ndim(cubes) == 1 else d
 
 
-def refine(box: Box, classify) -> np.ndarray:
-    """Accepted (k, i, j) rows, generation by generation, of box refined by
-    classify(k, cx, cy, s): it gets the centres of the active generation-k
-    cells and their side s and returns the masks (accept, split).  A split
-    (k, i, j) passes on its children (k+1, 2i+di, 2j+dj) in the order
-    (di, dj) = (0,0), (1,0), (0,1), (1,1); the other cells end.
+def refine(roots, classify) -> np.ndarray:
+    """Accepted (b, k, i, j) rows, generation by generation, of the boxes
+    roots[b] refined in lockstep by classify(k, b, cx, cy, s): it gets the
+    root indices and centres of the active generation-k cells and the side
+    s[b] of the generation-k cells of each root b, and returns the masks
+    (accept, split).  A split (b, k, i, j) passes on its children
+    (b, k+1, 2i+di, 2j+dj) in the order (di, dj) = (0,0), (1,0), (0,1),
+    (1,1); the other cells end.  So one classify call per generation serves
+    every root, and the rows of root b, in order, are those of refining
+    roots[b] alone.
     """
+    x0, y0, sides = np.array([(q.x0, q.y0, q.side) for q in roots]).T
     accepted = []
-    k, i, j = 0, np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    k, b = 0, np.arange(len(roots))
+    i = j = np.zeros(len(roots), dtype=np.int64)
     while len(i):
-        # a centre is the (1, 1) child's corner, rounded as x0 + (i + 0.5) * s
-        cx, cy, half = box.cells(k + 1, 2 * i + 1, 2 * j + 1)
-        accept, split = classify(k, cx, cy, 2.0 * half)
+        # a centre is the (1, 1) child's corner, rounded as `Box.cells`
+        # rounds x0 + (i + 0.5) * s; the sums are formed in place, so that
+        # many cells are refined with few arrays of their size
+        half = np.ldexp(sides[b], -(k + 1))
+        cx, cy = (2 * i + 1) * half, (2 * j + 1) * half
+        del half
+        cx += x0[b]
+        cy += y0[b]
+        accept, split = classify(k, b, cx, cy, np.ldexp(sides, -k))
         accepted.append(np.column_stack(
-            [np.full(np.count_nonzero(accept), k), i[accept], j[accept]]))
-        i, j = 2 * i[split], 2 * j[split]
+            [b[accept], np.full(np.count_nonzero(accept), k), i[accept],
+             j[accept]]))
+        b, i, j = np.tile(b[split], 4), 2 * i[split], 2 * j[split]
         i = np.concatenate([i, i + 1, i, i + 1])
         j = np.concatenate([j, j, j + 1, j + 1])
         k += 1
@@ -156,7 +170,7 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
     if kmax < 2:
         raise ValueError("kmax must be >= 2")
 
-    def classify(k, cx, cy, s):
+    def classify(k, b, cx, cy, s):
         ell = s * _SQRT2
         d = np.asarray(distance_fn(np.column_stack([cx, cy])), dtype=float)
         # d(Q,F) in [d_center - l/2, d_center + l/2]; accept when the
@@ -167,7 +181,7 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
         hopeless = d - 0.5 * ell > 4.0 * ell
         return accept, ~accept & ~hopeless & (k < kmax)
 
-    cubes = refine(box, classify)
+    cubes = refine([box], classify)[:, 1:]
     if len(cubes) == 0:
         raise RuntimeError("kmax too small: no cube was accepted")
     cubes = cubes[np.lexsort(cubes.T[::-1])]

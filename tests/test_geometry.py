@@ -179,11 +179,11 @@ def test_curve_distance_at_tip_scales(alpha, x, y):
     assert 0.0 < d <= dense_curve_distance(dom, x, y) * (1.0 + 1e-12)
 
 
-def test_curve_distance_raises_when_unconverged():
+def test_curve_distance_raises_when_unconverged(monkeypatch):
     dom = CuspDomain(0.5)
+    monkeypatch.setattr(geometry, "_NEWTON_STEPS", 1)
     with pytest.raises(RuntimeError):
-        geometry._curve_distance(dom, np.array([0.4]), np.array([0.1]),
-                                 max_iter=1)
+        geometry._curve_distance(dom, np.array([0.4]), np.array([0.1]))
 
 
 def unblocked_distance(dom, pts):

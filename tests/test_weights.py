@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cuspdiv import geometry, weights
+from cuspdiv import geometry, weights, whitney
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.weights import (
     WeightSpec,
@@ -408,6 +408,32 @@ def test_ball_grid_non_dyadic_radius_matches_oracle(r):
     assert np.array_equal(g.weights, wts)
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.75])
+def test_ball_grid_radii_vector_matches_scalar_calls(alpha):
+    # the radii of one centre refined together give, ball by ball, the grid
+    # of each radius alone, bit for bit; with one distance call per
+    # generation for all of them
+    dom = CuspDomain(alpha)
+    radii = np.array([0.25, 0.07, 1.0 / 32.0, 0.1, 1.0 / 512.0])
+    for c in [(0.0, 0.0), (0.4, 0.4 ** dom.gamma), (1.0, 0.1), (0.6, 0.0)]:
+        calls = []
+
+        def dfn(pts):
+            calls.append(len(pts))
+            return geometry.distance(dom, pts)
+
+        g = ball_grid(dfn, c, radii, 1.0 / 512.0)
+        vector_calls = len(calls)
+        calls.clear()
+        alone = [ball_grid(dfn, c, r, 1.0 / 512.0) for r in radii]
+        assert vector_calls < len(calls)
+        assert all(np.array_equal(a.counts, [len(a.weights)]) for a in alone)
+        assert np.array_equal(g.counts, [len(a.weights) for a in alone])
+        for field in ("nodes", "weights"):
+            assert np.array_equal(getattr(g, field), np.concatenate(
+                [getattr(a, field) for a in alone]))
+
+
 def plan_digest(dom, sampling):
     """sha256 of a ball plan: each ball's grid nodes and weights as raw
     float64 and its node distances to 12 digits (their last bits come from
@@ -439,6 +465,51 @@ GOLDEN_PLAN = \
 def test_golden_ball_plan():
     dom = CuspDomain(0.75)
     assert plan_digest(dom, GOLDEN_PLAN_SAMPLING) == GOLDEN_PLAN
+
+
+def test_build_ball_plan_refines_each_centre_once(monkeypatch):
+    # one refinement per centre, at most one distance call per generation of
+    # it, then one per ball for its node distances
+    sampling = GOLDEN_PLAN_SAMPLING
+    centres = (len(sampling["boundary_centers"])
+               + len(sampling["interior_centers"]))
+    balls = centres * len(sampling["radii"])
+    # the largest box, of side 2 r, splits until its cells reach the floor
+    generations = 1 + math.ceil(math.log2(2.0 * max(sampling["radii"])
+                                          * sampling["resolution"]))
+    calls = {"distance": 0, "refine": 0, "classify": 0}
+    distance, refine = geometry.distance, whitney.refine
+
+    def counted_distance(*args):
+        calls["distance"] += 1
+        return distance(*args)
+
+    def counted_refine(roots, classify):
+        calls["refine"] += 1
+
+        def counted_classify(*args):
+            calls["classify"] += 1
+            return classify(*args)
+
+        return refine(roots, counted_classify)
+
+    monkeypatch.setattr(geometry, "distance", counted_distance)
+    monkeypatch.setattr(whitney, "refine", counted_refine)
+    plan = weights.build_ball_plan(CuspDomain(0.75), sampling)
+    assert len(plan["balls"]) == balls
+    assert calls["refine"] == centres
+    assert calls["classify"] <= centres * generations
+    assert calls["distance"] <= calls["classify"] + balls
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"sampling": GOLDEN_PLAN_SAMPLING,
+                                        "plan": {"balls": []}}],
+                         ids=["neither", "both"])
+def test_estimate_ap_constant_takes_sampling_or_plan(kwargs, monkeypatch):
+    # rejected before any work: no plan is built
+    monkeypatch.setattr(weights, "build_ball_plan", None)
+    with pytest.raises(ValueError, match="exactly one of sampling and plan"):
+        estimate_ap_constant(CuspDomain(0.5), WeightSpec(0.5), 2.0, **kwargs)
 
 
 def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():

@@ -102,23 +102,69 @@ def test_refine_children_order_and_centres():
     box = Box(-1.0, 0.5, 4.0)
     seen = []
 
-    def classify(k, cx, cy, s):
-        seen.append((k, cx, cy, s))
+    def classify(k, b, cx, cy, s):
+        seen.append((k, b, cx, cy, s))
         return np.full(len(cx), k == 2), np.full(len(cx), k < 2)
 
-    rows = whitney.refine(box, classify)
+    rows = whitney.refine([box], classify)
+    # one root: every row carries root index 0
+    assert rows.dtype == np.int64 and rows.shape == (16, 4)
+    assert np.all(rows[:, 0] == 0)
+    rows = rows[:, 1:]
     # generation by generation; each generation lists the (0,0) children
     # of all parents, then the (1,0), (0,1) and (1,1) children
     gen1 = [[1, 0, 0], [1, 1, 0], [1, 0, 1], [1, 1, 1]]
     assert rows[:4].tolist() == [[2, 2 * i, 2 * j] for _, i, j in gen1]
     assert rows[4:8].tolist() == [[2, 2 * i + 1, 2 * j] for _, i, j in gen1]
-    assert rows.dtype == np.int64 and len(rows) == 16
     assert len({tuple(r) for r in rows.tolist()}) == 16
-    k, cx, cy, s = seen[2]
-    assert k == 2 and s == 1.0
+    k, b, cx, cy, s = seen[2]
+    assert k == 2 and np.array_equal(s, [1.0])
+    assert np.array_equal(b, np.zeros(16))
     x0, y0, side = box.cells(*rows.T)
     assert np.array_equal(side, np.full(16, 1.0))
     assert np.array_equal(cx, x0 + 0.5) and np.array_equal(cy, y0 + 0.5)
+
+
+def seeded_classify(seed, kmax):
+    """A classify whose masks are a seeded hash of each cell's centre and
+    side, so that a cell gets the same answer in whichever refine it is."""
+    def classify(k, b, cx, cy, s):
+        bits = np.stack([cx, cy, s[b]]).view(np.uint64)
+        h = np.uint64(seed) + bits[0] * np.uint64(0x9E3779B97F4A7C15)
+        h = (h ^ bits[1]) * np.uint64(0xBF58476D1CE4E5B9)
+        h = (h ^ bits[2] ^ (h >> np.uint64(29))) * np.uint64(
+            0x94D049BB133111EB)
+        h = (h ^ (h >> np.uint64(31))) % np.uint64(3)
+        return h == 0, (h == 1) & (k < kmax)
+    return classify
+
+
+box_st = st.builds(Box, st.floats(-4.0, 4.0), st.floats(-4.0, 4.0),
+                   st.sampled_from([0.25, 0.5, 1.0, 2.0, 2.5, 3.0]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(box_st, min_size=1, max_size=5), st.integers(0, 2**32 - 1),
+       st.integers(0, 6))
+def test_refine_roots_in_lockstep_match_one_root_each(roots, seed, kmax):
+    calls = []
+    classify = seeded_classify(seed, kmax)
+
+    def counted(*args):
+        calls.append(args[0])
+        return classify(*args)
+
+    rows = whitney.refine(roots, counted)
+    assert rows.dtype == np.int64 and rows.shape[1] == 4
+    # one classify call per generation, whatever the number of roots
+    assert calls == list(range(len(calls)))
+    total = 0
+    for b, root in enumerate(roots):
+        alone = whitney.refine([root], classify)
+        assert np.all(alone[:, 0] == 0)
+        assert np.array_equal(rows[rows[:, 0] == b, 1:], alone[:, 1:])
+        total += len(alone)
+    assert len(rows) == total
 
 
 def test_band_is_exact_for_point_set():
