@@ -80,11 +80,12 @@ def _cmd_whitney(outdir, manifest_name, alpha, kmax):
 
 
 def _cmd_ap_check(outdir, manifest_name, alpha, mu, p, resolution):
+    weights._pprime(p)      # raises unless p > 1, before the plan's seconds
     dom = geometry.CuspDomain(alpha)
     sampling = weights.default_sampling(alpha)
     sampling["resolution"] = resolution
-    est = weights.estimate_ap_constant(dom, weights.WeightSpec(mu), p,
-                                       sampling=sampling)
+    plan = weights.build_ball_plan(dom, sampling)
+    est = weights.estimate_ap_constant(dom, weights.WeightSpec(mu), p, plan)
     csv_name = f"ap_alpha{alpha:g}_mu{mu:g}_p{p:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["center_x", "center_y", "radius", "ratio", "resolved"],
@@ -123,8 +124,6 @@ def _cmd_div_solve(outdir, manifest_name, alpha, method, t, cells,
         from . import potential
 
         src = potential.SourceField.from_function(f, cells)
-        if not np.any(src.values):
-            raise ValueError("source vanishes on the source grid")
         sol = potential.newtonian_solve(src)
         probes = np.array([[0.9, 0.0], [0.55, 0.0], [0.3, 0.1]])
         resid = potential.divergence_residual(sol, f, probes)

@@ -27,7 +27,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from . import geometry
-from .mesh import TriangulatedMesh, _edge_keys
+from .mesh import TriangulatedMesh, _boundary_midpoints
 
 __all__ = [
     "DiscreteField",
@@ -108,10 +108,7 @@ class P2Space:
         return np.concatenate([v, mids])
 
     def boundary_dofs(self):
-        nv = self.mesh.num_vertices
-        ends = np.array([(v0, v1) for v0, v1, _ in self.mesh.boundary_edges])
-        mids = nv + np.searchsorted(_edge_keys(self.edges, nv),
-                                    _edge_keys(ends, nv))
+        ends, mids = _boundary_midpoints(self.mesh, self.edges)
         return np.unique(np.concatenate([ends.ravel(), mids]))
 
 
@@ -495,38 +492,35 @@ def source_weighted_norm(quad, f, gamma) -> float:
     return float(np.sqrt(np.sum(quad.wq * quad.weight(2.0 * gamma) * fv**2)))
 
 
-def _system(mesh, alpha, system):
-    """assemble(mesh, alpha), or system, checked to be on mesh for alpha."""
-    if system is None:
-        return assemble(mesh, alpha)
+def _check_system(mesh, alpha, system):
+    """Raise ValueError unless system was assembled on mesh for alpha."""
     if system.mesh is not mesh:
         raise ValueError("system was assembled on another mesh")
     if system.alpha != alpha:
         raise ValueError(f"system was assembled for alpha {system.alpha!r}, "
                          f"not {alpha!r}")
-    return system
 
 
-def solve_div_right_inverse(mesh, alpha, f, system=None):
+def solve_div_right_inverse(mesh, alpha, f, system):
     """Minimal-energy zero-BC velocity with weighted-weak divergence f.
 
     Minimizes int |Du|^2 over zero-BC vector P2 subject to
     int (div u - f) q d^(2 alpha - 2) = 0 for all P1 pressures q with zero
     weighted mean.  Returns (u: DiscreteField, info dict) with the algebraic
-    constraint residual and the Lagrange multiplier.  system, if given, must
-    come from assemble(mesh, alpha).
+    constraint residual and the Lagrange multiplier.  system must come from
+    assemble(mesh, alpha).
     """
-    sys_ = _system(mesh, alpha, system)
-    quad = sys_.quad
-    w = quad.wq * quad.weight(2.0 * sys_.alpha - 2.0) * quad.values(f)
+    _check_system(mesh, alpha, system)
+    quad = system.quad
+    w = quad.wq * quad.weight(2.0 * system.alpha - 2.0) * quad.values(f)
     g = _load(mesh.triangles, np.einsum("tq,qm->tm", w, _P1_N),
               mesh.num_vertices)
 
-    uf, lam, mu = sys_.bordered_solve(np.zeros(len(sys_.free)), g)
+    uf, lam, mu = system.bordered_solve(np.zeros(len(system.free)), g)
     coeffs = np.zeros(2 * quad.space.n_dofs)
-    coeffs[sys_.free] = uf
-    _, Bf = sys_.restrict()
-    resid = Bf @ uf + mu * sys_.c - g
+    coeffs[system.free] = uf
+    _, Bf = system.restrict()
+    resid = Bf @ uf + mu * system.c - g
     scale = max(np.linalg.norm(g), 1e-30)
     info = {
         "constraint_residual": float(np.linalg.norm(resid)) / scale,
@@ -537,7 +531,7 @@ def solve_div_right_inverse(mesh, alpha, f, system=None):
     return DiscreteField("vector-P2", coeffs, mesh), info
 
 
-def discrete_infsup(mesh, alpha, system=None):
+def discrete_infsup(mesh, alpha, system):
     """Discrete weighted inf-sup constant.
 
     sqrt of the smallest eigenvalue of the pressure Schur complement
@@ -545,38 +539,40 @@ def discrete_infsup(mesh, alpha, system=None):
     weighted mean (one deflated direction).  The Schur complement is never
     formed: its inverse on that subspace is the pressure block of the
     system's bordered saddle solve with right-hand side [0, -y, 0], which
-    _min_eig applies.  system, if given, must come from assemble(mesh, alpha).
+    _min_eig applies.  system must come from assemble(mesh, alpha).
     """
-    sys_ = _system(mesh, alpha, system)
-    zero_u = np.zeros(len(sys_.free))
-    mu, _ = _min_eig(lambda y: sys_.bordered_solve(zero_u, -y)[1], sys_.Mw)
+    _check_system(mesh, alpha, system)
+    zero_u = np.zeros(len(system.free))
+    mu, _ = _min_eig(lambda y: system.bordered_solve(zero_u, -y)[1],
+                     system.Mw)
     return float(np.sqrt(mu))
 
 
-def solve_stokes(mesh, alpha, f, system=None):
+def solve_stokes(mesh, alpha, f, system):
     """Weighted mixed Stokes solve: a(u,v) + b(v,q) = (f, v), b(u, r) = 0.
 
     Returns (u, q, info); the physical pressure is p = q d^(2 alpha - 2),
     whose L^r norm `pressure_lr_norm` measures.  info carries the energy
-    identity defect and the weighted divergence residual.  system, if given,
-    must come from assemble(mesh, alpha).
+    identity defect and the weighted divergence residual.  system must come
+    from assemble(mesh, alpha).
     """
-    sys_ = _system(mesh, alpha, system)
-    Af, Bf = sys_.restrict()
-    wq, d, n = sys_.quad.wq, sys_.quad.space.tri_dofs, sys_.quad.space.n_dofs
-    fv = sys_.quad.values(f)
+    _check_system(mesh, alpha, system)
+    Af, Bf = system.restrict()
+    quad = system.quad
+    wq, d, n = quad.wq, quad.space.tri_dofs, quad.space.n_dofs
+    fv = quad.values(f)
     contrib_x = np.einsum("tq,tq,qm->tm", wq, fv[..., 0], _P2_N)
     contrib_y = np.einsum("tq,tq,qm->tm", wq, fv[..., 1], _P2_N)
     Ff = _load(np.hstack([d, d + n]), np.hstack([contrib_x, contrib_y]),
-               2 * n)[sys_.free]
+               2 * n)[system.free]
 
-    uf, q, mu = sys_.bordered_solve(Ff, np.zeros(mesh.num_vertices))
+    uf, q, mu = system.bordered_solve(Ff, np.zeros(mesh.num_vertices))
     coeffs = np.zeros(2 * n)
-    coeffs[sys_.free] = uf
+    coeffs[system.free] = uf
 
     energy = float(uf @ (Af @ uf))
     work = float(Ff @ uf)
-    div_resid = np.linalg.norm(Bf @ uf + mu * sys_.c) / max(
+    div_resid = np.linalg.norm(Bf @ uf + mu * system.c) / max(
         np.linalg.norm(Ff), 1e-30)
     info = {
         "energy": energy,

@@ -92,6 +92,14 @@ def _edge_keys(pairs, nv):
     return (p[..., 0] * nv + p[..., 1]).ravel()
 
 
+def _boundary_midpoints(mesh, edges):
+    """Boundary edge ends (nb, 2), and nv + their rows in mesh's edges."""
+    nv = mesh.num_vertices
+    ends = np.array([(v0, v1) for v0, v1, _ in mesh.boundary_edges])
+    return ends, nv + np.searchsorted(_edge_keys(edges, nv),
+                                      _edge_keys(ends, nv))
+
+
 def _tip_abscissa(domain: CuspDomain, h: float) -> float:
     a = domain.alpha
     # omitted sliver area: 2*a/(a+1) * x_tip**((a+1)/a)
@@ -259,23 +267,19 @@ def _zip_strips(vertices, start):
 def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
     """Uniform 1-to-4 refinement with boundary midpoints snapped to the arcs.
 
-    Midpoints are numbered in order of first appearance when the triangles'
-    (0,1), (1,2), (2,0) sides are visited triangle by triangle.
+    The midpoint of edge k of `mesh.edge_numbering()` is vertex nv + k, so
+    the refined vertices before the snap are the parent's P2 dof
+    coordinates, in the parent's P2 dof numbering.
     """
     domain = CuspDomain(mesh.alpha)
     nv = mesh.num_vertices
-    keys, first, sides = np.unique(_edge_keys(_sides(mesh.triangles), nv),
-                                   return_index=True, return_inverse=True)
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    mids = nv + rank[sides].reshape(-1, 3)
-    a, b = np.divmod(keys[order], nv)
+    edges, sides = mesh.edge_numbering()
+    mids = nv + sides
     verts = np.concatenate(
-        [mesh.vertices, 0.5 * (mesh.vertices[a] + mesh.vertices[b])])
+        [mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
+                               + mesh.vertices[edges[:, 1]])])
 
-    ends = np.array([(v0, v1) for v0, v1, _ in mesh.boundary_edges])
-    bmids = (nv + rank[np.searchsorted(keys, _edge_keys(ends, nv))]).tolist()
+    bmids = _boundary_midpoints(mesh, edges)[1].tolist()
     boundary = []
     # scalar powers: numpy's array power may round differently by an ulp
     for (v0, v1, kind), mid in zip(mesh.boundary_edges, bmids):
@@ -300,36 +304,30 @@ def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
                             h=mesh.h / 2.0, x_tip=mesh.x_tip)
 
 
-def save_mesh(mesh: TriangulatedMesh, path_or_buf) -> None:
-    """Plain-text mesh export (vertices / triangles / boundary blocks); the
-    header's grading is 1/alpha, and `load_mesh` does not read it back."""
-    text = "".join([
-        f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
-        f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n",
-        f"vertices {mesh.num_vertices}\n",
-        *(f"{i} {x!r} {y!r}\n"
-          for i, (x, y) in enumerate(mesh.vertices.tolist())),
-        f"triangles {mesh.num_triangles}\n",
-        *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
-        f"boundary {len(mesh.boundary_edges)}\n",
-        *(f"{v0} {v1} {kind}\n" for v0, v1, kind in mesh.boundary_edges),
-    ])
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+def save_mesh(mesh: TriangulatedMesh, path) -> None:
+    """Plain-text mesh export (vertices / triangles / boundary blocks) to the
+    file at path; the header's grading is 1/alpha, and `load_mesh` does not
+    read it back."""
+    with open(path, "w") as fh:
+        fh.write("".join([
+            f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
+            f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n",
+            f"vertices {mesh.num_vertices}\n",
+            *(f"{i} {x!r} {y!r}\n"
+              for i, (x, y) in enumerate(mesh.vertices.tolist())),
+            f"triangles {mesh.num_triangles}\n",
+            *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+            f"boundary {len(mesh.boundary_edges)}\n",
+            *(f"{v0} {v1} {kind}\n" for v0, v1, kind in mesh.boundary_edges),
+        ]))
 
 
-def load_mesh(path_or_buf) -> TriangulatedMesh:
-    """Read a `save_mesh` file.  ValueError if the header gives no alpha, a
-    block name is unknown, a block has fewer lines than its count, a line
-    has other than 3 fields or a vertex index is outside [0, nv)."""
-    if hasattr(path_or_buf, "read"):
-        lines = path_or_buf.read().splitlines()
-    else:
-        with open(path_or_buf) as fh:
-            lines = fh.read().splitlines()
+def load_mesh(path) -> TriangulatedMesh:
+    """Read the `save_mesh` file at path.  ValueError if the header gives no
+    alpha, a block name is unknown, a block has fewer lines than its count,
+    a line has other than 3 fields or a vertex index is outside [0, nv)."""
+    with open(path) as fh:
+        lines = fh.read().splitlines()
     meta = {"alpha": None, "h": 0.0, "x_tip": 0.0}
     it = iter(lines)
     verts, tris, boundary = np.empty((0, 3)), np.empty((0, 3), int), []

@@ -292,7 +292,11 @@ def newtonian_solve(f: SourceField) -> PotentialSolution:
 
 
 def divergence_residual(sol: PotentialSolution, f, points, step=None) -> float:
-    """max |div v - f| / max |f| with a central-difference divergence."""
+    """max |div v - f| / max |f| with a central-difference divergence, max |f|
+    over the source grid.  Raises ValueError if the source vanishes there."""
+    scale = np.max(np.abs(sol.source.values))
+    if scale == 0.0:
+        raise ValueError("source vanishes on the source grid")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     h = sol.source.h / 2.0 if step is None else float(step)
     ex = np.array([h, 0.0])
@@ -302,9 +306,6 @@ def divergence_residual(sol: PotentialSolution, f, points, step=None) -> float:
         + (sol.velocity(pts + ey)[:, 1] - sol.velocity(pts - ey)[:, 1])
     ) / (2.0 * h)
     fv = np.asarray(f(pts), dtype=float)
-    scale = np.max(np.abs(sol.source.values))
-    if scale == 0.0:
-        return float(np.max(np.abs(div)))
     return float(np.max(np.abs(div - fv)) / scale)
 
 

@@ -431,7 +431,9 @@ def build_ball_plan(domain, sampling):
     values at the nodes, making each subsequent ratio a pair of vector
     powers.  The grids of all radii about one centre come from one
     `ball_grid` call, whose refinement rows are freed before the node
-    distances are evaluated, one ball at a time.
+    distances are evaluated, one ball at a time.  The plan records domain.
+    Raises ValueError for a resolution below 1, fewer than two radii (the
+    trend of `estimate_ap_constant` needs two) or no centres.
     """
     if not sampling["resolution"] > 0:
         raise ValueError("resolution must be positive")
@@ -440,6 +442,10 @@ def build_ball_plan(domain, sampling):
     radii = np.asarray(sampling["radii"], dtype=float)
     centers = np.vstack([sampling["boundary_centers"],
                          sampling["interior_centers"]])
+    if len(radii) < 2:
+        raise ValueError("sampling has fewer than two radii")
+    if not len(centers):
+        raise ValueError("sampling has no boundary or interior centers")
     balls = []
     for c in centers:
         grid = ball_grid(distance_fn, c, radii, delta_min)
@@ -451,29 +457,28 @@ def build_ball_plan(domain, sampling):
             balls.append({"center": (float(c[0]), float(c[1])),
                           "radius": float(r), "weights": qw, "d": d})
         del grid, nodes          # before the next centre's grid is built
-    return {"sampling": sampling, "balls": balls}
+    return {"domain": domain, "sampling": sampling, "balls": balls}
 
 
-def estimate_ap_constant(domain, weight: WeightSpec, p,
-                         sampling=None, plan=None) -> ApEstimate:
-    """Sampled A_p constant of d^mu over boundary- and interior-centered balls.
+def estimate_ap_constant(domain, weight: WeightSpec, p, plan) -> ApEstimate:
+    """Sampled A_p constant of d^mu over the balls of a `build_ball_plan`.
 
     The supremum over a finite plan is a lower bound for the true A_p
     constant; the trend (growth of the per-radius supremum per radius
     decade) is the diagnostic separating admissible exponents (flat) from
-    inadmissible ones (divergent with scale/resolution).
+    inadmissible ones (divergent with scale/resolution).  Both count only
+    balls of radius r >= 64 / resolution, and ValueError is raised unless
+    two radii qualify, p > 1 and plan was built for domain.
 
     Both averages of a ball share one node set, so each ratio is exactly 1
     for mu = 0 and at least 1 in general (discrete Jensen inequality).
-    The balls are those of plan, or of build_ball_plan(domain, sampling);
-    raises ValueError unless exactly one of the two is given.
     """
     _pprime(p)                   # raises unless p > 1
-    if (sampling is None) == (plan is None):
-        raise ValueError("give exactly one of sampling and plan")
-    if plan is None:
-        plan = build_ball_plan(domain, sampling)
-    delta_min = 1.0 / float(plan["sampling"]["resolution"])
+    if plan["domain"] != domain:
+        raise ValueError(f"plan was built for {plan['domain']!r}, "
+                         f"not {domain!r}")
+    resolution = plan["sampling"]["resolution"]
+    delta_min = 1.0 / float(resolution)
     records = []
     for ball in plan["balls"]:
         qw, d = ball["weights"], ball["d"]
@@ -488,12 +493,17 @@ def estimate_ap_constant(domain, weight: WeightSpec, p,
                         # kept in the table but excluded from the headline
                         # supremum and trend
                         "resolved": ball["radius"] >= 64.0 * delta_min})
-    used = [rec for rec in records if rec["resolved"]] or records
+    used = [rec for rec in records if rec["resolved"]]
     radii = sorted({rec["radius"] for rec in used})
+    if len(radii) < 2:
+        r2 = sorted({rec["radius"] for rec in records})[-2]
+        raise ValueError(
+            f"resolution {resolution} resolves {len(radii)} of the plan's "
+            "radii (r >= 64 / resolution), and the trend needs two: "
+            f"resolution {math.ceil(64.0 / r2)} resolves two")
     sup_per_radius = [max(rec["ratio"] for rec in used
                           if rec["radius"] == r) for r in radii]
-    slope = (np.polyfit(np.log10(radii), np.log10(sup_per_radius), 1)[0]
-             if len(radii) >= 2 else 0.0)
+    slope = np.polyfit(np.log10(radii), np.log10(sup_per_radius), 1)[0]
     return ApEstimate(
         value=float(max(rec["ratio"] for rec in used)),
         per_ball=records,

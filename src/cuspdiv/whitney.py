@@ -14,7 +14,6 @@ contiguous slice.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -250,15 +249,10 @@ def verify_mset(boundary_measure_fn, centers, radii):
     }
 
 
-def save_decomposition(dec: WhitneyDecomposition, path_or_buf) -> None:
-    """Text export: one `k i j` line per cube, in the sorted order of cubes."""
-    buf = io.StringIO()
-    buf.write(f"# cuspdiv whitney box=({dec.box.x0!r},{dec.box.y0!r},"
-              f"{dec.box.side!r}) kmax={dec.kmax}\n")
-    buf.writelines(f"{k} {i} {j}\n" for k, i, j in dec.cubes.tolist())
-    text = buf.getvalue()
-    if hasattr(path_or_buf, "write"):
-        path_or_buf.write(text)
-    else:
-        with open(path_or_buf, "w") as fh:
-            fh.write(text)
+def save_decomposition(dec: WhitneyDecomposition, path) -> None:
+    """Text export to the file at path: one `k i j` line per cube, in the
+    sorted order of cubes."""
+    with open(path, "w") as fh:
+        fh.write(f"# cuspdiv whitney box=({dec.box.x0!r},{dec.box.y0!r},"
+                 f"{dec.box.side!r}) kmax={dec.kmax}\n")
+        fh.writelines(f"{k} {i} {j}\n" for k, i, j in dec.cubes.tolist())

@@ -44,7 +44,7 @@ def test_whitney_run_and_artifacts(tmp_path):
 
 def test_repeated_runs_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    args = ["ap-check", "--alpha", "0.5", "--mu", "0.5", "--resolution", "256"]
+    args = ["ap-check", "--alpha", "0.5", "--mu", "0.5", "--resolution", "512"]
     assert run_cli(args + ["--outdir", str(a)]) == 0
     assert run_cli(args + ["--outdir", str(b)]) == 0
     csv = "ap_alpha0.5_mu0.5_p2.csv"
@@ -54,7 +54,7 @@ def test_repeated_runs_byte_identical(tmp_path):
 
 def test_csv_has_manifest_header(tmp_path):
     assert run_cli(["ap-check", "--alpha", "0.5", "--mu", "0.5",
-                    "--resolution", "256", "--outdir", str(tmp_path)]) == 0
+                    "--resolution", "512", "--outdir", str(tmp_path)]) == 0
     lines = read(tmp_path / "ap_alpha0.5_mu0.5_p2.csv").splitlines()
     assert lines[0] == "# manifest: ap-check_manifest.json"
     assert lines[1].split(",")[0] == "center_x"
@@ -62,7 +62,7 @@ def test_csv_has_manifest_header(tmp_path):
 
 def test_ap_check_has_no_weight_mode(tmp_path):
     args = ["ap-check", "--alpha", "0.5", "--mu", "0.5", "--resolution",
-            "256", "--outdir", str(tmp_path)]
+            "512", "--outdir", str(tmp_path)]
     with pytest.raises(SystemExit):
         run_cli(args + ["--mode", "surrogate"])
     assert run_cli(args) == 0
@@ -132,7 +132,7 @@ def test_ap_check_without_mu_is_usage_error(tmp_path, capsys):
 # expensive ap-check resolution is the one value set below its default
 ALL_PARAMS = {
     "whitney": {"alpha": 0.75, "kmax": 8},
-    "ap-check": {"alpha": 0.75, "mu": 0.5, "p": 2.0, "resolution": 256},
+    "ap-check": {"alpha": 0.75, "mu": 0.5, "p": 2.0, "resolution": 512},
     "div-solve": {"alpha": 0.75, "method": "potential", "t": 0.2,
                   "cells": 256, "h": 0.1, "mesh": None, "x_tip": None,
                   "min_angle": 15.0},
@@ -150,7 +150,7 @@ ALL_PARAMS = {
 def test_manifest_records_every_parameter(tmp_path, subcommand):
     args = [subcommand, "--alpha", "0.75", "--outdir", str(tmp_path)]
     if subcommand == "ap-check":
-        args += ["--mu", "0.5", "--resolution", "256"]
+        args += ["--mu", "0.5", "--resolution", "512"]
     assert run_cli(args) == 0
     manifest = json.loads(read(tmp_path / f"{subcommand}_manifest.json"))
     params = manifest["config"]["params"]
@@ -206,6 +206,10 @@ def test_stokes_takes_the_mesh_keys(tmp_path):
     (["div-solve", "--alpha", "0.5"], "alpha must exceed 1/2 for div-solve"),
     (["div-solve", "--alpha", "0.5", "--method", "fem"],
      "alpha must exceed 1/2 for div-solve"),
+    # the default radii 2^-2 .. 2^-10: at 256 only 2^-2 is resolved
+    (["ap-check", "--alpha", "0.3", "--mu", "1.5", "--resolution", "256"],
+     "resolution 256 resolves 1 of the plan's radii (r >= 64 / resolution), "
+     "and the trend needs two: resolution 512 resolves two"),
 ])
 def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
                                              message):

@@ -373,7 +373,7 @@ def test_inaccurate_factors_raise(mesh075, tmp_path, capsys, monkeypatch):
         with pytest.raises(RuntimeError, match="backward error"):
             estimate(mesh075, 0.75, 0.75)
     with pytest.raises(RuntimeError, match="backward error"):
-        discrete_infsup(mesh075, 0.75)
+        discrete_infsup(mesh075, 0.75, system=assemble(mesh075, 0.75))
     assert cli.main(["stokes", "--alpha", "0.75", "--h", "0.25",
                      "--outdir", str(tmp_path)]) == 1
     assert "error: sparse LU inaccurate" in capsys.readouterr().err
@@ -510,7 +510,7 @@ def test_unconverged_eigensolve_raises(mesh075, tmp_path, monkeypatch):
         with pytest.raises(RuntimeError):
             estimate(mesh075, 0.75, 0.75)
     with pytest.raises(RuntimeError):
-        discrete_infsup(mesh075, 0.75)
+        discrete_infsup(mesh075, 0.75, system=assemble(mesh075, 0.75))
     assert cli.main(["poincare-sweep", "--alpha", "0.75", "--levels", "1",
                      "--h", "0.25", "--outdir", str(tmp_path)]) == 1
 

@@ -1,5 +1,4 @@
 import hashlib
-import io
 from collections import Counter
 
 import numpy as np
@@ -88,11 +87,10 @@ def test_refine_quadruples_and_snaps(mesh05):
     assert fine.min_angle() > 10.0
 
 
-def test_save_load_round_trip(mesh05):
-    buf = io.StringIO()
-    save_mesh(mesh05, buf)
-    buf.seek(0)
-    back = load_mesh(buf)
+def test_save_load_round_trip(mesh05, tmp_path):
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh05, path)
+    back = load_mesh(path)
     assert np.allclose(back.vertices, mesh05.vertices)
     assert np.array_equal(back.triangles, mesh05.triangles)
     assert back.boundary_edges == mesh05.boundary_edges
@@ -141,11 +139,12 @@ def _first_row(block, row):
     (_first_row("boundary", "99999 0 tip"),
      "boundary block: vertex index 99999 is outside"),
 ])
-def test_load_mesh_rejects_malformed_files(mesh05, edit, message):
-    buf = io.StringIO()
-    save_mesh(mesh05, buf)
+def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
+    path = tmp_path / "mesh.txt"
+    save_mesh(mesh05, path)
+    path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=message):
-        load_mesh(io.StringIO(edit(buf.getvalue())))
+        load_mesh(path)
 
 
 def test_x_tip_override():
@@ -160,16 +159,17 @@ def test_grading_default_follows_cusp_exponent(mesh05):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.75, 1.0])
-def test_grading_is_one_over_alpha_for_every_mesh(alpha):
+def test_grading_is_one_over_alpha_for_every_mesh(alpha, tmp_path):
     m = generate_graded_mesh(CuspDomain(alpha), 0.2)
-    buf = io.StringIO()
-    save_mesh(m, buf)
-    assert f" grading={1.0 / alpha!r} " in buf.getvalue()
+    path = tmp_path / "mesh.txt"
+    save_mesh(m, path)
+    text = path.read_text()
+    assert f" grading={1.0 / alpha!r} " in text
     # the header's grading is not read back
-    text = buf.getvalue().replace(f"grading={1.0 / alpha!r}", "grading=7.0")
+    path.write_text(text.replace(f"grading={1.0 / alpha!r}", "grading=7.0"))
     built = meshmod.TriangulatedMesh(m.vertices, m.triangles,
                                      m.boundary_edges, alpha)
-    for other in (m, refine(m), load_mesh(io.StringIO(text)), built):
+    for other in (m, refine(m), load_mesh(path), built):
         assert other.grading == 1.0 / alpha
 
 
@@ -205,22 +205,26 @@ GOLDEN = {
     (0.5, 0.2, 0.00625):
         "a20e92813a7534b9d51e4fd4b98dc4a6b7226260ec211ff985159428fbdf9514",
 }
+# the refinement of the (0.5, 0.1) mesh, recorded when refine took its
+# midpoint numbering from edge_numbering: the same coordinates, triangles
+# and boundary edges as the midpoint-dict mesh, midpoints permuted
 GOLDEN_REFINED = \
-    "5102211b77b451dcf24c367574dd602c9e6788e913b0a9c9f5ac5bdb8e4b3f61"
+    "aab550069215b21b678afb5872dc2e6d8141f0b0a2db4c50d671d0fe66bf12c1"
 
 
-def mesh_sha256(m):
-    buf = io.StringIO()
-    save_mesh(m, buf)
-    return hashlib.sha256(buf.getvalue().encode()).hexdigest()
+def mesh_sha256(m, path):
+    """sha256 of the bytes save_mesh writes to path."""
+    save_mesh(m, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 @pytest.mark.parametrize("alpha,h,x_tip", list(GOLDEN))
-def test_golden_mesh_bytes(alpha, h, x_tip):
+def test_golden_mesh_bytes(alpha, h, x_tip, tmp_path):
     m = generate_graded_mesh(CuspDomain(alpha), h, x_tip=x_tip)
-    assert mesh_sha256(m) == GOLDEN[alpha, h, x_tip]
+    assert mesh_sha256(m, tmp_path / "mesh.txt") == GOLDEN[alpha, h, x_tip]
     if (alpha, h, x_tip) == (0.5, 0.1, None):
-        assert mesh_sha256(refine(m)) == GOLDEN_REFINED
+        assert mesh_sha256(refine(m), tmp_path / "refined.txt") == \
+            GOLDEN_REFINED
 
 
 def _scalar_quality(pa, pb, pc):
@@ -363,6 +367,41 @@ def test_meshes_are_conforming(alpha, h):
         m = generate_graded_mesh(dom, h, min_angle_deg=0.0)
     assert_conforming(m)
     assert_conforming(refine(m))
+
+
+@settings(max_examples=15, deadline=None)
+@given(alpha=st.floats(0.5, 1.0), h=st.floats(0.1, 0.3),
+       tip=st.sampled_from([None, 0.02]))
+@example(0.5, 0.1, None)
+def test_refine_numbers_midpoints_as_the_parent_p2_dofs(alpha, h, tip):
+    from cuspdiv.fem import P2Space
+
+    dom = CuspDomain(alpha)
+    m = generate_graded_mesh(dom, h, x_tip=tip, min_angle_deg=0.0)
+    fine, space, nv = refine(m), P2Space(m), m.num_vertices
+    dofs = space.dof_coords()
+    assert len(fine.vertices) == len(dofs)
+    # triangle t splits into its corner triangles and the midpoint one
+    assert np.array_equal(fine.triangles, space.tri_dofs[
+        :, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3))
+    # boundary edge (v0, v1) of edge number k splits at vertex nv + k, which
+    # is snapped onto its arc; every other vertex is the P2 dof itself
+    number = {tuple(e): nv + k for k, e in enumerate(space.edges.tolist())}
+    snapped = set()
+    for i, (v0, v1, kind) in enumerate(m.boundary_edges):
+        mid = number[min(v0, v1), max(v0, v1)]
+        assert fine.boundary_edges[2 * i:2 * i + 2] == [(v0, mid, kind),
+                                                        (mid, v1, kind)]
+        (x, y), (dx, dy) = fine.vertices[mid], dofs[mid]
+        if kind in ("upper-curve", "lower-curve"):
+            sign = 1.0 if kind == "upper-curve" else -1.0
+            assert (x, y) == (dx, sign * dx**dom.gamma)
+        else:
+            assert (x, y) == ({"right-edge": 1.0, "tip": m.x_tip}[kind], dy)
+        snapped.add(mid)
+    kept = np.setdiff1d(np.arange(len(dofs)), sorted(snapped))
+    assert np.array_equal(fine.vertices[kept], dofs[kept])
+    assert len(fine.boundary_edges) == 2 * len(m.boundary_edges)
 
 
 @pytest.mark.parametrize("alpha,h,x_tip", [

@@ -182,6 +182,16 @@ def test_divergence_residual_shrinks_under_refinement():
     assert res[2] < 5e-3
 
 
+def test_divergence_residual_rejects_a_vanishing_source():
+    # relative to max |f| = 0 the residual has no meaning; the velocity is
+    # never evaluated
+    zero = lambda p: np.zeros(len(p))
+    sol = newtonian_solve(SourceField.from_function(zero, 16))
+    sol.velocity = None
+    with pytest.raises(ValueError, match="source vanishes on the source grid"):
+        divergence_residual(sol, zero, np.array([[0.5, 0.0]]))
+
+
 def test_weighted_estimate_finite_and_validated():
     dom = CuspDomain(0.75)
     f, _ = disk_indicator_field((0.5, 0.0), 0.1)

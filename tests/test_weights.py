@@ -502,14 +502,56 @@ def test_build_ball_plan_refines_each_centre_once(monkeypatch):
     assert calls["distance"] <= calls["classify"] + balls
 
 
-@pytest.mark.parametrize("kwargs", [{}, {"sampling": GOLDEN_PLAN_SAMPLING,
-                                        "plan": {"balls": []}}],
-                         ids=["neither", "both"])
-def test_estimate_ap_constant_takes_sampling_or_plan(kwargs, monkeypatch):
-    # rejected before any work: no plan is built
-    monkeypatch.setattr(weights, "build_ball_plan", None)
-    with pytest.raises(ValueError, match="exactly one of sampling and plan"):
-        estimate_ap_constant(CuspDomain(0.5), WeightSpec(0.5), 2.0, **kwargs)
+def test_estimate_ap_constant_rejects_a_plan_of_another_domain():
+    sampling = {"boundary_centers": np.array([[0.5, 0.5 ** (4.0 / 3.0)]]),
+                "interior_centers": np.array([[0.5, 0.0]]),
+                "radii": np.array([0.25, 0.125]), "resolution": 512}
+    plan = weights.build_ball_plan(CuspDomain(0.75), sampling)
+    with pytest.raises(ValueError, match="plan was built for CuspDomain"
+                                         r"\(alpha=0.75\), not CuspDomain"
+                                         r"\(alpha=0.5\)"):
+        estimate_ap_constant(CuspDomain(0.5), WeightSpec(0.5), 2.0, plan)
+    # an equal domain is the same domain
+    est = estimate_ap_constant(CuspDomain(0.75), WeightSpec(0.0), 2.0, plan)
+    assert est.value == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("radii", [], "sampling has fewer than two radii"),
+    ("radii", [0.25], "sampling has fewer than two radii"),
+    ("centers", np.empty((0, 2)),
+     "sampling has no boundary or interior centers"),
+])
+def test_build_ball_plan_rejects_an_empty_sampling(field, value, message,
+                                                   monkeypatch):
+    # rejected before any work: no ball grid is built
+    monkeypatch.setattr(weights, "ball_grid", None)
+    sampling = dict(GOLDEN_PLAN_SAMPLING)
+    if field == "radii":
+        sampling["radii"] = np.array(value)
+    else:
+        sampling["boundary_centers"] = sampling["interior_centers"] = value
+    with pytest.raises(ValueError, match=message):
+        weights.build_ball_plan(CuspDomain(0.75), sampling)
+
+
+@pytest.mark.parametrize("radii, resolution, message", [
+    # a ball is resolved when r >= 64 / resolution
+    ([0.125, 1.0 / 32.0], 256, "resolves 0 of the plan's radii .* "
+                               "resolution 2048 resolves two"),
+    ([0.25, 0.125], 256, "resolves 1 of the plan's radii .* "
+                         "resolution 512 resolves two"),
+])
+def test_estimate_ap_constant_needs_two_resolved_radii(radii, resolution,
+                                                       message):
+    # a trend fitted to one radius, or to unresolved balls, says nothing
+    dom = CuspDomain(0.5)
+    sampling = {"boundary_centers": np.array([[0.5, 0.25]]),
+                "interior_centers": np.array([[0.5, 0.0]]),
+                "radii": np.array(radii), "resolution": resolution}
+    plan = weights.build_ball_plan(dom, sampling)
+    with pytest.raises(ValueError, match=message):
+        estimate_ap_constant(dom, WeightSpec(1.5), 2.0, plan)
 
 
 def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():
@@ -517,7 +559,7 @@ def test_ap_ratio_is_one_for_unit_weight_and_jensen_lower_bound():
     sampling = {
         "boundary_centers": np.array([[0.3, 0.3**2], [0.0, 0.0]]),
         "interior_centers": np.array([[0.5, 0.1]]),
-        "radii": np.array([0.1, 0.05]),
+        "radii": np.array([0.25, 0.125]),
         "resolution": 512,
     }
     plan = weights.build_ball_plan(dom, sampling)
@@ -537,12 +579,14 @@ def test_estimate_ap_constant_small_plan():
         "boundary_centers": np.array([[0.0, 0.0], [0.5, 0.25], [1.0, 0.0]]),
         "interior_centers": np.array([[0.5, 0.0]]),
         "radii": np.array([0.25, 0.125, 0.0625]),
-        "resolution": 256,
+        "resolution": 512,
     }
-    est = estimate_ap_constant(dom, WeightSpec(0.5), 2.0, sampling=sampling)
+    plan = weights.build_ball_plan(dom, sampling)
+    est = estimate_ap_constant(dom, WeightSpec(0.5), 2.0, plan)
     assert est.value >= 1.0
     assert len(est.per_ball) == 4 * 3
+    assert [rec["resolved"] for rec in est.per_ball] == [True, True, False] * 4
     assert est.admissible_flat()
     # mu = 0 gives ratio exactly 1 on every ball
-    flat = estimate_ap_constant(dom, WeightSpec(0.0), 2.0, sampling=sampling)
+    flat = estimate_ap_constant(dom, WeightSpec(0.0), 2.0, plan)
     assert flat.value == pytest.approx(1.0, abs=1e-12)

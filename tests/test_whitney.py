@@ -1,5 +1,4 @@
 import hashlib
-import io
 import math
 
 import numpy as np
@@ -278,11 +277,11 @@ def test_verify_mset_on_cusp_boundary():
     assert abs(res["m_fit"] - 1.0) < 0.15
 
 
-def test_save_decomposition_sorted_text():
+def test_save_decomposition_sorted_text(tmp_path):
     dec = decompose(point_distance_fn(), Box(-1, -1, 2.0), kmax=5)
-    buf = io.StringIO()
-    whitney.save_decomposition(dec, buf)
-    lines = buf.getvalue().splitlines()
+    path = tmp_path / "whitney.txt"
+    whitney.save_decomposition(dec, path)
+    lines = path.read_text().splitlines()
     assert lines[0].startswith("#")
     rows = [tuple(map(int, ln.split())) for ln in lines[1:]]
     assert rows == sorted(rows)
@@ -359,10 +358,10 @@ GOLDEN = {
 
 
 @pytest.mark.parametrize("alpha,kmax", list(GOLDEN))
-def test_golden_decomposition_bytes(alpha, kmax):
+def test_golden_decomposition_bytes(alpha, kmax, tmp_path):
     dom = CuspDomain(alpha)
     dec = decompose(lambda p: geometry.distance(dom, p), default_box(), kmax)
-    buf = io.StringIO()
-    whitney.save_decomposition(dec, buf)
-    assert hashlib.sha256(buf.getvalue().encode()).hexdigest() == GOLDEN[
+    path = tmp_path / "whitney.txt"
+    whitney.save_decomposition(dec, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[
         alpha, kmax]
