@@ -80,10 +80,12 @@ def _cmd_whitney(outdir, manifest_name, alpha, kmax):
 
 
 def _cmd_ap_check(outdir, manifest_name, alpha, mu, p, resolution):
-    weights._pprime(p)      # raises unless p > 1, before the plan's seconds
     dom = geometry.CuspDomain(alpha)
     sampling = weights.default_sampling(alpha)
     sampling["resolution"] = resolution
+    # the checks of estimate_ap_constant, before the plan's seconds
+    weights._pprime(p)
+    weights._resolved_radii(sampling["radii"], resolution)
     plan = weights.build_ball_plan(dom, sampling)
     est = weights.estimate_ap_constant(dom, weights.WeightSpec(mu), p, plan)
     csv_name = f"ap_alpha{alpha:g}_mu{mu:g}_p{p:g}.csv"
@@ -159,6 +161,10 @@ def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
 
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for stokes")
+    if r is None:
+        r_max = fem._pressure_r_max(alpha)
+        r = 1.3 if 1.3 < r_max else 0.5 * (1.0 + r_max)
+    fem._check_pressure_r(alpha, r)      # before the mesh and the solves
     mesh = _load_or_generate_mesh(alpha, **mesh_keys)
 
     def f(pts):
@@ -167,9 +173,6 @@ def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
     system = fem.assemble(mesh, alpha)
     u, q, info = fem.solve_stokes(mesh, alpha, f, system=system)
     infsup = fem.discrete_infsup(mesh, alpha, system=system)
-    if r is None:
-        r_max = 2.0 / (3.0 - 2.0 * alpha)
-        r = 1.3 if 1.3 < r_max else 0.5 * (1.0 + r_max)
     lr = fem.pressure_lr_norm(mesh, alpha, q.coeffs, r)
     summary = {"alpha": alpha, "h": mesh.h, "vertices": mesh.num_vertices,
                "energy": info["energy"],

@@ -4,27 +4,29 @@ Taylor-Hood elements on graded triangulations: continuous piecewise-quadratic
 velocities (optionally with zero boundary values) and continuous piecewise-
 linear pressures.  The constraint form is b(v, q) = int div v q d^(2 alpha - 2),
 with the distance-power weight evaluated at quadrature nodes.  Every form on
-a mesh is integrated through one MeshQuadrature: its nodes, the P2 space, the
-physical P2 gradients and the exact distance d are built once, and each
-weight d^e of a form is a power of that d; assemble keeps its MeshQuadrature
-in the SaddleSystem for every later solve.  Weighted constant pressures are
-removed by a bordered (deflated) saddle solve, factored once per assembled
-system.  The inf-sup, Korn and improved-Poincare constants are generalized
-Rayleigh-quotient extremes, all computed by one shift-invert Lanczos path
-(_min_eig) that raises when it does not converge.  Every sparse LU (the
-saddle, the velocity block that orders it, Korn and Poincare matrices) comes
-from _factor: SuperLU in symmetric mode with a small diagonal-pivot
+a mesh is integrated through one MeshQuadrature, which _quadrature shares
+among all live callers on that mesh (a SaddleSystem keeps its own for every
+later solve): its nodes, the P2 space, the physical P2 gradients, the exact
+distance d and the minimum-degree order of the P2 dofs are built once, and
+each weight d^e of a form is a power of that d.  Weighted constant pressures
+are removed by a bordered (deflated) saddle solve, factored once per
+assembled system.  The inf-sup, Korn and improved-Poincare constants are
+generalized Rayleigh-quotient extremes, all computed by one shift-invert
+Lanczos path (_min_eig) that raises when it does not converge.  Every sparse
+LU (saddle, Korn and Poincare) comes from _factor, in an order derived from
+the mesh's order: SuperLU in symmetric mode with a small diagonal-pivot
 threshold, whose factors one probe solve checks by its backward error.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.sparse.linalg import LinearOperator, eigsh, spilu, splu
 
 from . import geometry
 from .mesh import TriangulatedMesh, _boundary_midpoints
@@ -123,8 +125,9 @@ class MeshQuadrature:
     """The 7-point quadrature of a mesh, shared by every form assembled on it.
 
     pts (nt, 7, 2) and wq (nt, 7) are the physical nodes and scaled weights.
-    The P2 space, the physical P2 gradients (nt, 7, 6, 2) and the exact
-    distance d at pts are built on first use; weight(e) is d**e.
+    The P2 space, the physical P2 gradients (nt, 7, 6, 2), the exact
+    distance d at pts and the elimination order of the P2 dofs are built on
+    first use; weight(e) is d**e.
     """
 
     def __init__(self, mesh: TriangulatedMesh):
@@ -157,6 +160,17 @@ class MeshQuadrature:
         return geometry.distance(dom, self.pts.reshape(-1, 2)).reshape(
             self.wq.shape)
 
+    @cached_property
+    def order(self):
+        """Minimum-degree elimination sequence of the P2 dofs: argsort of
+        SuperLU's perm_c on the unweighted P2 mass, which has the pattern of
+        every scalar P2 form and is nonsingular.  The incomplete LU that
+        drops all it may gives the full LU's perm_c at 1/3 to 1/2 its cost.
+        """
+        M = _assemble_p2(self, self.weight(0.0), "mass").tocsc()
+        return np.argsort(spilu(M, permc_spec=_MIN_DEGREE_ORDER,
+                                drop_tol=1.0, fill_factor=1.0).perm_c)
+
     def weight(self, exponent):
         """d^exponent at the nodes; ones, without evaluating d, for 0."""
         if exponent == 0.0:
@@ -167,6 +181,20 @@ class MeshQuadrature:
         """f at the nodes: (nt, 7) for a scalar f, (nt, 7, 2) for a vector."""
         fv = np.asarray(f(self.pts.reshape(-1, 2)), dtype=float)
         return fv.reshape(self.wq.shape + fv.shape[1:])
+
+
+# live quadratures by id of their mesh, held weakly: a quadrature lives as
+# long as its holders, and it keeps its mesh, so the id stays that mesh's
+_QUADRATURES = weakref.WeakValueDictionary()
+
+
+def _quadrature(mesh):
+    """The MeshQuadrature of mesh: the one a live holder (a SaddleSystem,
+    say) keeps for this mesh object, or else a new one."""
+    quad = _QUADRATURES.get(id(mesh))
+    if quad is None:
+        quad = _QUADRATURES[id(mesh)] = MeshQuadrature(mesh)
+    return quad
 
 
 def _apply(J, X):
@@ -314,7 +342,10 @@ class SaddleSystem:
     def bordered_solve(self, rhs_u, rhs_p):
         """(u, q, mu) of the deflated saddle system (see _bordered_solver)."""
         if self._solve is None:
-            self._solve = _bordered_solver(*self.restrict(), self.c)
+            # the mesh order on the free scalar dofs, numbered among them
+            scalar = self.free[:len(self.free) // 2]
+            seq = np.argsort(np.argsort(self.quad.order)[scalar])
+            self._solve = _bordered_solver(*self.restrict(), self.c, seq)
         return self._solve(rhs_u, rhs_p)
 
 
@@ -322,7 +353,7 @@ def assemble(mesh: TriangulatedMesh, alpha) -> SaddleSystem:
     """Assemble the weighted Stokes blocks; requires alpha > 1/2."""
     if not alpha > 0.5:
         raise ValueError("alpha must exceed 1/2 for the weighted Stokes forms")
-    quad = MeshQuadrature(mesh)
+    quad = _quadrature(mesh)
     n = quad.space.n_dofs
     w = quad.weight(2.0 * alpha - 2.0)
     K = _assemble_p2(quad, quad.weight(0.0), "stiffness")
@@ -341,35 +372,41 @@ def assemble(mesh: TriangulatedMesh, alpha) -> SaddleSystem:
 # Diagonal-pivot threshold of _factor.  SuperLU's default partial pivoting
 # (threshold 1.0) picks off-diagonal pivots these structurally symmetric
 # matrices do not need, and they add fill.  On the alpha = 0.75 saddle in
-# the order of _saddle_order, symmetric mode at 1e-6 has fill 1.18M against
-# 5.53M at h = 0.1 and factors in 54 ms against 609 ms (7.69M against 98.2M
-# fill, 0.48 s against 72 s, at h = 0.05); Korn keeps its fill and factors
-# in 0.5 to 1 of the time, Poincare is unchanged.  Threshold 0 breaks the
-# saddle of the unweighted B (mesh alpha 0.75, h = 0.3, weight alpha 1):
-# probe backward error 1.8e-6, against 5.0e-20 at 1e-6, which has the fill
-# of threshold 0 on the other saddles.  1e-3 keeps that fill, and 1e-2
-# raises it to 1.82M at h = 0.1 and 11.1M at h = 0.05.
+# the order of _saddle_order, symmetric mode at 1e-6 has fill 1.20M against
+# 5.31M at h = 0.1 and factors in 55 ms against 590 ms (7.69M against 98.2M
+# fill, 0.48 s against 72 s, at h = 0.05, measured in the saddle's former
+# order); Korn and Poincare keep their fill, to 2%, and their time.
+# Threshold 0 breaks the saddle of the unweighted B (mesh alpha 0.75,
+# h = 0.3, weight alpha 1): probe backward error 8.8e-8, against 3.4e-20 at
+# 1e-6, which has the fill of threshold 0 on the other saddles.  1e-3 keeps
+# that fill, and 1e-2 raises it to 1.44M at h = 0.1 and 10.4M at h = 0.05.
 _DIAG_PIVOT_THRESH = 1e-6
 # largest normwise backward error _factor accepts for its probe solve
 _FACTOR_TOL = 1e-12
-# Minimum degree on A'A + A: the column order of the symmetric Korn and
-# Poincare matrices, where it has about half of COLAMD's fill, and of the
-# scalar velocity block that _saddle_order interleaves.  On the whole saddle
-# its zero pressure block defeats it: at h = 0.05 it had 21.3M fill against
-# the 7.69M of _saddle_order.
+# Minimum degree on A'A + A, read once per mesh from the P2 dof pattern
+# (MeshQuadrature.order); every LU on the mesh is ordered from it.  At
+# alpha = 0.75, h = 0.1 and 0.05, that gives Korn fill 793k and 4.43M
+# (830k and 4.53M for minimum degree on the whole Korn matrix, 1.30M and
+# 8.28M for COLAMD), Poincare 202k and 1.12M (203k and 1.08M on its own
+# matrix) and the saddle 1.20M and 7.60M (1.18M and 7.69M ordered by its
+# free scalar block).  On the whole saddle its zero pressure block defeats
+# it: at h = 0.05 it had 21.3M fill against the 7.69M of that order.
 _MIN_DEGREE_ORDER = "MMD_AT_PLUS_A"
 
 
-def _factor(A, order):
-    """SuperLU factors of the structurally symmetric CSC matrix A.
+def _factor(A, perm):
+    """Solve with the SuperLU factors of the structurally symmetric A,
+    eliminated in the order perm (unknown perm[k] k-th).
 
-    Symmetric mode (row order = column order, diagonal pivots preferred down
-    to _DIAG_PIVOT_THRESH times the column maximum) in column order `order`.
+    A[perm][:, perm] is factored in symmetric mode (NATURAL order, diagonal
+    pivots preferred down to _DIAG_PIVOT_THRESH times the column maximum).
     One probe solve for a seeded right-hand side b checks the factors: its
     normwise backward error ||A x - b|| / (||A|| ||x|| + ||b||), in the max
-    norm, above _FACTOR_TOL raises RuntimeError.
+    norm, above _FACTOR_TOL raises RuntimeError.  Returns solve(b), A^-1 b
+    in the unknowns of A.
     """
-    lu = splu(A, permc_spec=order, diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+    A = A.tocsr()[perm][:, perm].tocsc()
+    lu = splu(A, permc_spec="NATURAL", diag_pivot_thresh=_DIAG_PIVOT_THRESH,
               options={"SymmetricMode": True})
     b = np.random.default_rng(0).standard_normal(A.shape[0])
     x = lu.solve(b)
@@ -379,29 +416,35 @@ def _factor(A, order):
     if not err <= _FACTOR_TOL:
         raise RuntimeError(f"sparse LU inaccurate: backward error "
                            f"{err:.3e} > {_FACTOR_TOL:g}")
-    return lu
+
+    def solve(rhs):
+        out = np.empty(len(rhs))
+        out[perm] = lu.solve(rhs[perm])
+        return out
+
+    return solve
 
 
-def _saddle_order(Af, Bf):
+def _pair(seq):
+    """The [ux; uy] unknowns of the scalar sequence seq, x and y together."""
+    return np.column_stack([seq, seq + len(seq)]).ravel()
+
+
+def _saddle_order(seq, Bf):
     """Elimination order of the bordered saddle matrix of _bordered_solver.
 
-    Af is diag(Kf, Kf): one boundary mask serves both velocity components.
-    The scalar block Kf is ordered by minimum degree (the elimination
-    sequence is argsort of SuperLU's perm_c), the two components of each
-    dof are placed next to each other, and every pressure right after the
-    dof of its last free velocity neighbour, so that its zero diagonal has
-    been filled by the time it is eliminated; pressures with no free
-    neighbour go after all velocities.  The border unknown mu, coupled to
-    every pressure, comes last.  Returns the unknowns (u, q, mu) in
-    elimination order.
+    The free scalar dofs go in the sequence seq, the two velocity
+    components of each next to each other (_pair), and every pressure right
+    after the dof of its last free velocity neighbour, so that its zero
+    diagonal has been filled by the time it is eliminated; pressures with
+    no free neighbour go after all velocities.  The border unknown mu,
+    coupled to every pressure, comes last.  Returns the unknowns (u, q, mu)
+    in elimination order.
     """
-    nu, npress = Af.shape[0], Bf.shape[0]
-    nf = nu // 2
-    seq = np.argsort(_factor(Af[:nf, :nf].tocsc(), _MIN_DEGREE_ORDER).perm_c)
+    nu, npress = 2 * len(seq), Bf.shape[0]
     # dof k of the sequence has its components at positions 2k and 2k + 1
     pos = np.empty(nu, dtype=np.intp)
-    pos[seq] = np.arange(0, nu, 2)
-    pos[seq + nf] = np.arange(1, nu, 2)
+    pos[_pair(seq)] = np.arange(nu)
     # each pressure's key: the second position (2k + 1, that is | 1) of
     # the dof of its last neighbour; nu if it has none
     coo = Bf.tocoo()
@@ -413,31 +456,31 @@ def _saddle_order(Af, Bf):
                      nu + npress)
 
 
-def _bordered_solver(Af, Bf, c):
+def _bordered_solver(Af, Bf, c, seq):
     """Factor the deflated saddle system once and return its solve.
 
     [Af  Bf' 0 ] [u ]   [rhs_u]
     [Bf  0   c ] [q ] = [rhs_p]
     [0   c'  0 ] [mu]   [0    ]
 
-    c = Mw 1 deflates weighted-constant pressures; mu absorbs any weighted
-    mean of the constraint right-hand side.  solve(rhs_u, rhs_p) returns
-    (u, q, mu).  The matrix is factored (NATURAL) in the order of
-    _saddle_order, the dense border row and column last.  At alpha = 0.75
-    that has fill 1.18M at h = 0.1 and 7.69M at h = 0.05, against 1.86M and
-    16.6M for the reverse Cuthill-McKee order of the whole saddle block,
-    and factors and solves in 0.3 to 0.6 of its time.
+    Af is diag(Kf, Kf): one boundary mask serves both velocity components,
+    whose free scalar dofs go in the elimination sequence seq.  c = Mw 1
+    deflates weighted-constant pressures; mu absorbs any weighted mean of
+    the constraint right-hand side.  solve(rhs_u, rhs_p) returns (u, q, mu).
+    The matrix is factored in the order of _saddle_order, the dense border
+    row and column last.  At alpha = 0.75 that has fill 1.20M at h = 0.1
+    and 7.60M at h = 0.05, against 1.86M and 16.6M for the reverse
+    Cuthill-McKee order of the whole saddle block, and factors and solves
+    in 0.3 to 0.6 of its time.
     """
     nu, npress = Af.shape[0], Bf.shape[0]
-    perm = _saddle_order(Af, Bf)
     cc = sparse.csr_matrix(c.reshape(-1, 1))
     full = sparse.bmat([[Af, Bf.T, None], [Bf, None, cc], [None, cc.T, None]],
                        format="csr")
-    lu = _factor(full[perm][:, perm].tocsc(), "NATURAL")
+    solve_full = _factor(full, _saddle_order(seq, Bf))
 
     def solve(rhs_u, rhs_p):
-        sol = np.empty(nu + npress + 1)
-        sol[perm] = lu.solve(np.concatenate([rhs_u, rhs_p, [0.0]])[perm])
+        sol = solve_full(np.concatenate([rhs_u, rhs_p, [0.0]]))
         return sol[:nu], sol[nu:nu + npress], float(sol[-1])
 
     return solve
@@ -586,6 +629,18 @@ def solve_stokes(mesh, alpha, f, system):
         DiscreteField("scalar-P1", q, mesh), info
 
 
+def _pressure_r_max(alpha):
+    """p = q d^(2 alpha - 2) lies in L^r for 1 <= r < 2/(3 - 2 alpha)."""
+    return 2.0 / (3.0 - 2.0 * alpha)
+
+
+def _check_pressure_r(alpha, r):
+    """Raise ValueError unless 1 <= r < _pressure_r_max(alpha)."""
+    r_max = _pressure_r_max(alpha)
+    if not 1.0 <= r < r_max:
+        raise ValueError(f"r must lie in [1, {r_max:.6f}) for alpha={alpha}")
+
+
 def pressure_lr_norm(mesh, alpha, q, r):
     """||p||_{L^r(Omega)} for p = q d^(2 alpha - 2), plus its Hoelder bound.
 
@@ -593,10 +648,8 @@ def pressure_lr_norm(mesh, alpha, q, r):
     bound ||p||_{L^2(Omega, 1-alpha)} (int d^(2(alpha-1) r/(2-r)))^((2-r)/(2r))
     and the slack; the bound is only formed for r < 2.
     """
-    r_max = 2.0 / (3.0 - 2.0 * alpha)
-    if not 1.0 <= r < r_max:
-        raise ValueError(f"r must lie in [1, {r_max:.6f}) for alpha={alpha}")
-    quad = MeshQuadrature(mesh)
+    _check_pressure_r(alpha, r)
+    quad = _quadrature(mesh)
     qv = np.einsum("qm,tm->tq", _P1_N, np.asarray(q)[mesh.triangles])
     p = qv * quad.weight(2.0 * alpha - 2.0)
     norm = float(np.sum(quad.wq * np.abs(p) ** r) ** (1.0 / r))
@@ -631,14 +684,13 @@ def korn_best_constant(mesh, alpha, beta, ball=None, level=0):
     """
     if ball is None:
         ball = default_ball(alpha)
-    quad = MeshQuadrature(mesh)
+    quad = _quadrature(mesh)
     K = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "stiffness")
     G = sparse.block_diag([K, K]).tocsr()
     E = _assemble_eps(quad, quad.weight(2.0 * (alpha - beta)))
     Mb = _assemble_p2(quad, _ball_indicator(quad.pts, ball), "mass")
     MB = sparse.block_diag([Mb, Mb]).tocsr()
-    lu = _factor((E + MB).tocsc(), _MIN_DEGREE_ORDER)
-    mu, resid = _min_eig(lu.solve, G)
+    mu, resid = _min_eig(_factor(E + MB, _pair(quad.order)), G)
     return ConstantEstimate(
         {"alpha": alpha, "beta": beta, "ball": ball},
         level, float(1.0 / np.sqrt(mu)), resid)
@@ -657,7 +709,7 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     if ball is None:
         ball = default_ball(alpha)
     (cx, cy), r = ball
-    quad = MeshQuadrature(mesh)
+    quad = _quadrature(mesh)
     M = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "mass")
     S = _assemble_p2(quad, quad.weight(2.0 * (1.0 + alpha - beta)),
                      "stiffness")
@@ -670,10 +722,11 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     bump /= total
     c = _load(quad.space.tri_dofs,
               np.einsum("tq,qm->tm", quad.wq * bump, _P2_N), quad.space.n_dofs)
-    cc = sparse.csc_matrix(c.reshape(-1, 1))
-    lu = _factor(sparse.bmat([[S, cc], [cc.T, None]], format="csc"),
-                 _MIN_DEGREE_ORDER)
-    mu, resid = _min_eig(lambda y: lu.solve(np.append(y, 0.0))[:-1], M)
+    cc = sparse.csr_matrix(c.reshape(-1, 1))
+    # the border unknown, coupled to every dof of the bump, last
+    solve = _factor(sparse.bmat([[S, cc], [cc.T, None]], format="csr"),
+                    np.append(quad.order, len(c)))
+    mu, resid = _min_eig(lambda y: solve(np.append(y, 0.0))[:-1], M)
     return ConstantEstimate(
         {"alpha": alpha, "beta": beta, "ball": ball},
         level, float(1.0 / np.sqrt(mu)), resid)

@@ -423,6 +423,13 @@ def default_sampling(alpha):
     }
 
 
+def _delta_min(resolution):
+    """The quadrature floor 1 / resolution, for a positive resolution."""
+    if not resolution > 0:
+        raise ValueError("resolution must be positive")
+    return 1.0 / float(resolution)
+
+
 def build_ball_plan(domain, sampling):
     """Quadrature weights and node distances for every ball of sampling.
 
@@ -435,10 +442,8 @@ def build_ball_plan(domain, sampling):
     Raises ValueError for a resolution below 1, fewer than two radii (the
     trend of `estimate_ap_constant` needs two) or no centres.
     """
-    if not sampling["resolution"] > 0:
-        raise ValueError("resolution must be positive")
+    delta_min = _delta_min(sampling["resolution"])
     distance_fn = lambda pts: geometry.distance(domain, pts)
-    delta_min = 1.0 / float(sampling["resolution"])
     radii = np.asarray(sampling["radii"], dtype=float)
     centers = np.vstack([sampling["boundary_centers"],
                          sampling["interior_centers"]])
@@ -460,6 +465,20 @@ def build_ball_plan(domain, sampling):
     return {"domain": domain, "sampling": sampling, "balls": balls}
 
 
+def _resolved_radii(radii, resolution):
+    """The radii r >= 64 / resolution, sorted, that the supremum and trend
+    of `estimate_ap_constant` count; ValueError unless two qualify."""
+    floor = 64.0 * _delta_min(resolution)
+    resolved = sorted({float(r) for r in radii if r >= floor})
+    if len(resolved) < 2:
+        r2 = sorted({float(r) for r in radii})[-2]
+        raise ValueError(
+            f"resolution {resolution} resolves {len(resolved)} of the plan's "
+            "radii (r >= 64 / resolution), and the trend needs two: "
+            f"resolution {math.ceil(64.0 / r2)} resolves two")
+    return resolved
+
+
 def estimate_ap_constant(domain, weight: WeightSpec, p, plan) -> ApEstimate:
     """Sampled A_p constant of d^mu over the balls of a `build_ball_plan`.
 
@@ -477,8 +496,8 @@ def estimate_ap_constant(domain, weight: WeightSpec, p, plan) -> ApEstimate:
     if plan["domain"] != domain:
         raise ValueError(f"plan was built for {plan['domain']!r}, "
                          f"not {domain!r}")
-    resolution = plan["sampling"]["resolution"]
-    delta_min = 1.0 / float(resolution)
+    radii = _resolved_radii([ball["radius"] for ball in plan["balls"]],
+                            plan["sampling"]["resolution"])
     records = []
     for ball in plan["balls"]:
         qw, d = ball["weights"], ball["d"]
@@ -492,15 +511,8 @@ def estimate_ap_constant(domain, weight: WeightSpec, p, plan) -> ApEstimate:
                         # balls barely larger than the quadrature floor are
                         # kept in the table but excluded from the headline
                         # supremum and trend
-                        "resolved": ball["radius"] >= 64.0 * delta_min})
+                        "resolved": ball["radius"] in radii})
     used = [rec for rec in records if rec["resolved"]]
-    radii = sorted({rec["radius"] for rec in used})
-    if len(radii) < 2:
-        r2 = sorted({rec["radius"] for rec in records})[-2]
-        raise ValueError(
-            f"resolution {resolution} resolves {len(radii)} of the plan's "
-            "radii (r >= 64 / resolution), and the trend needs two: "
-            f"resolution {math.ceil(64.0 / r2)} resolves two")
     sup_per_radius = [max(rec["ratio"] for rec in used
                           if rec["radius"] == r) for r in radii]
     slope = np.polyfit(np.log10(radii), np.log10(sup_per_radius), 1)[0]

@@ -218,6 +218,33 @@ def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
     assert not (tmp_path / f"{args[0]}_summary.json").exists()
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("called after the inputs were known to be bad")
+
+
+@pytest.mark.parametrize("args, message, stages", [
+    # the resolution rule of estimate_ap_constant, before the ball plan
+    (["ap-check", "--alpha", "0.75", "--mu", "0.5", "--resolution", "256"],
+     "resolution 256 resolves 1 of the plan's radii (r >= 64 / resolution), "
+     "and the trend needs two: resolution 512 resolves two",
+     [("weights", "build_ball_plan")]),
+    # the range of pressure_lr_norm, before the mesh and the solves
+    (["stokes", "--alpha", "0.75", "--h", "0.05", "--r", "1.5"],
+     "r must lie in [1, 1.333333) for alpha=0.75",
+     [("cli", "generate_graded_mesh"), ("fem", "assemble")]),
+])
+def test_bad_inputs_fail_before_the_work(tmp_path, capsys, monkeypatch, args,
+                                         message, stages):
+    from cuspdiv import fem, weights
+
+    modules = {"cli": cli, "fem": fem, "weights": weights}
+    for module, name in stages:
+        monkeypatch.setattr(modules[module], name, refuse)
+    assert run_cli(args + ["--outdir", str(tmp_path)]) == 1
+    assert f"error: {message}\n" in capsys.readouterr().err
+    assert not (tmp_path / f"{args[0]}_summary.json").exists()
+
+
 def test_unknown_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         run_cli(["frobnicate", "--alpha", "0.5"])

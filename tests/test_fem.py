@@ -1,6 +1,8 @@
 import dataclasses
+import gc
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -174,18 +176,65 @@ def count_distance_calls(monkeypatch):
     return calls
 
 
-def test_one_distance_evaluation_per_mesh_quadrature(mesh075, monkeypatch):
+def test_one_distance_evaluation_per_mesh_quadrature(monkeypatch):
+    # a fresh mesh: no fixture holds a quadrature of it
+    mesh = generate_graded_mesh(CuspDomain(0.75), 0.25)
     ball = default_ball(0.75)
     calls = count_distance_calls(monkeypatch)
-    system = assemble(mesh075, 0.75)
+    system = assemble(mesh, 0.75)
+    assert calls == [7 * mesh.num_triangles]
+    # every later call on the mesh reuses the system's quadrature, and with
+    # it the distance at its nodes
+    solve_div_right_inverse(mesh, 0.75, lambda p: p[:, 0], system=system)
+    _, q, _ = solve_stokes(mesh, 0.75, lambda p: np.ones((len(p), 2)),
+                           system=system)
+    discrete_infsup(mesh, 0.75, system=system)
+    pressure_lr_norm(mesh, 0.75, q.coeffs, 1.3)
+    korn_best_constant(mesh, 0.75, 0.5, ball=ball)
+    improved_poincare_constant(mesh, 0.75, 0.5, ball=ball)
     assert len(calls) == 1
-    # solves on the system reuse its quadrature and distance
-    solve_div_right_inverse(mesh075, 0.75, lambda p: p[:, 0], system=system)
-    assert len(calls) == 1
-    for estimate in (korn_best_constant, improved_poincare_constant):
-        calls.clear()
-        estimate(mesh075, 0.75, 0.5, ball=ball)
-        assert calls == [7 * mesh075.num_triangles]
+    # with the system gone, Korn builds its own quadrature again
+    del system
+    gc.collect()
+    korn_best_constant(mesh, 0.75, 0.5, ball=ball)
+    assert calls == [7 * mesh.num_triangles] * 2
+
+
+def test_shared_quadrature_gives_bit_identical_results():
+    mesh = generate_graded_mesh(CuspDomain(0.75), 0.25)
+    q = np.random.default_rng(5).standard_normal(mesh.num_vertices)
+
+    def results():
+        return (korn_best_constant(mesh, 0.75, 0.5),
+                improved_poincare_constant(mesh, 0.75, 0.5),
+                pressure_lr_norm(mesh, 0.75, q, 1.3))
+
+    alone = results()              # each call on a quadrature of its own
+    system = assemble(mesh, 0.75)
+    assert results() == alone      # all on the system's
+    assert fem._quadrature(mesh) is system.quad
+
+
+def test_quadrature_lives_as_long_as_its_holders():
+    mesh = generate_graded_mesh(CuspDomain(0.75), 0.25)
+    system = assemble(mesh, 0.75)
+    quad = weakref.ref(system.quad)
+    korn_best_constant(mesh, 0.75, 0.75)
+    assert fem._quadrature(mesh) is quad()
+    # no reference cycle keeps it: it goes with its last holder
+    del system
+    assert quad() is None
+    # one made for a call alone goes when the call returns
+    korn_best_constant(mesh, 0.75, 0.75)
+    assert id(mesh) not in fem._QUADRATURES
+
+
+def test_mesh_order_is_minimum_degree_on_the_p2_mass(mesh075):
+    # the incomplete LU that reads the order gives the full LU's perm_c
+    quad = fem.MeshQuadrature(mesh075)
+    M = fem._assemble_p2(quad, quad.weight(0.0), "mass").tocsc()
+    lu = splu(M, permc_spec="MMD_AT_PLUS_A")
+    assert np.array_equal(quad.order, np.argsort(lu.perm_c))
 
 
 def test_rigid_rotation_has_zero_strain(mesh075):
@@ -236,9 +285,11 @@ def test_bordered_solve_weight_scaling_invariance(system075):
     rng = np.random.default_rng(2)
     g = rng.standard_normal(nv)
     g -= c_vec * (c_vec @ g) / (c_vec @ c_vec)
-    u1, q1, _ = fem._bordered_solver(Af, Bf, c_vec)(np.zeros(Af.shape[0]), g)
+    seq = rng.permutation(Af.shape[0] // 2)
+    u1, q1, _ = fem._bordered_solver(Af, Bf, c_vec, seq)(
+        np.zeros(Af.shape[0]), g)
     s = 7.5
-    u2, q2, _ = fem._bordered_solver(Af, s * Bf, s * c_vec)(
+    u2, q2, _ = fem._bordered_solver(Af, s * Bf, s * c_vec, seq)(
         np.zeros(Af.shape[0]), s * g)
     assert np.allclose(u1, u2, atol=1e-10 * max(np.linalg.norm(u1), 1.0))
     assert np.allclose(q1, s * q2, atol=1e-10 * max(np.linalg.norm(q1), 1.0))
@@ -281,39 +332,38 @@ def check_bordered_solve(system, rng):
     return oracle
 
 
-# h, largest saddle fill as a fraction of COLAMD's (0.58 and 0.26 measured)
+# h, largest saddle fill as a fraction of COLAMD's (0.65 and 0.26 measured)
 @pytest.mark.parametrize("h, saddle_fill", [(0.25, 1.0), (0.1, 0.30)])
 def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
     mesh = generate_graded_mesh(CuspDomain(0.75), h)
     factored = record_lu(monkeypatch)
     rng = np.random.default_rng(3)
     oracle = check_bordered_solve(assemble(mesh, 0.75), rng)
-    # the minimum-degree LU of the scalar velocity block, which orders the
-    # saddle, then the saddle
-    assert len(factored) == 2
-    assert lu_fill(factored[1][1]) <= saddle_fill * lu_fill(oracle)
-    # the ordering LU, Korn and Poincare: the factored matrix against its
-    # default-order LU
+    # the saddle alone: its order comes from the mesh, not from an LU
+    assert len(factored) == 1
+    assert lu_fill(factored[0][1]) <= saddle_fill * lu_fill(oracle)
+    # Korn and Poincare: the factored matrix against its default-order LU
     korn_best_constant(mesh, 0.75, 0.75)
     improved_poincare_constant(mesh, 0.75, 0.75)
-    assert len(factored) == 4
-    for A, lu in factored[:1] + factored[2:]:
+    assert len(factored) == 3
+    for A, lu in factored[1:]:
         oracle = splu(A)
         b = rng.standard_normal(A.shape[0])
         assert relative_error(lu.solve(b), oracle.solve(b)) <= 1e-10
         assert lu_fill(lu) <= lu_fill(oracle)
 
 
-def check_saddle_order(Af, Bf):
-    """_saddle_order is a permutation of (u, q, mu) that puts the two
-    components of each velocity dof next to each other, every pressure
-    after all its free velocity neighbours (after every velocity if it has
-    none) and the border last."""
-    nu, npress = Af.shape[0], Bf.shape[0]
-    nf = nu // 2
-    perm = fem._saddle_order(Af, Bf)
+def check_saddle_order(seq, Bf):
+    """_saddle_order is a permutation of (u, q, mu) that eliminates the free
+    scalar dofs in the sequence seq, puts the two components of each dof
+    next to each other, every pressure after all its free velocity
+    neighbours (after every velocity if it has none) and the border last."""
+    nf, npress = len(seq), Bf.shape[0]
+    nu = 2 * nf
+    perm = fem._saddle_order(seq, Bf)
     assert np.array_equal(np.sort(perm), np.arange(nu + npress + 1))
     pos = np.argsort(perm)
+    assert np.all(np.diff(pos[seq]) > 0)
     assert np.array_equal(pos[nf:nu], pos[:nf] + 1)
     Bf = Bf.tocsr()
     for q in range(npress):
@@ -322,25 +372,31 @@ def check_saddle_order(Af, Bf):
     assert perm[-1] == nu + npress
 
 
-def test_saddle_order_on_a_taylor_hood_system(system075):
-    check_saddle_order(*system075.restrict())
+def test_saddle_order_on_a_taylor_hood_system(mesh075, monkeypatch):
+    # the sequence the system passes: the mesh order on the free dofs
+    orders = []
+    saddle_order = fem._saddle_order
+    monkeypatch.setattr(fem, "_saddle_order", lambda seq, Bf: orders.append(
+        (seq, Bf)) or saddle_order(seq, Bf))
+    system = assemble(mesh075, 0.75)
+    system.bordered_solve(np.zeros(len(system.free)),
+                          np.zeros(mesh075.num_vertices))
+    (seq, Bf), = orders
+    scalar = system.free[:len(seq)]
+    assert np.all(np.diff(np.argsort(system.quad.order)[scalar[seq]]) > 0)
+    check_saddle_order(seq, Bf)
 
 
 @settings(max_examples=40, deadline=None)
 @given(nf=st.integers(1, 40), npress=st.integers(1, 20),
        density=st.floats(0.0, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_saddle_order_on_random_patterns(nf, npress, density, seed):
-    # diag(K, K) for a random symmetric, diagonally dominant K, and a random
-    # constraint pattern that may leave pressures with no velocity neighbour
+    # a random sequence of the scalar dofs, and a random constraint pattern
+    # that may leave pressures with no velocity neighbour
     rng = np.random.default_rng(seed)
-    R = np.triu(rng.random((nf, nf)) < density, 1) * rng.standard_normal(
-        (nf, nf))
-    K = R + R.T
-    K += np.diag(np.abs(K).sum(axis=1) + 1.0)
-    Af = sparse.block_diag([K, K], format="csr")
     Bf = sparse.csr_matrix((rng.random((npress, 2 * nf)) < density)
                            * rng.standard_normal((npress, 2 * nf)))
-    check_saddle_order(Af, Bf)
+    check_saddle_order(rng.permutation(nf), Bf)
 
 
 # (mesh alpha, h, weight alpha): the unweighted B of (0.75, 0.3, 1.0) needs
