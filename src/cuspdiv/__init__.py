@@ -7,7 +7,8 @@ sums under the surrogate distance, every other integrand at 2-D nodes under
 the exact distance), a Newtonian-potential right inverse of the divergence,
 weighted Taylor-Hood finite elements (divergence right inverse, Stokes,
 inf-sup, Korn/Poincare constants), and the sweep / rate-fitting experiments
-tying the pieces together.
+tying the pieces together.  Each class and function is reached through
+its module, as in `cuspdiv.geometry.distance`.
 
 `fem`, and with it scipy.sparse, is imported on first use: `cuspdiv.fem`
 works as an attribute, and the subcommands and experiments that assemble
@@ -19,24 +20,9 @@ import importlib
 __version__ = "0.1.0"
 
 from . import cli, experiments, geometry, mesh, potential, weights, whitney
-from .geometry import CuspDomain, distance, surrogate_distance
-from .mesh import TriangulatedMesh, generate_graded_mesh, refine
-from .weights import WeightSpec, estimate_ap_constant, weighted_lp_norm
-from .whitney import WhitneyDecomposition, decompose
 
 __all__ = [
     "__version__",
-    "CuspDomain",
-    "distance",
-    "surrogate_distance",
-    "TriangulatedMesh",
-    "generate_graded_mesh",
-    "refine",
-    "WeightSpec",
-    "estimate_ap_constant",
-    "weighted_lp_norm",
-    "WhitneyDecomposition",
-    "decompose",
     "geometry",
     "mesh",
     "whitney",

@@ -8,14 +8,16 @@ a mesh is integrated through one MeshQuadrature, which _quadrature shares
 among all live callers on that mesh (a SaddleSystem keeps its own for every
 later solve): its nodes, the P2 space, the physical P2 gradients, the exact
 distance d and the minimum-degree order of the P2 dofs are built once, and
-each weight d^e of a form is a power of that d.  Weighted constant pressures
-are removed by a bordered (deflated) saddle solve, factored once per
-assembled system.  The inf-sup, Korn and improved-Poincare constants are
-generalized Rayleigh-quotient extremes, all computed by one shift-invert
-Lanczos path (_min_eig) that raises when it does not converge.  Every sparse
-LU (saddle, Korn and Poincare) comes from _factor, in an order derived from
-the mesh's order: SuperLU in symmetric mode with a small diagonal-pivot
-threshold, whose factors one probe solve checks by its backward error.
+each weight d^e of a form is a power of that d.  One helper, _bordered,
+factors both constraint borders, the border last: c = M_w 1 on the saddle
+matrix, which removes weighted-constant pressures (once per assembled
+system), and the bump on the improved-Poincare stiffness.  The inf-sup, Korn
+and improved-Poincare constants are generalized Rayleigh-quotient extremes,
+all computed by one shift-invert Lanczos path (_min_eig) that raises when it
+does not converge.  Every sparse LU (saddle, Korn and Poincare) comes from
+_factor, in an order derived from the mesh's order: SuperLU in symmetric
+mode with a small diagonal-pivot threshold, whose factors one probe solve
+checks by its backward error.
 """
 
 from __future__ import annotations
@@ -328,25 +330,46 @@ class SaddleSystem:
     c: np.ndarray = field(repr=False)       # Mw 1, the deflated direction
     free: np.ndarray = field(repr=False)    # zero-BC dofs
     quad: MeshQuadrature = field(repr=False)
-    _restricted: tuple = field(repr=False, default=None, init=False)
-    _solve: object = field(repr=False, default=None, init=False)
+
+    @cached_property
+    def _restricted(self):
+        fv = self.free
+        return self.A[fv][:, fv], self.B[:, fv]
 
     def restrict(self):
         """A, B with zero boundary values imposed on the velocity, built on
         first use and shared by all later callers."""
-        if self._restricted is None:
-            fv = self.free
-            self._restricted = self.A[fv][:, fv], self.B[:, fv]
         return self._restricted
 
+    @cached_property
+    def _solve(self):
+        """The deflated saddle system, factored once by _bordered:
+
+        [Af  Bf' 0 ] [u ]   [rhs_u]
+        [Bf  0   c ] [q ] = [rhs_p]
+        [0   c'  0 ] [mu]   [0    ]
+
+        Af is diag(Kf, Kf): one boundary mask serves both velocity
+        components.  c = Mw 1 deflates weighted-constant pressures; mu
+        absorbs any weighted mean of the constraint right-hand side.  The
+        unknowns (u, q) go in the order of _saddle_order on the mesh order
+        of the free scalar dofs, the border mu last.  At alpha = 0.75 that
+        has fill 1.20M at h = 0.1 and 7.60M at h = 0.05, against 1.86M and
+        16.6M for the reverse Cuthill-McKee order of the whole saddle
+        block, and factors and solves in 0.3 to 0.6 of its time.
+        """
+        Af, Bf = self.restrict()
+        # the mesh order on the free scalar dofs, numbered among them
+        scalar = self.free[:len(self.free) // 2]
+        seq = np.argsort(np.argsort(self.quad.order)[scalar])
+        return _bordered(sparse.bmat([[Af, Bf.T], [Bf, None]]),
+                         np.concatenate([np.zeros(Af.shape[0]), self.c]),
+                         _saddle_order(seq, Bf))
+
     def bordered_solve(self, rhs_u, rhs_p):
-        """(u, q, mu) of the deflated saddle system (see _bordered_solver)."""
-        if self._solve is None:
-            # the mesh order on the free scalar dofs, numbered among them
-            scalar = self.free[:len(self.free) // 2]
-            seq = np.argsort(np.argsort(self.quad.order)[scalar])
-            self._solve = _bordered_solver(*self.restrict(), self.c, seq)
-        return self._solve(rhs_u, rhs_p)
+        """(u, q, mu) of the deflated saddle system (see _solve)."""
+        x, mu = self._solve(np.concatenate([rhs_u, rhs_p]))
+        return x[:len(rhs_u)], x[len(rhs_u):], mu
 
 
 def assemble(mesh: TriangulatedMesh, alpha) -> SaddleSystem:
@@ -431,14 +454,13 @@ def _pair(seq):
 
 
 def _saddle_order(seq, Bf):
-    """Elimination order of the bordered saddle matrix of _bordered_solver.
+    """Elimination order of the saddle matrix [[Af, Bf'], [Bf, 0]].
 
     The free scalar dofs go in the sequence seq, the two velocity
     components of each next to each other (_pair), and every pressure right
     after the dof of its last free velocity neighbour, so that its zero
     diagonal has been filled by the time it is eliminated; pressures with
-    no free neighbour go after all velocities.  The border unknown mu,
-    coupled to every pressure, comes last.  Returns the unknowns (u, q, mu)
+    no free neighbour go after all velocities.  Returns the unknowns (u, q)
     in elimination order.
     """
     nu, npress = 2 * len(seq), Bf.shape[0]
@@ -452,36 +474,23 @@ def _saddle_order(seq, Bf):
     np.maximum.at(last, coo.row, pos[coo.col] | 1)
     last[last < 0] = nu
     # stable: a pressure follows the velocity it shares a key with
-    return np.append(np.argsort(np.concatenate([pos, last]), kind="stable"),
-                     nu + npress)
+    return np.argsort(np.concatenate([pos, last]), kind="stable")
 
 
-def _bordered_solver(Af, Bf, c, seq):
-    """Factor the deflated saddle system once and return its solve.
+def _bordered(A, c, perm):
+    """Factor the bordered matrix [[A, c], [c', 0]] once; return its solve.
 
-    [Af  Bf' 0 ] [u ]   [rhs_u]
-    [Bf  0   c ] [q ] = [rhs_p]
-    [0   c'  0 ] [mu]   [0    ]
-
-    Af is diag(Kf, Kf): one boundary mask serves both velocity components,
-    whose free scalar dofs go in the elimination sequence seq.  c = Mw 1
-    deflates weighted-constant pressures; mu absorbs any weighted mean of
-    the constraint right-hand side.  solve(rhs_u, rhs_p) returns (u, q, mu).
-    The matrix is factored in the order of _saddle_order, the dense border
-    row and column last.  At alpha = 0.75 that has fill 1.20M at h = 0.1
-    and 7.60M at h = 0.05, against 1.86M and 16.6M for the reverse
-    Cuthill-McKee order of the whole saddle block, and factors and solves
-    in 0.3 to 0.6 of its time.
+    A's unknowns are eliminated in the order perm and the border unknown,
+    coupled to every nonzero of c, last (_factor).  solve(rhs) returns
+    (x, m) with A x + c m = rhs and c'x = 0.
     """
-    nu, npress = Af.shape[0], Bf.shape[0]
     cc = sparse.csr_matrix(c.reshape(-1, 1))
-    full = sparse.bmat([[Af, Bf.T, None], [Bf, None, cc], [None, cc.T, None]],
-                       format="csr")
-    solve_full = _factor(full, _saddle_order(seq, Bf))
+    solve_full = _factor(sparse.bmat([[A, cc], [cc.T, None]], format="csr"),
+                         np.append(perm, len(c)))
 
-    def solve(rhs_u, rhs_p):
-        sol = solve_full(np.concatenate([rhs_u, rhs_p, [0.0]]))
-        return sol[:nu], sol[nu:nu + npress], float(sol[-1])
+    def solve(rhs):
+        sol = solve_full(np.append(rhs, 0.0))
+        return sol[:-1], float(sol[-1])
 
     return solve
 
@@ -644,9 +653,9 @@ def _check_pressure_r(alpha, r):
 def pressure_lr_norm(mesh, alpha, q, r):
     """||p||_{L^r(Omega)} for p = q d^(2 alpha - 2), plus its Hoelder bound.
 
-    Requires 1 <= r < 2/(3 - 2 alpha).  Returns a dict with the norm, the
+    Requires 1 <= r < 2/(3 - 2 alpha) <= 2.  Returns a dict with the norm, the
     bound ||p||_{L^2(Omega, 1-alpha)} (int d^(2(alpha-1) r/(2-r)))^((2-r)/(2r))
-    and the slack; the bound is only formed for r < 2.
+    and the slack.
     """
     _check_pressure_r(alpha, r)
     quad = _quadrature(mesh)
@@ -702,8 +711,8 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     Maximizes ||f||^2_{L^2(Omega,1-beta)} / ||grad f||^2_{L^2(Omega,1+alpha-beta)}
     over scalar P2 fields with int_B f phi = 0 for a fixed normalized bump
     phi supported in the ball.  The constraint is imposed by bordering the
-    stiffness: one LU of [[S, c], [c', 0]] applies the inverse of S on the
-    constrained subspace, and _min_eig returns the smallest mu of
+    stiffness: one LU of [[S, c], [c', 0]] (_bordered) applies the inverse of
+    S on the constrained subspace, and _min_eig returns the smallest mu of
     S x = mu M x there; the constant is 1 / sqrt(mu).
     """
     if ball is None:
@@ -722,11 +731,8 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
     bump /= total
     c = _load(quad.space.tri_dofs,
               np.einsum("tq,qm->tm", quad.wq * bump, _P2_N), quad.space.n_dofs)
-    cc = sparse.csr_matrix(c.reshape(-1, 1))
-    # the border unknown, coupled to every dof of the bump, last
-    solve = _factor(sparse.bmat([[S, cc], [cc.T, None]], format="csr"),
-                    np.append(quad.order, len(c)))
-    mu, resid = _min_eig(lambda y: solve(np.append(y, 0.0))[:-1], M)
+    solve = _bordered(S, c, quad.order)
+    mu, resid = _min_eig(lambda y: solve(y)[0], M)
     return ConstantEstimate(
         {"alpha": alpha, "beta": beta, "ball": ball},
         level, float(1.0 / np.sqrt(mu)), resid)

@@ -430,6 +430,18 @@ def _delta_min(resolution):
     return 1.0 / float(resolution)
 
 
+def _check_radii(radii):
+    """Raise ValueError unless the radii are finite and positive and hold
+    two distinct values, which the trend of `estimate_ap_constant` needs."""
+    r = np.asarray(radii, dtype=float)
+    if not np.all(np.isfinite(r) & (r > 0)):
+        raise ValueError(f"sampling radii must be finite and positive: "
+                         f"{r.tolist()}")
+    if len(np.unique(r)) < 2:
+        raise ValueError(f"sampling has fewer than two radii, counting each "
+                         f"value once: {r.tolist()}")
+
+
 def build_ball_plan(domain, sampling):
     """Quadrature weights and node distances for every ball of sampling.
 
@@ -439,16 +451,15 @@ def build_ball_plan(domain, sampling):
     powers.  The grids of all radii about one centre come from one
     `ball_grid` call, whose refinement rows are freed before the node
     distances are evaluated, one ball at a time.  The plan records domain.
-    Raises ValueError for a resolution below 1, fewer than two radii (the
-    trend of `estimate_ap_constant` needs two) or no centres.
+    Raises ValueError for a resolution below 1, radii that are not finite,
+    positive and two distinct values (_check_radii) or no centres.
     """
     delta_min = _delta_min(sampling["resolution"])
     distance_fn = lambda pts: geometry.distance(domain, pts)
     radii = np.asarray(sampling["radii"], dtype=float)
     centers = np.vstack([sampling["boundary_centers"],
                          sampling["interior_centers"]])
-    if len(radii) < 2:
-        raise ValueError("sampling has fewer than two radii")
+    _check_radii(radii)
     if not len(centers):
         raise ValueError("sampling has no boundary or interior centers")
     balls = []
@@ -467,7 +478,9 @@ def build_ball_plan(domain, sampling):
 
 def _resolved_radii(radii, resolution):
     """The radii r >= 64 / resolution, sorted, that the supremum and trend
-    of `estimate_ap_constant` count; ValueError unless two qualify."""
+    of `estimate_ap_constant` count; ValueError unless the radii pass
+    _check_radii and two qualify."""
+    _check_radii(radii)
     floor = 64.0 * _delta_min(resolution)
     resolved = sorted({float(r) for r in radii if r >= floor})
     if len(resolved) < 2:

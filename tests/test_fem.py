@@ -279,20 +279,40 @@ def test_div_right_inverse_of_weighted_constant_is_zero(mesh075, system075):
 def test_bordered_solve_weight_scaling_invariance(system075):
     # scaling the constraint rows (B, Mw -> cB, cMw) must leave u unchanged
     # and scale the pressure multiplier by 1/c
-    Af, Bf = system075.restrict()
     nv = system075.mesh.num_vertices
-    c_vec = np.asarray(system075.Mw @ np.ones(nv))
+    c_vec = system075.c
     rng = np.random.default_rng(2)
     g = rng.standard_normal(nv)
     g -= c_vec * (c_vec @ g) / (c_vec @ c_vec)
-    seq = rng.permutation(Af.shape[0] // 2)
-    u1, q1, _ = fem._bordered_solver(Af, Bf, c_vec, seq)(
-        np.zeros(Af.shape[0]), g)
     s = 7.5
-    u2, q2, _ = fem._bordered_solver(Af, s * Bf, s * c_vec, seq)(
-        np.zeros(Af.shape[0]), s * g)
+    scaled = dataclasses.replace(system075, B=s * system075.B,
+                                 Mw=s * system075.Mw, c=s * c_vec)
+    zero_u = np.zeros(len(system075.free))
+    u1, q1, _ = system075.bordered_solve(zero_u, g)
+    u2, q2, _ = scaled.bordered_solve(zero_u, s * g)
     assert np.allclose(u1, u2, atol=1e-10 * max(np.linalg.norm(u1), 1.0))
     assert np.allclose(q1, s * q2, atol=1e-10 * max(np.linalg.norm(q1), 1.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(1, 30), density=st.floats(0.0, 0.5),
+       seed=st.integers(0, 2**32 - 1))
+def test_bordered_solve_on_random_spd_matrices(n, density, seed):
+    # a random sparse SPD A, a border c that may hold zeros (not only
+    # zeros) and a random elimination order, against a dense solve
+    rng = np.random.default_rng(seed)
+    R = (rng.random((n, n)) < density) * rng.standard_normal((n, n))
+    A = R @ R.T + np.eye(n)
+    c = (rng.random(n) < 0.5) * rng.standard_normal(n)
+    c[rng.integers(n)] = 1.0 + rng.random()
+    rhs = rng.standard_normal(n)
+    x, m = fem._bordered(sparse.csr_matrix(A), c, rng.permutation(n))(rhs)
+    ref = np.linalg.solve(np.block([[A, c[:, None]], [c[None, :], 0.0]]),
+                          np.append(rhs, 0.0))
+    assert np.allclose(np.append(x, m), ref, rtol=0.0,
+                       atol=1e-10 * np.abs(ref).max())
+    assert np.abs(A @ x + c * m - rhs).max() <= 1e-10 * np.abs(rhs).max()
+    assert abs(c @ x) <= 1e-10 * np.abs(c).sum() * np.abs(ref).max()
 
 
 def record_lu(monkeypatch):
@@ -354,14 +374,15 @@ def test_lu_orders_agree_with_colamd(h, saddle_fill, monkeypatch):
 
 
 def check_saddle_order(seq, Bf):
-    """_saddle_order is a permutation of (u, q, mu) that eliminates the free
-    scalar dofs in the sequence seq, puts the two components of each dof
-    next to each other, every pressure after all its free velocity
-    neighbours (after every velocity if it has none) and the border last."""
+    """_saddle_order is a permutation of the saddle unknowns (u, q), with no
+    border, that eliminates the free scalar dofs in the sequence seq, puts
+    the two components of each dof next to each other and every pressure
+    after all its free velocity neighbours (after every velocity if it has
+    none)."""
     nf, npress = len(seq), Bf.shape[0]
     nu = 2 * nf
     perm = fem._saddle_order(seq, Bf)
-    assert np.array_equal(np.sort(perm), np.arange(nu + npress + 1))
+    assert np.array_equal(np.sort(perm), np.arange(nu + npress))
     pos = np.argsort(perm)
     assert np.all(np.diff(pos[seq]) > 0)
     assert np.array_equal(pos[nf:nu], pos[:nf] + 1)
@@ -369,7 +390,6 @@ def check_saddle_order(seq, Bf):
     for q in range(npress):
         nbrs = Bf.indices[Bf.indptr[q]:Bf.indptr[q + 1]]
         assert pos[nu + q] > pos[nbrs if len(nbrs) else np.arange(nu)].max()
-    assert perm[-1] == nu + npress
 
 
 def test_saddle_order_on_a_taylor_hood_system(mesh075, monkeypatch):

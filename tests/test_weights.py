@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -533,6 +534,26 @@ def test_build_ball_plan_rejects_an_empty_sampling(field, value, message,
         sampling["boundary_centers"] = sampling["interior_centers"] = value
     with pytest.raises(ValueError, match=message):
         weights.build_ball_plan(CuspDomain(0.75), sampling)
+
+
+@pytest.mark.parametrize("radii, message", [
+    ([0.25, 0.25], "sampling has fewer than two radii, counting each value "
+                   "once: [0.25, 0.25]"),
+    ([0.25, -0.1], "sampling radii must be finite and positive: "
+                   "[0.25, -0.1]"),
+    ([0.25, 0.125, np.nan], "sampling radii must be finite and positive: "
+                            "[0.25, 0.125, nan]"),
+])
+def test_bad_radii_fail_before_any_ball_grid(radii, message, monkeypatch):
+    # duplicate, negative and NaN radii: the plan and the resolution rule
+    # that ap-check applies first both raise, naming the radii
+    monkeypatch.setattr(weights, "ball_grid", None)
+    sampling = dict(GOLDEN_PLAN_SAMPLING, radii=np.array(radii),
+                    resolution=256)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        weights.build_ball_plan(CuspDomain(0.75), sampling)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        weights._resolved_radii(sampling["radii"], 256)
 
 
 @pytest.mark.parametrize("radii, resolution, message", [
