@@ -316,9 +316,11 @@ def save_mesh(mesh: TriangulatedMesh, path) -> None:
             *(f"{i} {x!r} {y!r}\n"
               for i, (x, y) in enumerate(mesh.vertices.tolist())),
             f"triangles {mesh.num_triangles}\n",
-            *(f"{a} {b} {c}\n" for a, b, c in mesh.triangles.tolist()),
+            "%d %d %d\n" * mesh.num_triangles
+            % tuple(mesh.triangles.ravel().tolist()),
             f"boundary {len(mesh.boundary_edges)}\n",
-            *(f"{v0} {v1} {kind}\n" for v0, v1, kind in mesh.boundary_edges),
+            "%d %d %s\n" * len(mesh.boundary_edges)
+            % tuple(x for edge in mesh.boundary_edges for x in edge),
         ]))
 
 
