@@ -13,8 +13,8 @@ factors both constraint borders, the border last: c = M_w 1 on the saddle
 matrix, which removes weighted-constant pressures (once per assembled
 system), and the bump on the improved-Poincare stiffness.  The inf-sup, Korn
 and improved-Poincare constants are generalized Rayleigh-quotient extremes,
-all computed by one shift-invert Lanczos iteration (_min_eig) that stops at
-its Ritz bound and raises when it does not converge.  Every sparse LU
+all computed by one shift-invert Lanczos iteration (_min_eig) that stops on
+the residual it accepts and raises when it does not converge.  Every sparse LU
 (saddle, Korn and Poincare) comes from _factor, in an order derived from the
 mesh's order: SuperLU in symmetric mode with a small diagonal-pivot
 threshold, whose factors one probe solve checks by its backward error.
@@ -509,12 +509,10 @@ def _bordered(A, c, perm):
 
 # largest relative residual ||solve(M x) - x/mu|| / ||x/mu|| _min_eig accepts
 _EIG_TOL = 1e-8
-# Lanczos stops when the Ritz bound beta_j |s_j| is below this times the
-# Ritz value: 100 times tighter than _EIG_TOL, which the explicit residual
-# (a Euclidean norm, the bound is one in M) then meets with room to spare
-_RITZ_TOL = _EIG_TOL / 100
+# Lanczos stops 10 times below the _EIG_TOL its explicit check must meet
+_STOP_TOL = _EIG_TOL / 10
 # most Lanczos steps (solves) of one eigensolve; the fem problems stop after
-# 7 to 19 at alpha 0.75, h 0.25 to 0.05 (Parlett, The Symmetric Eigenvalue
+# 7 to 18 at alpha 0.75, h 0.25 to 0.05 (Parlett, The Symmetric Eigenvalue
 # Problem)
 _EIG_MAX_STEPS = 100
 
@@ -529,12 +527,12 @@ def _min_eig(solve, M):
     is never applied.  The seeded start solve(M r) lies in the operator's
     range, where M is definite even when it is only semidefinite on the
     whole space (Korn's G).  Each new vector is reorthogonalized against all
-    earlier ones, two passes, and after each step the tridiagonal's Ritz
-    pair (theta, s) is tested: the run stops when beta_j |s_j| <=
-    _RITZ_TOL |theta| or beta_j = 0, and raises RuntimeError after
-    _EIG_MAX_STEPS steps.  Results are reproducible to the bit.  The
-    residual is ||solve(M x) - x/mu|| / ||x/mu||; above _EIG_TOL, or for
-    mu <= 0, RuntimeError is raised.
+    earlier ones, two passes.  The tridiagonal's Ritz pair (theta, s) gives
+    x = s V with solve(M x) - theta x = s_j w, so the run stops when
+    |s_j| ||w|| <= _STOP_TOL |theta| ||x|| or beta_j = 0, and raises
+    RuntimeError after _EIG_MAX_STEPS steps.  Results are reproducible to
+    the bit.  The residual ||solve(M x) - x/mu|| / ||x/mu||, the same norm,
+    costs one more solve; above _EIG_TOL, or for mu <= 0, _min_eig raises.
     """
     n = M.shape[0]
     steps = min(_EIG_MAX_STEPS, n)
@@ -556,12 +554,14 @@ def _min_eig(solve, M):
         vals, vecs = np.linalg.eigh(np.diag(diag[:j + 1]) + off + off.T)
         k = np.argmax(np.abs(vals))
         theta, s = float(vals[k]), vecs[:, k]
-        if b * abs(s[-1]) <= _RITZ_TOL * abs(theta) or b == 0.0:
+        x = s @ V[:j + 1]
+        est = abs(s[-1]) * np.linalg.norm(w) / (abs(theta) * np.linalg.norm(x))
+        if est <= _STOP_TOL or b == 0.0:
             break
     else:
         raise RuntimeError(f"eigensolve not converged in {steps} Lanczos "
-                           f"steps: Ritz bound {b * abs(s[-1]):.3e}")
-    mu, x = 1.0 / theta, s @ V[:j + 1]
+                           f"steps: residual {est:.3e}")
+    mu = 1.0 / theta
     if not mu > 0.0:
         raise RuntimeError("pencil not positive definite on the subspace")
     resid = float(np.linalg.norm(solve(M @ x) - x / mu)
