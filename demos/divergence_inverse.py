@@ -42,7 +42,7 @@ print(f"  ||u||_H1 = {info['h1_norm']:.4f}")
 
 # --- necessity of the weight ------------------------------------------------
 print("\nindicator sources f_t = chi(x < t) concentrating at the tip:")
-rows = experiments.necessity_demo(alpha, t_values=(0.4, 0.2, 0.1, 0.05))
+rows = experiments.necessity_demo(alpha)
 print(f"  {'t':>6} {'weighted ratio':>15} {'unweighted ratio':>17}")
 for r in rows:
     print(f"  {r.parameters['t']:6.2f} {r.values['r_w']:15.4f} "

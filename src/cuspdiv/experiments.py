@@ -30,7 +30,6 @@ __all__ = [
 class SweepRecord:
     parameters: dict
     values: dict
-    provenance: str      # closed-form | quadrature | fem
 
 
 @dataclass
@@ -41,7 +40,6 @@ class FitResult:
     T: float
     c: float
     residual: float      # RMS of log-model error
-    n_points: int
 
 
 _SCAN = 256    # rate_fit's scan points in log(T - max s)
@@ -52,6 +50,7 @@ _SCAN = 256    # rate_fit's scan points in log(T - max s)
 _T_RTOL = 1e-5
 _SPAN = 5.12    # fit_grid's largest distance T - s
 _MIN_ANGLE_DEG = 13.0    # the smallest angle necessity_demo's meshes reach
+_T_VALUES = (0.4, 0.2, 0.1, 0.05)   # necessity_demo's source supports x < t
 
 
 def rate_fit(points) -> FitResult:
@@ -94,7 +93,7 @@ def rate_fit(points) -> FitResult:
     if not -50.0 <= c <= 50.0:
         raise ValueError(f"fitted c = {c:g} outside [-50, 50]")
     return FitResult(float(kappa), float(t), float(c),
-                     float(np.sqrt(np.mean(r * r))), len(pts))
+                     float(np.sqrt(np.mean(r * r))))
 
 
 def _projection(T, s, ly):
@@ -214,9 +213,7 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
                 # the inequality chain: ||f_s||^{p-1} vs C(s ||y x^-s-1|| + 1)
                 "chain_lhs": val ** (p - 1.0),
                 "chain_rhs_core": float(s) * yval + 1.0,
-            },
-            "quadrature",
-        ))
+            }))
 
     def fit(T, known, norm, q):
         return rate_fit([(s, (known[s] if s in known else norm(s)[0]) ** q)
@@ -241,26 +238,26 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
     return records, fits
 
 
-def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05)):
+def necessity_demo(alpha, h=0.1):
     """Weighted vs unweighted ratios of the discrete divergence inverse.
 
-    For indicator sources f_t = chi_{x < t} (the solver works against
-    weighted-mean-zero pressures, so the weighted-constant component of f_t
-    is removed automatically) the table reports
+    For indicator sources f_t = chi_{x < t}, t in _T_VALUES (the solver
+    works against weighted-mean-zero pressures, so the weighted-constant
+    component of f_t is removed automatically) the table reports
     r_w = ||u_h||_{H1} / ||f_t||_{L2(Omega, alpha-1)} and
     r_u = ||u_h||_{H1} / ||f_t||_{L2(Omega)}.  On a cusp (alpha < 1) r_w
     stays bounded while r_u grows as t -> 0; on the triangle (alpha = 1)
-    both stay bounded.  The mesh stops at x_tip = min(t_values) / 4, inside
+    both stay bounded.  The mesh stops at x_tip = min(_T_VALUES) / 4, inside
     the support of every source, and must reach _MIN_ANGLE_DEG.
     """
     from . import fem
 
     mesh = generate_graded_mesh(geometry.CuspDomain(alpha), h,
-                                x_tip=min(t_values) / 4.0,
+                                x_tip=min(_T_VALUES) / 4.0,
                                 min_angle_deg=_MIN_ANGLE_DEG)
     system = fem.assemble(mesh, alpha)
     rows = []
-    for t in t_values:
+    for t in _T_VALUES:
         def f(pts, t=t):
             return (pts[:, 0] < t).astype(float)
 
@@ -276,7 +273,5 @@ def necessity_demo(alpha, h=0.1, t_values=(0.4, 0.2, 0.1, 0.05)):
                 "r_w": info["h1_norm"] / fw,
                 "r_u": info["h1_norm"] / fu,
                 "constraint_residual": info["constraint_residual"],
-            },
-            "fem",
-        ))
+            }))
     return rows

@@ -119,9 +119,7 @@ class P2Space:
 
 @dataclass
 class DiscreteField:
-    space: str                    # scalar-P1 | scalar-P2 | vector-P2
-    coeffs: np.ndarray
-    mesh: TriangulatedMesh
+    coeffs: np.ndarray            # blocked vector P2 (u) or P1 (q) values
 
 
 class MeshQuadrature:
@@ -627,7 +625,7 @@ def solve_div_right_inverse(mesh, alpha, f, system):
         "weighted_mean_correction": mu,
         "h1_norm": field_h1_norm(quad, coeffs),
     }
-    return DiscreteField("vector-P2", coeffs, mesh), info
+    return DiscreteField(coeffs), info
 
 
 def discrete_infsup(mesh, alpha, system):
@@ -681,8 +679,7 @@ def solve_stokes(mesh, alpha, f, system):
         "q_unweighted_mean": float(np.einsum(
             "tq,qm,tm->", wq, _P1_N, q[mesh.triangles])),
     }
-    return DiscreteField("vector-P2", coeffs, mesh), \
-        DiscreteField("scalar-P1", q, mesh), info
+    return DiscreteField(coeffs), DiscreteField(q), info
 
 
 def _pressure_r_max(alpha):
@@ -719,13 +716,12 @@ def pressure_lr_norm(mesh, alpha, q, r):
 
 @dataclass
 class ConstantEstimate:
-    params: dict
     mesh_level: int
     constant: float
     residual: float
 
 
-def korn_best_constant(mesh, alpha, beta, ball=None, level=0):
+def korn_best_constant(mesh, alpha, beta, level=0):
     """Best constant of the weighted Korn inequality as a Rayleigh maximum.
 
     Maximizes ||Du||^2_{L^2(Omega,1-beta)} over
@@ -733,39 +729,34 @@ def korn_best_constant(mesh, alpha, beta, ball=None, level=0):
     fields (no boundary condition); returns sqrt of the max eigenvalue,
     1 / sqrt(mu) for the smallest mu of (E + M_B) x = mu G x (_min_eig).
 
-    Omega is the mesh's domain and the distance d comes from mesh.alpha;
-    alpha and beta set only the weight exponents d^(2(1-beta)) and
-    d^(2(alpha-beta)) and the default ball.  So alpha = beta = 1 (with an
-    explicit ball) gives the unweighted Korn quotient on the mesh's domain.
+    Omega is the mesh's domain, and the distance d and the ball
+    B = default_ball(mesh.alpha) come from it; alpha and beta set only the
+    weight exponents d^(2(1-beta)) and d^(2(alpha-beta)).  So alpha = beta
+    = 1 gives the unweighted Korn quotient on the mesh's domain.
     """
-    if ball is None:
-        ball = default_ball(alpha)
     quad = _quadrature(mesh)
     K = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "stiffness")
     G = _diag2(K)
     E = _assemble_eps(quad, quad.weight(2.0 * (alpha - beta)))
-    Mb = _assemble_p2(quad, _ball_indicator(quad.pts, ball), "mass")
-    MB = _diag2(Mb)
+    inside = _ball_indicator(quad.pts, default_ball(mesh.alpha))
+    MB = _diag2(_assemble_p2(quad, inside, "mass"))
     mu, resid = _min_eig(_factor(E + MB, _pair(quad.order)), G)
-    return ConstantEstimate(
-        {"alpha": alpha, "beta": beta, "ball": ball},
-        level, float(1.0 / np.sqrt(mu)), resid)
+    return ConstantEstimate(level, float(1.0 / np.sqrt(mu)), resid)
 
 
-def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
+def improved_poincare_constant(mesh, alpha, beta, level=0):
     """Best constant of the improved Poincare inequality.
 
     Maximizes ||f||^2_{L^2(Omega,1-beta)} / ||grad f||^2_{L^2(Omega,1+alpha-beta)}
     over scalar P2 fields with int_B f phi = 0 for a fixed normalized bump
-    phi supported in the ball.  The constraint is imposed by bordering the
-    stiffness: one LU of [[S, c], [c', 0]] (_bordered) applies the inverse of
-    S on the constrained subspace, and _min_eig returns the smallest mu of
+    phi supported in the ball B = default_ball(mesh.alpha) of the mesh's
+    domain.  The constraint is imposed by bordering the stiffness: one LU of
+    [[S, c], [c', 0]] (_bordered) applies the inverse of S on the
+    constrained subspace, and _min_eig returns the smallest mu of
     S x = mu M x there; the constant is 1 / sqrt(mu).
     """
-    if ball is None:
-        ball = default_ball(alpha)
-    (cx, cy), r = ball
     quad = _quadrature(mesh)
+    (cx, cy), r = default_ball(mesh.alpha)
     M = _assemble_p2(quad, quad.weight(2.0 * (1.0 - beta)), "mass")
     S = _assemble_p2(quad, quad.weight(2.0 * (1.0 + alpha - beta)),
                      "stiffness")
@@ -780,7 +771,4 @@ def improved_poincare_constant(mesh, alpha, beta, ball=None, level=0):
               np.einsum("tq,qm->tm", quad.wq * bump, _P2_N), quad.space.n_dofs)
     solve = _bordered(S, c, quad.order)
     mu, resid = _min_eig(lambda y: solve(y)[0], M)
-    return ConstantEstimate(
-        {"alpha": alpha, "beta": beta, "ball": ball},
-        level, float(1.0 / np.sqrt(mu)), resid)
-
+    return ConstantEstimate(level, float(1.0 / np.sqrt(mu)), resid)

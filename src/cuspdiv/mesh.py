@@ -41,8 +41,8 @@ class TriangulatedMesh:
     triangles: np.ndarray         # (nt, 3) int
     boundary_edges: list          # [(v0, v1, kind)]
     alpha: float
-    h: float = 0.0
-    x_tip: float = 0.0
+    h: float
+    x_tip: float
 
     @property
     def grading(self) -> float:          # element diameters are h x**grading
@@ -108,7 +108,8 @@ def _tip_abscissa(domain: CuspDomain, h: float) -> float:
     return min(x_tip, 0.25)
 
 
-def _column_abscissas(domain: CuspDomain, h: float, x_tip: float = None):
+def _column_abscissas(domain: CuspDomain, h: float, x_tip: float | None):
+    """Column abscissas up from x_tip (None: _tip_abscissa) to 1, and x_tip."""
     if x_tip is None:
         x_tip = _tip_abscissa(domain, h)
     g = domain.gamma
@@ -327,7 +328,8 @@ def save_mesh(mesh: TriangulatedMesh, path) -> None:
 def load_mesh(path) -> TriangulatedMesh:
     """Read the `save_mesh` file at path.  ValueError if the header gives no
     alpha, a block name is unknown, a block has fewer lines than its count,
-    a line has other than 3 fields or a vertex index is outside [0, nv)."""
+    a line has other than 3 fields, a vertices line's index is not its
+    position in the block or a vertex index is outside [0, nv)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta = {"alpha": None, "h": 0.0, "x_tip": 0.0}
@@ -363,6 +365,10 @@ def load_mesh(path) -> TriangulatedMesh:
     if meta["alpha"] is None:
         raise ValueError("mesh file: no alpha in its '# cuspdiv mesh' header")
     nv = len(verts)
+    moved = np.flatnonzero(verts[:, 0] != np.arange(nv))
+    if moved.size:
+        raise ValueError(f"mesh file: vertices block: line {moved[0]} has "
+                         f"index {verts[moved[0], 0]:g}")
     ends = np.array([e[:2] for e in boundary], dtype=int)
     for block, index in (("triangles", tris), ("boundary", ends)):
         bad = index[(index < 0) | (index >= nv)]

@@ -36,6 +36,7 @@ _NEAR_CELLS = 2.5   # near-field radius in units of the cell size
 _TERMS = 32         # far-field expansion order p: (1/3)^p / (2/3) = 8.1e-16
 _BLOCK = 1 << 13    # entries of one (boxes x sources), pair or target block
 _BOX = (0.0, -1.0, 1.0, 1.0)   # x0, y0, x1, y1: [0, 1] x [-1, 1] holds Omega
+_FD_CELLS = 0.5     # divergence_residual's difference step, in source cells
 
 
 @dataclass
@@ -65,8 +66,6 @@ class SourceField:
         X, Y = np.meshgrid(*src.cell_centers(), indexing="ij")
         src.values = np.asarray(f(np.column_stack([X.ravel(), Y.ravel()])),
                                 dtype=float).reshape(shape)
-        if not np.all(np.isfinite(src.values)):
-            raise ValueError("source values must be finite")
         return src
 
     def cell_centers(self):
@@ -291,14 +290,15 @@ def newtonian_solve(f: SourceField) -> PotentialSolution:
     return PotentialSolution(f)
 
 
-def divergence_residual(sol: PotentialSolution, f, points, step=None) -> float:
-    """max |div v - f| / max |f| with a central-difference divergence, max |f|
-    over the source grid.  Raises ValueError if the source vanishes there."""
+def divergence_residual(sol: PotentialSolution, f, points) -> float:
+    """max |div v - f| / max |f| with a central-difference divergence of step
+    _FD_CELLS source cells, max |f| over the source grid.  Raises ValueError
+    if the source vanishes there."""
     scale = np.max(np.abs(sol.source.values))
     if scale == 0.0:
         raise ValueError("source vanishes on the source grid")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    h = sol.source.h / 2.0 if step is None else float(step)
+    h = _FD_CELLS * sol.source.h
     ex = np.array([h, 0.0])
     ey = np.array([0.0, h])
     div = (

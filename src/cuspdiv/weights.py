@@ -329,22 +329,22 @@ def ys_norm_closed_form(alpha, p, s):
 
 _G2 = 0.5 / np.sqrt(3.0)   # 2x2 Gauss offsets on a unit cell
 _OPEN_FRAC = 0.25          # ball cells split while larger than this * d
+_RIM_FRAC = 1.0 / 128.0    # rim cells split while larger than this * r
 _FLAT = 2.0                # admissible_flat: trend and 1/trend below this
 
 
-def ball_grid(distance_fn, center, r, delta_min, *,
-              rim_frac=1.0 / 128.0) -> QuadratureGrid:
+def ball_grid(distance_fn, center, r, delta_min) -> QuadratureGrid:
     """Adaptive quadrature grids over the balls B(center, r) for r a radius
     or a vector of radii.
 
     The cells are (b, k, i, j) rows of the balls' boxes, refined together by
     `whitney.refine`: split while larger than _OPEN_FRAC times the distance
     of their center to F (so d^mu is smooth per cell), down to the floor
-    delta_min; cells meeting the ball rim are also split to rim_frac * r to
+    delta_min; cells meeting the ball rim are also split to _RIM_FRAC * r to
     control the staircase error of the ball indicator.  Each final cell
     carries a 2x2 Gauss rule restricted to its ball.  The distance is only
     evaluated where it decides a split: at kept cells above delta_min,
-    except rim cells above rim_frac * r, which split anyway; one call per
+    except rim cells above _RIM_FRAC * r, which split anyway; one call per
     generation serves every ball.  The grid holds the balls' nodes and
     weights concatenated in the order of r, and counts, their node count
     per ball; each ball's part is the grid of that radius alone.
@@ -359,9 +359,9 @@ def ball_grid(distance_fn, center, r, delta_min, *,
         keep = rad - half_diag <= r              # discard cells outside B
         rim = np.abs(rad - r) <= half_diag
         # kept cells split while s > max(delta_min, _OPEN_FRAC d), rim cells
-        # also while s > max(delta_min, rim_frac r): d decides only the rest
+        # also while s > max(delta_min, _RIM_FRAC r): d decides only the rest
         big = keep & (s > delta_min)
-        split = big & rim & (s > rim_frac * r)
+        split = big & rim & (s > _RIM_FRAC * r)
         ask = big & ~split
         if ask.any():
             d = np.asarray(distance_fn(np.column_stack([mx[ask], my[ask]])),

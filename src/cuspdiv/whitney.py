@@ -61,12 +61,12 @@ class WhitneyDecomposition:
     box: Box
     kmax: int
     cubes: np.ndarray
-    distance_fn: object = field(repr=False, default=None)
+    distance_fn: object = field(repr=False)
 
-    def geometry(self, cubes=None):
-        """Lower-left corners x0, y0 and sides s of (k, i, j) rows."""
-        cubes = self.cubes if cubes is None else np.atleast_2d(cubes)
-        return self.box.cells(*cubes.T)
+    def geometry(self, cubes):
+        """Lower-left corners x0, y0 and sides s of (k, i, j) rows: one row
+        or an (m, 3) array, such as cubes or a generation."""
+        return self.box.cells(*np.atleast_2d(cubes).T)
 
     def generation(self, k: int) -> np.ndarray:
         """The generation-k rows (a contiguous slice of cubes)."""
@@ -225,12 +225,15 @@ def verify_mset(boundary_measure_fn, centers, radii):
     boundary_measure_fn(center, r) must return H^m(B(center, r) & F); here
     m = 1 so ratios measure/r are formed.  Returns a dict with the extreme
     ratios, the fitted slope of log measure vs log r (averaged over centers)
-    and an ok flag (False when any measure degenerates to zero).
+    and an ok flag (False when any measure degenerates to zero).  Raises
+    ValueError without centers or with fewer than two distinct radii, which
+    leave no slope to fit.
     """
     centers = list(centers)
     radii = np.asarray(list(radii), dtype=float)
-    if len(centers) == 0 or len(radii) == 0:
-        raise ValueError("centers and radii must be nonempty")
+    if len(centers) == 0 or len(np.unique(radii)) < 2:
+        raise ValueError(f"verify_mset needs centers and two distinct radii, "
+                         f"got {len(centers)} centers, radii {radii.tolist()}")
 
     ratios, slopes = [], []
     for c in centers:
@@ -239,8 +242,7 @@ def verify_mset(boundary_measure_fn, centers, radii):
             return {"Clow": 0.0, "Chigh": 0.0, "m_fit": float("nan"),
                     "ok": False}
         ratios.extend(measures / radii)
-        if len(radii) >= 2:
-            slopes.append(np.polyfit(np.log(radii), np.log(measures), 1)[0])
+        slopes.append(np.polyfit(np.log(radii), np.log(measures), 1)[0])
     return {
         "Clow": float(np.min(ratios)),
         "Chigh": float(np.max(ratios)),

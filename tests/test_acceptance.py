@@ -67,7 +67,7 @@ def test_whitney_decomposition_suite():
         dec = whitney.decompose(dfn, box, kmax=9)
         # size band l <= d(Q, F) <= 4l on every accepted cube (the sampled
         # cube distance overestimates by at most diam/8)
-        ell = dec.geometry()[2] * np.sqrt(2.0)
+        ell = dec.geometry(dec.cubes)[2] * np.sqrt(2.0)
         d = dec.cube_set_distance(dec.cubes)
         assert np.all(d >= ell - 1e-12)
         assert np.all(d - ell / 8.0 <= 4.0 * ell + 1e-12)
@@ -127,7 +127,7 @@ def test_ap_weight_evidence():
     assert results[4096][1.25][1] >= 2.0
 
 
-def test_potential_right_inverse():
+def test_potential_right_inverse(monkeypatch):
     f, v_exact = potential.disk_indicator_field((0.5, 0.0), 0.1)
     src = potential.SourceField.from_function(f, 256)
     sol = potential.newtonian_solve(src)
@@ -140,8 +140,10 @@ def test_potential_right_inverse():
     # (checked where the exact divergence vanishes, away from the source)
     zero = lambda p: np.zeros(len(np.atleast_2d(p)))
     probes = np.array([[0.9, 0.0], [0.2, 0.4], [0.8, -0.5]])
-    r1 = potential.divergence_residual(sol, zero, probes, step=0.05)
-    r2 = potential.divergence_residual(sol, zero, probes, step=0.025)
+    monkeypatch.setattr(potential, "_FD_CELLS", 0.05 / src.h)
+    r1 = potential.divergence_residual(sol, zero, probes)
+    monkeypatch.setattr(potential, "_FD_CELLS", 0.025 / src.h)
+    r2 = potential.divergence_residual(sol, zero, probes)
     assert 3.5 <= r1 / r2 <= 4.5
 
 
@@ -211,11 +213,10 @@ def test_korn_poincare_growth_below_admissible_range():
     # keeps x_tip = 0.1 for every h above 0.026, so the levels halve x_tip
     # explicitly to approach the cusp.
     dom = CuspDomain(0.5)
-    ball = fem.default_ball(dom.alpha)
     consts = []
     for lvl, x_tip in enumerate((0.025, 0.0125, 0.00625)):
         mesh = generate_graded_mesh(dom, 0.2, x_tip=x_tip)
-        est = fem.korn_best_constant(mesh, 1.0, 1.0, ball=ball, level=lvl)
+        est = fem.korn_best_constant(mesh, 1.0, 1.0, level=lvl)
         # growth must not come from an unconverged eigensolve
         assert est.residual <= 1e-4, (x_tip, est.residual)
         consts.append(est.constant)

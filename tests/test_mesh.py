@@ -115,6 +115,13 @@ def _short_row(text):
     return text.replace("\n0 ", "\n0\n", 1)
 
 
+def _swapped_vertices(text):
+    """The first two vertices lines swapped, each keeping its index."""
+    head, rest = text.split("\nvertices ", 1)
+    count, first, second, tail = rest.split("\n", 3)
+    return f"{head}\nvertices {count}\n{second}\n{first}\n{tail}"
+
+
 def _first_row(block, row):
     """An edit that makes `row` the first line of `block`."""
     def edit(text):
@@ -138,6 +145,7 @@ def _first_row(block, row):
      "triangles block: vertex index 99999 is outside"),
     (_first_row("boundary", "99999 0 tip"),
      "boundary block: vertex index 99999 is outside"),
+    (_swapped_vertices, "vertices block: line 0 has index 1"),
 ])
 def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
     path = tmp_path / "mesh.txt"
@@ -168,7 +176,7 @@ def test_grading_is_one_over_alpha_for_every_mesh(alpha, tmp_path):
     # the header's grading is not read back
     path.write_text(text.replace(f"grading={1.0 / alpha!r}", "grading=7.0"))
     built = meshmod.TriangulatedMesh(m.vertices, m.triangles,
-                                     m.boundary_edges, alpha)
+                                     m.boundary_edges, alpha, m.h, m.x_tip)
     for other in (m, refine(m), load_mesh(path), built):
         assert other.grading == 1.0 / alpha
 

@@ -102,8 +102,9 @@ def test_source_field_sampling_and_integral():
 
 
 def test_source_field_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        SourceField.from_function(lambda p: np.full(len(p), np.inf), 8)
+    with pytest.raises(ValueError, match="source values must be finite"):
+        newtonian_solve(
+            SourceField.from_function(lambda p: np.full(len(p), np.inf), 8))
 
 
 def test_zero_source_gives_zero_field():

@@ -307,14 +307,15 @@ def test_family_parameter_validation():
         fs_family(0.5, 0.0, 2.0, A + 1.0)      # s above the threshold
 
 
-def test_ball_grid_total_weight_matches_disk_area():
+def test_ball_grid_total_weight_matches_disk_area(monkeypatch):
     dom = CuspDomain(0.5)
     dfn = lambda pts: geometry.distance(dom, pts)
     r = 0.1
     g = ball_grid(dfn, (0.5, 0.0), r, 1.0 / 1024.0)
     assert np.sum(g.weights) == pytest.approx(math.pi * r * r, rel=2e-3)
     # halved floor and rim resolution
-    fine = ball_grid(dfn, (0.5, 0.0), r, 1.0 / 2048.0, rim_frac=1.0 / 256.0)
+    monkeypatch.setattr(weights, "_RIM_FRAC", 1.0 / 256.0)
+    fine = ball_grid(dfn, (0.5, 0.0), r, 1.0 / 2048.0)
     assert np.sum(fine.weights) == pytest.approx(math.pi * r * r, rel=1e-3)
 
 

@@ -50,7 +50,7 @@ def recursive_reference(distance_fn, box, kmax):
 
 def rect_point_distance(dec, px, py):
     """Exact distance from a point to each closed square of dec.cubes."""
-    x0, y0, s = dec.geometry()
+    x0, y0, s = dec.geometry(dec.cubes)
     dx = np.maximum(np.maximum(x0 - px, 0.0), px - (x0 + s))
     dy = np.maximum(np.maximum(y0 - py, 0.0), py - (y0 + s))
     return np.hypot(dx, dy)
@@ -171,7 +171,7 @@ def test_band_is_exact_for_point_set():
     # Whitney band l <= d(Q, F) <= 4l can be checked exactly
     box = Box(-1.0, -1.0, 2.0)
     dec = decompose(point_distance_fn(), box, kmax=8)
-    ell = dec.geometry()[2] * SQRT2
+    ell = dec.geometry(dec.cubes)[2] * SQRT2
     d = rect_point_distance(dec, 0.0, 0.0)
     assert np.all(ell <= d)
     assert np.all(d <= 4.0 * ell)
@@ -277,6 +277,13 @@ def test_verify_mset_on_cusp_boundary():
     assert abs(res["m_fit"] - 1.0) < 0.15
 
 
+@pytest.mark.parametrize("radii", [[0.04], [0.04, 0.04]])
+def test_verify_mset_needs_two_distinct_radii(radii):
+    # one radius leaves no slope to fit: the mean of no slopes was nan
+    with pytest.raises(ValueError, match="two distinct radii"):
+        whitney.verify_mset(lambda c, r: 2.0 * r, [np.zeros(2)], radii)
+
+
 def test_save_decomposition_sorted_text(tmp_path):
     dec = decompose(point_distance_fn(), Box(-1, -1, 2.0), kmax=5)
     path = tmp_path / "whitney.txt"
@@ -311,7 +318,7 @@ def test_covers_every_corner_and_edge_midpoint():
     # points on the closed boundary of each accepted cube, including edges
     # that no accepted neighbour shares, are covered
     for dec in COVER_CASES.values():
-        x0, y0, s = dec.geometry()
+        x0, y0, s = dec.geometry(dec.cubes)
         for a in (0.0, 0.5, 1.0):
             for b in (0.0, 0.5, 1.0):
                 pts = np.column_stack([x0 + a * s, y0 + b * s])
@@ -319,7 +326,7 @@ def test_covers_every_corner_and_edge_midpoint():
 
 
 def brute_force_covers(dec, pts):
-    x0, y0, s = dec.geometry()
+    x0, y0, s = dec.geometry(dec.cubes)
     x, y = pts[:, :1], pts[:, 1:]
     inside = (x0 <= x) & (x <= x0 + s) & (y0 <= y) & (y <= y0 + s)
     return inside.any(axis=1)
@@ -331,7 +338,7 @@ def brute_force_covers(dec, pts):
 def test_covers_matches_brute_force(case, data):
     dec = COVER_CASES[case]
     box = dec.box
-    x0, y0, s = dec.geometry()
+    x0, y0, s = dec.geometry(dec.cubes)
     # corners, edge midpoints (shared edges) and centres of accepted cubes,
     # plus free points in and slightly around the box
     on_cube = st.tuples(st.integers(0, len(dec.cubes) - 1),
