@@ -45,5 +45,4 @@ print("\nindicator sources f_t = chi(x < t) concentrating at the tip:")
 rows = experiments.necessity_demo(alpha)
 print(f"  {'t':>6} {'weighted ratio':>15} {'unweighted ratio':>17}")
 for r in rows:
-    print(f"  {r.parameters['t']:6.2f} {r.values['r_w']:15.4f} "
-          f"{r.values['r_u']:17.4f}")
+    print(f"  {r['t']:6.2f} {r['r_w']:15.4f} {r['r_u']:17.4f}")

@@ -44,11 +44,12 @@ def _write_json(path, payload):
 
 
 def _write_csv(path, header, rows, manifest_name):
+    """The header's columns of dict rows, after a line naming the manifest."""
     with open(path, "w") as fh:
         fh.write(f"# manifest: {manifest_name}\n")
         fh.write(",".join(header) + "\n")
         for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(",".join(_fmt(row[k]) for k in header) + "\n")
 
 
 def _fmt(v):
@@ -91,9 +92,7 @@ def _cmd_ap_check(outdir, manifest_name, alpha, mu, p, resolution):
     csv_name = f"ap_alpha{alpha:g}_mu{mu:g}_p{p:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["center_x", "center_y", "radius", "ratio", "resolved"],
-               [(r["center_x"], r["center_y"], r["radius"], r["ratio"],
-                 r["resolved"]) for r in est.per_ball],
-               manifest_name)
+               est.per_ball, manifest_name)
     summary = {"alpha": alpha, "mu": mu, "p": p,
                "resolution": resolution, "value": est.value,
                "trend_per_radius_decade": est.trend,
@@ -202,13 +201,13 @@ def _constant_sweep(which, outdir, manifest_name, alpha, beta, levels, h):
         else:
             est = fem.improved_poincare_constant(mesh, alpha, beta,
                                                  level=lvl)
-        rows.append((lvl, h_lvl, mesh.num_vertices, est.constant,
-                     est.residual))
+        rows.append({"level": lvl, "h": h_lvl, "vertices": mesh.num_vertices,
+                     "constant": est.constant, "eig_residual": est.residual})
     csv_name = f"{which}_alpha{alpha:g}_beta{beta:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["level", "h", "vertices", "constant", "eig_residual"],
                rows, manifest_name)
-    consts = [r[3] for r in rows]
+    consts = [r["constant"] for r in rows]
     summary = {"alpha": alpha, "beta": beta, "levels": levels,
                "constants": consts,
                "spread": max(consts) / min(consts) - 1.0,
@@ -222,11 +221,7 @@ def _cmd_optimality(outdir, manifest_name, alpha, beta, p):
     _write_csv(Path(outdir) / csv_name,
                ["s", "fs_norm_p", "fs_norm_p_closed", "ys_norm_pp",
                 "ys_norm_pp_closed", "chain_lhs", "chain_rhs_core"],
-               [(r.parameters["s"], r.values["fs_norm_p"],
-                 r.values["fs_norm_p_closed"], r.values["ys_norm_pp"],
-                 r.values["ys_norm_pp_closed"], r.values["chain_lhs"],
-                 r.values["chain_rhs_core"]) for r in records],
-               manifest_name)
+               records, manifest_name)
     summary = {
         "alpha": alpha, "beta": beta, "p": p,
         "T_A": fits["A"].T, "kappa_A": fits["A"].kappa,
@@ -244,13 +239,9 @@ def _cmd_necessity(outdir, manifest_name, alpha, h):
     csv_name = f"necessity_alpha{alpha:g}.csv"
     _write_csv(Path(outdir) / csv_name,
                ["t", "h1_norm", "f_weighted_norm", "f_unweighted_norm",
-                "r_w", "r_u"],
-               [(r.parameters["t"], r.values["h1_norm"],
-                 r.values["f_weighted_norm"], r.values["f_unweighted_norm"],
-                 r.values["r_w"], r.values["r_u"]) for r in rows],
-               manifest_name)
-    rus = [r.values["r_u"] for r in rows]
-    rws = [r.values["r_w"] for r in rows]
+                "r_w", "r_u"], rows, manifest_name)
+    rus = [r["r_u"] for r in rows]
+    rws = [r["r_w"] for r in rows]
     summary = {"alpha": alpha, "r_u_growth": rus[-1] / rus[0],
                "r_w_spread": max(rws) / min(rws), "table_file": csv_name}
     return summary, [csv_name]

@@ -9,7 +9,8 @@ divergence right inverse on indicator sources concentrating at the tip.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -17,19 +18,12 @@ from . import geometry, weights
 from .mesh import generate_graded_mesh
 
 __all__ = [
-    "SweepRecord",
     "FitResult",
     "rate_fit",
     "optimality_sweep",
     "necessity_demo",
     "fit_grid",
 ]
-
-
-@dataclass
-class SweepRecord:
-    parameters: dict
-    values: dict
 
 
 @dataclass
@@ -145,44 +139,18 @@ def fit_grid(T, n=8):
     return np.array([T - _SPAN * 2.0 ** (-i) for i in range(1, n + 1)])
 
 
-def _norm(family, domain, gamma, p, grid, estimate_error):
-    """(value, rel_err, coarse) of `weights.weighted_lp_norm`, with coarse
-    the value on grid itself (the fits' input); with estimate_error, value
-    is the one on grid.refined() and rel_err its distance to coarse."""
-    coarse = weights.weighted_lp_norm(family, domain, gamma, p, grid)
-    if not estimate_error:
-        return coarse, 0.0, coarse
-    fine = weights.weighted_lp_norm(family, domain, gamma, p, grid.refined())
-    return fine, abs(fine - coarse) / fine if fine > 0 else 0.0, coarse
-
-
-def _fs_norm(domain, beta, p, s, estimate_error):
-    """_norm of f_s in L^p(Omega, beta) on the grid resolving f_s."""
-    f = weights.fs_family(domain.alpha, beta, p, s)
-    grid = weights.fs_quadrature_grid(domain, beta, p, s)
-    return _norm(f, domain, beta, p, grid, estimate_error)
-
-
-def _ys_norm(domain, p, s, estimate_error):
-    """_norm of y x^(-s-1) in L^p'(Omega) on the grid resolving it."""
-    f = weights.ys_family(domain.alpha, p, s)
-    grid = weights.ys_quadrature_grid(domain, p, s)
-    return _norm(f, domain, 0.0, p / (p - 1.0), grid, estimate_error)
-
-
 def optimality_sweep(alpha, beta, p, s_grid=None):
     """Norm sweep of both singular families with threshold fits.
 
     Returns (records, fits) where fits = {"A": FitResult, "B": FitResult,
     "A_exact", "B_exact", "comparison"}, and comparison is "T_A = T_B" when
-    the fitted thresholds agree within _T_RTOL relative.  Records tabulate,
-    per s in s_grid, the quadrature and closed-form norms of f_s (to the
-    power p), the conjugate-family norm (power p') and the two blow-up
-    reciprocals.  Each family is fitted on its own geometric grid
+    the fitted thresholds agree within _T_RTOL relative.  Records are dict
+    rows, one per s in s_grid: the quadrature and closed-form norms of f_s
+    (to the power p), the conjugate-family norm (power p') and the two
+    blow-up reciprocals.  Each family is fitted on its own geometric grid
     approaching its own threshold, since a grid suited to one threshold
-    underresolves the other when A != B; the fit reuses the records'
-    unrefined norms at the s they share (all of the default s_grid for the
-    family with the smaller threshold).
+    underresolves the other when A != B.  Each norm is integrated once: a
+    fit reuses the records' unrefined f_s norms at the s they share.
     """
     domain = geometry.CuspDomain(alpha)
     # the closed forms raise unless p > 1
@@ -195,32 +163,38 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
     if np.any(s_grid >= min(A, B)):
         raise ValueError("s_grid must stay strictly below min(A, B)")
 
+    # each family norm on the grid resolving it, or on that grid refined
+    @cache
+    def fs(s, refined=False):
+        grid = weights.fs_quadrature_grid(domain, beta, p, s)
+        return weights.weighted_lp_norm(
+            weights.fs_family(alpha, beta, p, s), domain, beta, p,
+            grid.refined() if refined else grid)
+
+    @cache
+    def ys(s, refined=False):
+        grid = weights.ys_quadrature_grid(domain, p, s)
+        return weights.weighted_lp_norm(
+            weights.ys_family(alpha, p, s), domain, 0.0, pp,
+            grid.refined() if refined else grid)
+
     records = []
-    known_A, known_B = {}, {}     # s -> norm on the unrefined grid
-    for s in s_grid:
-        val, err, known_A[s] = _fs_norm(domain, beta, p, s, True)
-        yval, _, known_B[s] = _ys_norm(domain, p, s, True)
-        records.append(SweepRecord(
-            {"alpha": alpha, "beta": beta, "p": p, "s": float(s)},
-            {
-                "fs_norm_p": val**p,
-                "fs_norm_p_closed": weights.fs_norm_closed_form(
-                    alpha, beta, p, s)["value"],
-                "fs_quadrature_relerr": err,
-                "ys_norm_pp": yval**pp,
-                "ys_norm_pp_closed": weights.ys_norm_closed_form(
-                    alpha, p, s)["value"],
-                # the inequality chain: ||f_s||^{p-1} vs C(s ||y x^-s-1|| + 1)
-                "chain_lhs": val ** (p - 1.0),
-                "chain_rhs_core": float(s) * yval + 1.0,
-            }))
-
-    def fit(T, known, norm, q):
-        return rate_fit([(s, (known[s] if s in known else norm(s)[0]) ** q)
-                         for s in fit_grid(T)])
-
-    fit_A = fit(A, known_A, lambda s: _fs_norm(domain, beta, p, s, False), p)
-    fit_B = fit(B, known_B, lambda s: _ys_norm(domain, p, s, False), pp)
+    for s in s_grid.tolist():
+        val, yval = fs(s, True), ys(s, True)
+        records.append({
+            "s": s, "fs_norm_p": val**p,
+            "fs_norm_p_closed": weights.fs_norm_closed_form(
+                alpha, beta, p, s)["value"],
+            "fs_quadrature_relerr": abs(val - fs(s)) / val if val > 0 else 0.0,
+            "ys_norm_pp": yval**pp,
+            "ys_norm_pp_closed": weights.ys_norm_closed_form(
+                alpha, p, s)["value"],
+            # the inequality chain: ||f_s||^{p-1} vs C(s ||y x^-s-1|| + 1)
+            "chain_lhs": val ** (p - 1.0),
+            "chain_rhs_core": s * yval + 1.0,
+        })
+    fit_A = rate_fit([(s, fs(s) ** p) for s in fit_grid(A).tolist()])
+    fit_B = rate_fit([(s, ys(s) ** pp) for s in fit_grid(B).tolist()])
     if abs(fit_A.T - fit_B.T) <= _T_RTOL * max(fit_A.T, fit_B.T):
         comparison = "T_A = T_B"
     else:
@@ -243,7 +217,8 @@ def necessity_demo(alpha, h=0.1):
 
     For indicator sources f_t = chi_{x < t}, t in _T_VALUES (the solver
     works against weighted-mean-zero pressures, so the weighted-constant
-    component of f_t is removed automatically) the table reports
+    component of f_t is removed automatically) it returns one dict row per
+    t, with ||u_h||_{H1}, both source norms, the constraint residual,
     r_w = ||u_h||_{H1} / ||f_t||_{L2(Omega, alpha-1)} and
     r_u = ||u_h||_{H1} / ||f_t||_{L2(Omega)}.  On a cusp (alpha < 1) r_w
     stays bounded while r_u grows as t -> 0; on the triangle (alpha = 1)
@@ -264,14 +239,13 @@ def necessity_demo(alpha, h=0.1):
         _, info = fem.solve_div_right_inverse(mesh, alpha, f, system=system)
         fw = fem.source_weighted_norm(system.quad, f, alpha - 1.0)
         fu = fem.source_weighted_norm(system.quad, f, 0.0)
-        rows.append(SweepRecord(
-            {"alpha": alpha, "t": float(t), "h": h, "x_tip": mesh.x_tip},
-            {
-                "h1_norm": info["h1_norm"],
-                "f_weighted_norm": fw,
-                "f_unweighted_norm": fu,
-                "r_w": info["h1_norm"] / fw,
-                "r_u": info["h1_norm"] / fu,
-                "constraint_residual": info["constraint_residual"],
-            }))
+        rows.append({
+            "t": float(t),
+            "h1_norm": info["h1_norm"],
+            "f_weighted_norm": fw,
+            "f_unweighted_norm": fu,
+            "r_w": info["h1_norm"] / fw,
+            "r_u": info["h1_norm"] / fu,
+            "constraint_residual": info["constraint_residual"],
+        })
     return rows

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -328,6 +328,26 @@ def boundary_measure(domain: CuspDomain, center, r: float) -> float:
     return float(total)
 
 
+@cache
+def _gauss_rule(order):
+    """The Gauss-Legendre rule of `order` on [-1, 1], built once per order;
+    its arrays are read-only, since every caller shares them."""
+    rule = np.polynomial.legendre.leggauss(order)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+def _gauss_panels(breaks, order):
+    """Gauss-Legendre nodes/weights over consecutive panels of `breaks`."""
+    xg, wg = _gauss_rule(order)
+    a = breaks[:-1, None]
+    b = breaks[1:, None]
+    nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
+    weights = 0.5 * (b - a) * wg[None, :]
+    return nodes.ravel(), weights.ravel()
+
+
 def _curve_length_in_ball(domain, cx, cy, r):
     """Length of the upper arc {(t, t**g) : 0 <= t <= 1} inside B((cx, cy), r).
 
@@ -346,9 +366,6 @@ def _curve_length_in_ball(domain, cx, cy, r):
     t = 1 approach the real axis as g grows.  Against a 30-digit quadrature
     the rule is within 1.3e-15 relative for alpha from 0.01 to 1.
     """
-    # imported here: weights imports this module
-    from .weights import _gauss_panels
-
     g = domain.gamma
     # a centre _ON_BOUNDARY_TOL off the boundary moves onto it, vertically
     cx = min(max(cx, 0.0), 1.0)

@@ -31,6 +31,10 @@ __all__ = [
 ]
 
 
+# the kinds of boundary edge
+_KINDS = ("upper-curve", "lower-curve", "right-edge", "tip")
+
+
 class MeshQualityError(RuntimeError):
     """Raised when the generator cannot meet the minimum-angle target."""
 
@@ -327,14 +331,18 @@ def save_mesh(mesh: TriangulatedMesh, path) -> None:
 
 def load_mesh(path) -> TriangulatedMesh:
     """Read the `save_mesh` file at path.  ValueError if the header gives no
-    alpha, a block name is unknown, a block has fewer lines than its count,
-    a line has other than 3 fields, a vertices line's index is not its
-    position in the block or a vertex index is outside [0, nv)."""
+    alpha, a block header is not a name and a count, a block name is
+    unknown, the vertices or triangles block is missing, a block appears
+    twice or has fewer lines than its count, a line has other than 3
+    fields, a vertices line's index is not its position in the block, a
+    vertex index is outside [0, nv), a boundary kind is not one of _KINDS,
+    or the boundary pairs are not the sides of exactly one triangle, each
+    listed."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta = {"alpha": None, "h": 0.0, "x_tip": 0.0}
     it = iter(lines)
-    verts, tris, boundary = np.empty((0, 3)), np.empty((0, 3), int), []
+    blocks = {}
     for line in it:
         line = line.strip()
         if line.startswith("#"):
@@ -346,37 +354,66 @@ def load_mesh(path) -> TriangulatedMesh:
             continue
         if not line:
             continue
-        block, count = line.split()
-        count = int(count)
+        parts = line.split()
+        if len(parts) != 2 or not parts[1].isdecimal():
+            raise ValueError(f"mesh file: {line!r} is not a block header "
+                             f"'<name> <count>'")
+        block, count = parts[0], int(parts[1])
         if block not in ("vertices", "triangles", "boundary"):
             raise ValueError(f"mesh file: unknown block {block!r}")
+        if block in blocks:
+            raise ValueError(f"mesh file: block {block!r} appears twice")
         rows = list(itertools.islice(it, count))
         if len(rows) < count:
             raise ValueError(f"mesh file: block {block!r} ends after "
                              f"{len(rows)} of its {count} lines")
-        if block == "vertices":
-            verts = _table(block, rows, float)
-        elif block == "triangles":
-            tris = _table(block, rows, int)
+        if block == "boundary":
+            blocks[block] = [_boundary_edge(row.split()) for row in rows]
         else:
-            for parts in map(str.split, rows):
-                _check_fields(block, parts)
-                boundary.append((int(parts[0]), int(parts[1]), parts[2]))
+            blocks[block] = _table(block, rows,
+                                   float if block == "vertices" else int)
     if meta["alpha"] is None:
         raise ValueError("mesh file: no alpha in its '# cuspdiv mesh' header")
+    for block in ("vertices", "triangles"):
+        if block not in blocks:
+            raise ValueError(f"mesh file: no {block!r} block")
+    verts, tris = blocks["vertices"], blocks["triangles"]
+    boundary = blocks.get("boundary", [])
     nv = len(verts)
     moved = np.flatnonzero(verts[:, 0] != np.arange(nv))
     if moved.size:
         raise ValueError(f"mesh file: vertices block: line {moved[0]} has "
                          f"index {verts[moved[0], 0]:g}")
-    ends = np.array([e[:2] for e in boundary], dtype=int)
+    ends = np.array([e[:2] for e in boundary], dtype=int).reshape(-1, 2)
     for block, index in (("triangles", tris), ("boundary", ends)):
         bad = index[(index < 0) | (index >= nv)]
         if bad.size:
             raise ValueError(f"mesh file: {block} block: vertex index "
                              f"{bad[0]} is outside [0, {nv})")
+    # the boundary sides are those of exactly one triangle
+    keys, counts = np.unique(_edge_keys(_sides(tris), nv), return_counts=True)
+    outer, listed = keys[counts == 1], _edge_keys(ends, nv)
+    off = ~np.isin(listed, outer)
+    if off.any():
+        v0, v1 = ends[np.argmax(off)].tolist()
+        raise ValueError(f"mesh file: boundary block: ({v0}, {v1}) is not "
+                         f"the side of exactly one triangle")
+    unlisted = np.setdiff1d(outer, listed)
+    if unlisted.size:
+        v0, v1 = divmod(int(unlisted[0]), nv)
+        raise ValueError(f"mesh file: boundary block: the boundary side "
+                         f"({v0}, {v1}) is not listed")
     return TriangulatedMesh(verts[:, 1:].copy(), tris, boundary,
                             meta["alpha"], h=meta["h"], x_tip=meta["x_tip"])
+
+
+def _boundary_edge(parts):
+    """(v0, v1, kind) of the fields of one boundary line."""
+    _check_fields("boundary", parts)
+    if parts[2] not in _KINDS:
+        raise ValueError(f"mesh file: boundary kind {parts[2]!r} is not one "
+                         f"of {', '.join(_KINDS)}")
+    return int(parts[0]), int(parts[1]), parts[2]
 
 
 def _check_fields(block, parts):

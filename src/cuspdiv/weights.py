@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 
 from . import geometry, whitney
+from .geometry import _gauss_panels
 
 __all__ = [
     "WeightSpec",
@@ -126,26 +127,6 @@ class TensorGrid:
         return tensor_grid(self.domain, order=self.order + 4,
                            n_x=2 * self.n_x, n_tau=2 * self.n_tau,
                            x_min=self.x_min, tau_min=self.tau_min)
-
-
-@cache
-def _gauss_rule(order):
-    """The Gauss-Legendre rule of `order` on [-1, 1], built once per order;
-    its arrays are read-only, since every caller shares them."""
-    rule = np.polynomial.legendre.leggauss(order)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
-def _gauss_panels(breaks, order):
-    """Gauss-Legendre nodes/weights over consecutive panels of `breaks`."""
-    xg, wg = _gauss_rule(order)
-    a = breaks[:-1, None]
-    b = breaks[1:, None]
-    nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg[None, :]
-    weights = 0.5 * (b - a) * wg[None, :]
-    return nodes.ravel(), weights.ravel()
 
 
 def tensor_grid(domain, *, order=10, n_x=40, n_tau=30,

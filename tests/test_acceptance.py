@@ -162,7 +162,7 @@ def test_discrete_right_inverse_ratios():
     # contrast: without the weight the ratio grows as the source
     # concentrates at the tip
     rows = experiments.necessity_demo(alpha)
-    r_u = [r.values["r_u"] for r in rows]
+    r_u = [r["r_u"] for r in rows]
     assert r_u[-1] / r_u[0] >= 1.5
 
 

@@ -28,6 +28,20 @@ def curve_fit_oracle(s, y):
     return popt[1], float(np.sqrt(np.mean((ly - model(s, *popt)) ** 2)))
 
 
+def fs_norm(domain, beta, p, s):
+    """||f_s||_{L^p(beta)} on the grid optimality_sweep fits it on."""
+    f = weights.fs_family(domain.alpha, beta, p, s)
+    grid = weights.fs_quadrature_grid(domain, beta, p, s)
+    return weights.weighted_lp_norm(f, domain, beta, p, grid)
+
+
+def ys_norm(domain, p, s):
+    """||y x^(-s-1)||_{L^p'} on the grid optimality_sweep fits it on."""
+    f = weights.ys_family(domain.alpha, p, s)
+    grid = weights.ys_quadrature_grid(domain, p, s)
+    return weights.weighted_lp_norm(f, domain, 0.0, p / (p - 1.0), grid)
+
+
 def test_rate_fit_recovers_exact_law():
     T, kappa, c = 2.5, 1.0, 0.7
     s = fit_grid(T)
@@ -138,10 +152,8 @@ def test_rate_fit_replays_blowup_sweep_fits(alpha, beta, p):
     B = weights.ys_norm_closed_form(alpha, p, 0.0)["B"]
     _, fits = optimality_sweep(alpha, beta, p, fit_grid(min(A, B), n=3))
     families = {
-        "A": (A, lambda s: experiments._fs_norm(domain, beta, p, s,
-                                                False)[0] ** p),
-        "B": (B, lambda s: experiments._ys_norm(domain, p, s,
-                                                False)[0] ** pp),
+        "A": (A, lambda s: fs_norm(domain, beta, p, s) ** p),
+        "B": (B, lambda s: ys_norm(domain, p, s) ** pp),
     }
     for fam, (exact, norm) in families.items():
         s = fit_grid(exact)
@@ -176,14 +188,12 @@ def test_fit_grid_geometry():
 
 def test_optimality_sweep_records_match_closed_forms():
     records, fits = optimality_sweep(0.5, 0.0, 2.0)
-    assert all(np.isfinite(v) for r in records for v in r.values.values()
-               if isinstance(v, (int, float)))
+    assert all(np.isfinite(v) for r in records for v in r.values())
     for r in records:
-        v = r.values
-        assert v["fs_norm_p"] == pytest.approx(v["fs_norm_p_closed"], rel=5e-3)
-        assert v["ys_norm_pp"] == pytest.approx(v["ys_norm_pp_closed"],
+        assert r["fs_norm_p"] == pytest.approx(r["fs_norm_p_closed"], rel=5e-3)
+        assert r["ys_norm_pp"] == pytest.approx(r["ys_norm_pp_closed"],
                                                 rel=5e-3)
-        assert v["fs_quadrature_relerr"] < 1e-3
+        assert r["fs_quadrature_relerr"] < 1e-3
     # alpha=1/2, beta=0, p=2: A = (1 + 1/2)/1 = 1.5, B = (1 + 1/2 + 1/2)/1
     assert fits["A_exact"] == pytest.approx(1.5)
     assert fits["B_exact"] == pytest.approx(2.5)
@@ -219,17 +229,18 @@ def test_optimality_sweep_evaluates_each_norm_once(alpha, beta, p,
     monkeypatch.setattr(weights, "weighted_lp_norm", counted)
     records, fits = optimality_sweep(alpha, beta, p)
     monkeypatch.undo()
-    # 8 records x 2 families x (grid + refined grid), then the 8 fit norms
-    # of the family with the larger threshold; the other family's fit
-    # reuses the records' unrefined norms
-    assert sum(calls) == 8 * 2 * 2 + 8
+    # 8 records x 3 norms (f_s on its grid and refined, the conjugate family
+    # refined), then the conjugate family's 8 fit norms at its larger
+    # threshold B; f_s's fit reuses the records' unrefined norms, and with
+    # A <= B no fit reads the conjugate family's unrefined norm at the
+    # records' s, so it is never integrated there
+    assert fits["A_exact"] <= fits["B_exact"]
+    assert sum(calls) == 8 * 3 + 8
     domain = geometry.CuspDomain(alpha)
     pp = p / (p - 1.0)
     for fam, norm_s, q in (
-            ("A", lambda s: experiments._fs_norm(domain, beta, p, s,
-                                                 False)[0], p),
-            ("B", lambda s: experiments._ys_norm(domain, p, s,
-                                                 False)[0], pp)):
+            ("A", lambda s: fs_norm(domain, beta, p, s), p),
+            ("B", lambda s: ys_norm(domain, p, s), pp)):
         s = fit_grid(fits[f"{fam}_exact"])
         assert fits[fam] == rate_fit([(si, norm_s(si) ** q) for si in s])
 
@@ -278,13 +289,13 @@ def test_optimality_sweep_rejects_bad_grid():
 def test_necessity_demo_contrast(monkeypatch):
     monkeypatch.setattr(experiments, "_T_VALUES", (0.4, 0.2, 0.1))
     rows = necessity_demo(0.75, h=0.15)
-    assert [r.parameters["t"] for r in rows] == [0.4, 0.2, 0.1]
+    assert [r["t"] for r in rows] == [0.4, 0.2, 0.1]
     for r in rows:
-        assert r.values["constraint_residual"] < 1e-8
-        assert r.values["r_w"] > 0.0
+        assert r["constraint_residual"] < 1e-8
+        assert r["r_w"] > 0.0
     # the unweighted ratio grows as the source concentrates at the tip,
     # the weighted ratio varies far less
-    r_u = [r.values["r_u"] for r in rows]
-    r_w = [r.values["r_w"] for r in rows]
+    r_u = [r["r_u"] for r in rows]
+    r_w = [r["r_w"] for r in rows]
     assert r_u[-1] / r_u[0] > 1.3
     assert max(r_w) / min(r_w) < max(r_u) / min(r_u)

@@ -111,6 +111,10 @@ def _renamed_block(text):
     return text.replace("\nboundary ", "\nedges ")
 
 
+def _negative_count(text):
+    return text.replace("\nboundary ", "\nboundary -")
+
+
 def _short_row(text):
     return text.replace("\n0 ", "\n0\n", 1)
 
@@ -120,6 +124,32 @@ def _swapped_vertices(text):
     head, rest = text.split("\nvertices ", 1)
     count, first, second, tail = rest.split("\n", 3)
     return f"{head}\nvertices {count}\n{second}\n{first}\n{tail}"
+
+
+def _without_block(block):
+    """An edit that deletes `block`: its header line and its rows."""
+    def edit(text):
+        head, rest = text.split(f"\n{block} ", 1)
+        count, tail = rest.split("\n", 1)
+        return "\n".join([head, *tail.split("\n")[int(count):]])
+    edit.__name__ = f"without_{block}"
+    return edit
+
+
+def _repeated_boundary(text):
+    """The boundary block written twice."""
+    return text + text[text.index("boundary "):]
+
+
+def _unlisted_side(text):
+    """The first boundary line deleted and the block's count lowered."""
+    head, rest = text.split("\nboundary ", 1)
+    count, _, tail = rest.split("\n", 2)
+    return f"{head}\nboundary {int(count) - 1}\n{tail}"
+
+
+def _renamed_kind(text):
+    return text.replace(" lower-curve\n", " lower\n", 1)
 
 
 def _first_row(block, row):
@@ -136,6 +166,7 @@ def _first_row(block, row):
     (_without_header, "no alpha"),
     (_truncated, "block 'boundary' ends after"),
     (_renamed_block, "unknown block 'edges'"),
+    (_negative_count, "'boundary -.*' is not a block header"),
     (_short_row, "does not have 3 fields"),
     (_first_row("triangles", ""), "does not have 3 fields"),
     (_first_row("vertices", "0 0.5 0.1 0.2"), "does not have 3 fields"),
@@ -146,6 +177,17 @@ def _first_row(block, row):
     (_first_row("boundary", "99999 0 tip"),
      "boundary block: vertex index 99999 is outside"),
     (_swapped_vertices, "vertices block: line 0 has index 1"),
+    (_without_block("vertices"), "no 'vertices' block"),
+    (_without_block("triangles"), "no 'triangles' block"),
+    (_repeated_boundary, "block 'boundary' appears twice"),
+    # (0, 37) lies in [0, nv) but is no side of any triangle, and (0, 22)
+    # is the side of two
+    (_first_row("boundary", "0 37 lower-curve"),
+     r"boundary block: \(0, 37\) is not the side of exactly one triangle"),
+    (_first_row("boundary", "0 22 lower-curve"),
+     r"boundary block: \(0, 22\) is not the side of exactly one triangle"),
+    (_unlisted_side, r"the boundary side \(0, 21\) is not listed"),
+    (_renamed_kind, "boundary kind 'lower' is not one of"),
 ])
 def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
     path = tmp_path / "mesh.txt"

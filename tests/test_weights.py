@@ -65,8 +65,8 @@ def test_tensor_grid_rejects_bad_parameters(bad):
 
 @pytest.mark.parametrize("order", [1, 10, 12, 16])
 def test_gauss_rule_is_shared_read_only_leggauss(order):
-    rule = weights._gauss_rule(order)
-    assert weights._gauss_rule(order) is rule
+    rule = geometry._gauss_rule(order)
+    assert geometry._gauss_rule(order) is rule
     for got, fresh in zip(rule, np.polynomial.legendre.leggauss(order)):
         assert got.tobytes() == fresh.tobytes()
         with pytest.raises(ValueError):
