@@ -10,7 +10,6 @@ divergence right inverse on indicator sources concentrating at the tip.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -149,8 +148,8 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
     (to the power p), the conjugate-family norm (power p') and the two
     blow-up reciprocals.  Each family is fitted on its own geometric grid
     approaching its own threshold, since a grid suited to one threshold
-    underresolves the other when A != B.  Each norm is integrated once: a
-    fit reuses the records' unrefined f_s norms at the s they share.
+    underresolves the other when A != B.  The records integrate on each
+    family's grid refined and the fits on the grid itself, each norm once.
     """
     domain = geometry.CuspDomain(alpha)
     # the closed forms raise unless p > 1
@@ -164,14 +163,12 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
         raise ValueError("s_grid must stay strictly below min(A, B)")
 
     # each family norm on the grid resolving it, or on that grid refined
-    @cache
     def fs(s, refined=False):
         grid = weights.fs_quadrature_grid(domain, beta, p, s)
         return weights.weighted_lp_norm(
             weights.fs_family(alpha, beta, p, s), domain, beta, p,
             grid.refined() if refined else grid)
 
-    @cache
     def ys(s, refined=False):
         grid = weights.ys_quadrature_grid(domain, p, s)
         return weights.weighted_lp_norm(
@@ -185,7 +182,6 @@ def optimality_sweep(alpha, beta, p, s_grid=None):
             "s": s, "fs_norm_p": val**p,
             "fs_norm_p_closed": weights.fs_norm_closed_form(
                 alpha, beta, p, s)["value"],
-            "fs_quadrature_relerr": abs(val - fs(s)) / val if val > 0 else 0.0,
             "ys_norm_pp": yval**pp,
             "ys_norm_pp_closed": weights.ys_norm_closed_form(
                 alpha, p, s)["value"],

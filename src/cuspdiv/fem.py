@@ -32,7 +32,7 @@ from scipy import sparse
 from scipy.sparse.linalg import eigsh, spilu, splu
 
 from . import geometry
-from .mesh import TriangulatedMesh, _boundary_midpoints
+from .mesh import P2Space, TriangulatedMesh
 
 __all__ = [
     "DiscreteField",
@@ -91,30 +91,6 @@ _P2_G = _p2_grad(_QL)             # (7, 6, 2)
 _P1_N = _QL                       # (7, 3)
 # the shape values as (1, 7, m, 1) operands of _weighted_products
 _N1, _N2 = _P1_N[None, ..., None], _P2_N[None, ..., None]
-
-
-class P2Space:
-    """Continuous piecewise-quadratic scalar space: vertex + edge-midpoint dofs.
-
-    Vertex v is dof v; edge k of ``edges`` (the mesh's edge numbering) is dof
-    ``num_vertices + k``.
-    """
-
-    def __init__(self, mesh: TriangulatedMesh):
-        self.mesh = mesh
-        nv = mesh.num_vertices
-        self.edges, sides = mesh.edge_numbering()
-        self.tri_dofs = np.hstack([mesh.triangles, nv + sides])
-        self.n_dofs = nv + len(self.edges)
-
-    def dof_coords(self):
-        v = self.mesh.vertices
-        mids = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
-        return np.concatenate([v, mids])
-
-    def boundary_dofs(self):
-        ends, mids = _boundary_midpoints(self.mesh, self.edges)
-        return np.unique(np.concatenate([ends.ravel(), mids]))
 
 
 @dataclass

@@ -23,6 +23,7 @@ from .geometry import CuspDomain
 
 __all__ = [
     "TriangulatedMesh",
+    "P2Space",
     "MeshQualityError",
     "generate_graded_mesh",
     "refine",
@@ -31,8 +32,8 @@ __all__ = [
 ]
 
 
-# the kinds of boundary edge
-_KINDS = ("upper-curve", "lower-curve", "right-edge", "tip")
+# the kinds of boundary edge, in the order load_mesh tells them apart
+_KINDS = ("right-edge", "tip", "upper-curve", "lower-curve")
 
 
 class MeshQualityError(RuntimeError):
@@ -46,7 +47,10 @@ class TriangulatedMesh:
     boundary_edges: list          # [(v0, v1, kind)]
     alpha: float
     h: float
-    x_tip: float
+
+    @property
+    def x_tip(self) -> float:            # the smallest vertex abscissa
+        return float(self.vertices[:, 0].min())
 
     @property
     def grading(self) -> float:          # element diameters are h x**grading
@@ -82,6 +86,30 @@ class TriangulatedMesh:
         return self.edge_numbering()[0]
 
 
+class P2Space:
+    """Continuous piecewise-quadratic scalar space: vertex + edge-midpoint dofs.
+
+    Vertex v is dof v; edge k of ``edges`` (the mesh's edge numbering) is dof
+    ``num_vertices + k``.
+    """
+
+    def __init__(self, mesh: TriangulatedMesh):
+        self.mesh = mesh
+        nv = mesh.num_vertices
+        self.edges, sides = mesh.edge_numbering()
+        self.tri_dofs = np.hstack([mesh.triangles, nv + sides])
+        self.n_dofs = nv + len(self.edges)
+
+    def dof_coords(self):
+        v = self.mesh.vertices
+        mids = 0.5 * (v[self.edges[:, 0]] + v[self.edges[:, 1]])
+        return np.concatenate([v, mids])
+
+    def boundary_dofs(self):
+        ends, mids = _boundary_midpoints(self.mesh, self.edges)
+        return np.unique(np.concatenate([ends.ravel(), mids]))
+
+
 def _sides(triangles):
     """The (0,1), (1,2), (2,0) vertex pairs of every triangle, (nt, 3, 2)."""
     return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
@@ -113,7 +141,7 @@ def _tip_abscissa(domain: CuspDomain, h: float) -> float:
 
 
 def _column_abscissas(domain: CuspDomain, h: float, x_tip: float | None):
-    """Column abscissas up from x_tip (None: _tip_abscissa) to 1, and x_tip."""
+    """Column abscissas up from x_tip (None: _tip_abscissa) to 1."""
     if x_tip is None:
         x_tip = _tip_abscissa(domain, h)
     g = domain.gamma
@@ -137,7 +165,7 @@ def _column_abscissas(domain: CuspDomain, h: float, x_tip: float | None):
             xs[-1] - x_tip < 0.3 * max(step(x_tip), xs[-2] - xs[-1]):
         xs.pop()
     xs.append(x_tip)
-    return np.array(xs[::-1]), x_tip
+    return np.array(xs[::-1])
 
 
 def _column_cell_counts(domain, xs):
@@ -175,7 +203,7 @@ def generate_graded_mesh(domain: CuspDomain, h: float, *,
         raise ValueError("h must be in (0, 1)")
     if x_tip is not None and not (0.0 < x_tip < 1.0):
         raise ValueError("x_tip must be in (0, 1)")
-    mesh = _build(domain, h, *_column_abscissas(domain, h, x_tip))
+    mesh = _build(domain, h, _column_abscissas(domain, h, x_tip))
     angle = mesh.min_angle()
     if not angle >= min_angle_deg:
         raise MeshQualityError(
@@ -184,7 +212,7 @@ def generate_graded_mesh(domain: CuspDomain, h: float, *,
     return mesh
 
 
-def _build(domain, h, xs, x_tip):
+def _build(domain, h, xs):
     m = _column_cell_counts(domain, xs)
 
     # column k holds vertices start[k] .. start[k + 1] - 1, bottom to top
@@ -208,8 +236,7 @@ def _build(domain, h, xs, x_tip):
                  for a in range(start[-2], start[-1] - 1)]
     boundary += [(a, a + 1, "tip") for a in range(start[0], start[1] - 1)]
 
-    return TriangulatedMesh(vertices, triangles, boundary, domain.alpha,
-                            h=h, x_tip=x_tip)
+    return TriangulatedMesh(vertices, triangles, boundary, domain.alpha, h=h)
 
 
 def _min_angles(pa, pb, pc):
@@ -270,49 +297,35 @@ def _zip_strips(vertices, start):
 
 
 def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
-    """Uniform 1-to-4 refinement with boundary midpoints snapped to the arcs.
+    """Uniform 1-to-4 refinement with curve midpoints snapped to the arcs.
 
-    The midpoint of edge k of `mesh.edge_numbering()` is vertex nv + k, so
-    the refined vertices before the snap are the parent's P2 dof
-    coordinates, in the parent's P2 dof numbering.
+    The refined vertices before the snap are the parent's P2 dof coordinates,
+    and triangle t splits into its corner triangles and its midpoint one, all
+    in the P2 dof numbering (the midpoint of edge k is vertex nv + k).
     """
-    domain = CuspDomain(mesh.alpha)
-    nv = mesh.num_vertices
-    edges, sides = mesh.edge_numbering()
-    mids = nv + sides
-    verts = np.concatenate(
-        [mesh.vertices, 0.5 * (mesh.vertices[edges[:, 0]]
-                               + mesh.vertices[edges[:, 1]])])
-
-    bmids = _boundary_midpoints(mesh, edges)[1].tolist()
+    gamma = CuspDomain(mesh.alpha).gamma
+    space = P2Space(mesh)
+    verts = space.dof_coords()
+    bmids = _boundary_midpoints(mesh, space.edges)[1].tolist()
     boundary = []
     # scalar powers: numpy's array power may round differently by an ulp
     for (v0, v1, kind), mid in zip(mesh.boundary_edges, bmids):
-        mx = verts[mid, 0]
         if kind == "upper-curve":
-            verts[mid, 1] = mx**domain.gamma
+            verts[mid, 1] = verts[mid, 0]**gamma
         elif kind == "lower-curve":
-            verts[mid, 1] = -(mx**domain.gamma)
-        elif kind == "right-edge":
-            verts[mid, 0] = 1.0
-        elif kind == "tip":
-            verts[mid, 0] = mesh.x_tip
+            verts[mid, 1] = -(verts[mid, 0]**gamma)
         boundary.append((v0, mid, kind))
         boundary.append((mid, v1, kind))
 
-    t = mesh.triangles
-    ab, bc, ca = mids.T
-    tris = np.stack([t[:, 0], ab, ca, ab, t[:, 1], bc, ca, bc, t[:, 2],
-                     ab, bc, ca], axis=1).reshape(-1, 3)
-
-    return TriangulatedMesh(verts, tris, boundary, mesh.alpha,
-                            h=mesh.h / 2.0, x_tip=mesh.x_tip)
+    tris = space.tri_dofs[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]]
+    return TriangulatedMesh(verts, tris.reshape(-1, 3), boundary, mesh.alpha,
+                            h=mesh.h / 2.0)
 
 
 def save_mesh(mesh: TriangulatedMesh, path) -> None:
     """Plain-text mesh export (vertices / triangles / boundary blocks) to the
-    file at path; the header's grading is 1/alpha, and `load_mesh` does not
-    read it back."""
+    file at path; the header's grading (1/alpha) and x_tip (the smallest
+    vertex abscissa) are not read back by `load_mesh`."""
     with open(path, "w") as fh:
         fh.write("".join([
             f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
@@ -336,11 +349,13 @@ def load_mesh(path) -> TriangulatedMesh:
     twice or has fewer lines than its count, a line has other than 3
     fields, a vertices line's index is not its position in the block, a
     vertex index is outside [0, nv), a boundary kind is not one of _KINDS,
-    or the boundary pairs are not the sides of exactly one triangle, each
-    listed."""
+    the boundary pairs are not the sides of exactly one triangle, each
+    listed, or a listed kind is not the one its two vertices give:
+    'right-edge' if both x are 1, 'tip' if both are the smallest vertex
+    abscissa, else the curve on the side of both heights."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    meta = {"alpha": None, "h": 0.0, "x_tip": 0.0}
+    meta = {"alpha": None, "h": 0.0}
     it = iter(lines)
     blocks = {}
     for line in it:
@@ -403,8 +418,22 @@ def load_mesh(path) -> TriangulatedMesh:
         v0, v1 = divmod(int(unlisted[0]), nv)
         raise ValueError(f"mesh file: boundary block: the boundary side "
                          f"({v0}, {v1}) is not listed")
+    # each listed kind is the one its two vertices give (x_tip is the
+    # smallest vertex abscissa; initial= lets a mesh without vertices pass)
+    x, y = verts[ends, 1], verts[ends, 2]
+    given = np.select([np.all(x == 1.0, axis=1),
+                       np.all(x == verts[:, 1].min(initial=np.inf), axis=1),
+                       np.all(y > 0.0, axis=1), np.all(y < 0.0, axis=1)],
+                      _KINDS, "no kind")
+    wrong = given != [kind for _, _, kind in boundary]
+    if wrong.any():
+        i = np.argmax(wrong)
+        v0, v1, kind = boundary[i]
+        raise ValueError(f"mesh file: boundary block: ({v0}, {v1}) is "
+                         f"listed as {kind!r}, but its vertices give "
+                         f"{str(given[i])!r}")
     return TriangulatedMesh(verts[:, 1:].copy(), tris, boundary,
-                            meta["alpha"], h=meta["h"], x_tip=meta["x_tip"])
+                            meta["alpha"], h=meta["h"])
 
 
 def _boundary_edge(parts):

@@ -430,8 +430,8 @@ def build_ball_plan(domain, sampling):
     number of weight exponents; the per-ball records carry the distance
     values at the nodes, making each subsequent ratio a pair of vector
     powers.  The grids of all radii about one centre come from one
-    `ball_grid` call, whose refinement rows are freed before the node
-    distances are evaluated, one ball at a time.  The plan records domain.
+    `ball_grid` call, whose refinement rows are freed before one distance
+    call takes the nodes of all its balls.  The plan records domain.
     Raises ValueError for a resolution below 1, radii that are not finite,
     positive and two distinct values (_check_radii) or no centres.
     """
@@ -447,13 +447,13 @@ def build_ball_plan(domain, sampling):
     for c in centers:
         grid = ball_grid(distance_fn, c, radii, delta_min)
         ends = np.cumsum(grid.counts)[:-1]
-        for r, nodes, qw in zip(radii, np.split(grid.nodes, ends),
-                                np.split(grid.weights, ends)):
-            d = np.asarray(distance_fn(nodes), dtype=float)
-            np.maximum(d, 1e-300, out=d)
+        d = np.asarray(distance_fn(grid.nodes), dtype=float)
+        np.maximum(d, 1e-300, out=d)
+        for r, qw, db in zip(radii, np.split(grid.weights, ends),
+                             np.split(d, ends)):
             balls.append({"center": (float(c[0]), float(c[1])),
-                          "radius": float(r), "weights": qw, "d": d})
-        del grid, nodes          # before the next centre's grid is built
+                          "radius": float(r), "weights": qw, "d": db})
+        del grid                 # before the next centre's grid is built
     return {"domain": domain, "sampling": sampling, "balls": balls}
 
 

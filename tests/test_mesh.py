@@ -152,6 +152,14 @@ def _renamed_kind(text):
     return text.replace(" lower-curve\n", " lower\n", 1)
 
 
+def _relabelled(kind, as_kind):
+    """An edit that lists the first `kind` boundary line as `as_kind`."""
+    def edit(text):
+        return text.replace(f" {kind}\n", f" {as_kind}\n", 1)
+    edit.__name__ = f"{kind}_as_{as_kind}"
+    return edit
+
+
 def _first_row(block, row):
     """An edit that makes `row` the first line of `block`."""
     def edit(text):
@@ -188,6 +196,12 @@ def _first_row(block, row):
      r"boundary block: \(0, 22\) is not the side of exactly one triangle"),
     (_unlisted_side, r"the boundary side \(0, 21\) is not listed"),
     (_renamed_kind, "boundary kind 'lower' is not one of"),
+    # refine snaps a midpoint by its kind, so a wrong kind is refused
+    (_relabelled("upper-curve", "lower-curve"),
+     "is listed as 'lower-curve', but its vertices give 'upper-curve'"),
+    (_relabelled("tip", "upper-curve"),
+     r"\(0, 1\) is listed as 'upper-curve', but its vertices give 'tip'"),
+    (_relabelled("right-edge", "tip"), "but its vertices give 'right-edge'"),
 ])
 def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
     path = tmp_path / "mesh.txt"
@@ -195,6 +209,19 @@ def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
     path.write_text(edit(path.read_text()))
     with pytest.raises(ValueError, match=message):
         load_mesh(path)
+
+
+@pytest.mark.parametrize("header", ["# cuspdiv mesh alpha=0.75",
+                                    "# cuspdiv mesh alpha=0.75 x_tip=0.3"])
+def test_refine_of_a_loaded_mesh_ignores_the_header_x_tip(header, tmp_path):
+    # x_tip is the smallest vertex abscissa, whatever the header says
+    m = generate_graded_mesh(CuspDomain(0.75), 0.2)
+    path = tmp_path / "mesh.txt"
+    save_mesh(m, path)
+    path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+    back = load_mesh(path)
+    assert back.x_tip == m.x_tip
+    assert np.array_equal(refine(back).vertices, refine(m).vertices)
 
 
 def test_x_tip_override():
@@ -218,7 +245,7 @@ def test_grading_is_one_over_alpha_for_every_mesh(alpha, tmp_path):
     # the header's grading is not read back
     path.write_text(text.replace(f"grading={1.0 / alpha!r}", "grading=7.0"))
     built = meshmod.TriangulatedMesh(m.vertices, m.triangles,
-                                     m.boundary_edges, alpha, m.h, m.x_tip)
+                                     m.boundary_edges, alpha, m.h)
     for other in (m, refine(m), load_mesh(path), built):
         assert other.grading == 1.0 / alpha
 
@@ -424,34 +451,35 @@ def test_meshes_are_conforming(alpha, h):
        tip=st.sampled_from([None, 0.02]))
 @example(0.5, 0.1, None)
 def test_refine_numbers_midpoints_as_the_parent_p2_dofs(alpha, h, tip):
-    from cuspdiv.fem import P2Space
-
     dom = CuspDomain(alpha)
     m = generate_graded_mesh(dom, h, x_tip=tip, min_angle_deg=0.0)
-    fine, space, nv = refine(m), P2Space(m), m.num_vertices
+    fine, space, nv = refine(m), meshmod.P2Space(m), m.num_vertices
     dofs = space.dof_coords()
     assert len(fine.vertices) == len(dofs)
     # triangle t splits into its corner triangles and the midpoint one
     assert np.array_equal(fine.triangles, space.tri_dofs[
         :, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3))
     # boundary edge (v0, v1) of edge number k splits at vertex nv + k, which
-    # is snapped onto its arc; every other vertex is the P2 dof itself
+    # is snapped onto its arc if the edge is curved; every other vertex is
+    # the P2 dof itself
     number = {tuple(e): nv + k for k, e in enumerate(space.edges.tolist())}
     snapped = set()
     for i, (v0, v1, kind) in enumerate(m.boundary_edges):
         mid = number[min(v0, v1), max(v0, v1)]
         assert fine.boundary_edges[2 * i:2 * i + 2] == [(v0, mid, kind),
                                                         (mid, v1, kind)]
-        (x, y), (dx, dy) = fine.vertices[mid], dofs[mid]
+        (x, y), dx = fine.vertices[mid], dofs[mid, 0]
         if kind in ("upper-curve", "lower-curve"):
             sign = 1.0 if kind == "upper-curve" else -1.0
             assert (x, y) == (dx, sign * dx**dom.gamma)
+            snapped.add(mid)
         else:
-            assert (x, y) == ({"right-edge": 1.0, "tip": m.x_tip}[kind], dy)
-        snapped.add(mid)
+            # the midpoint of two equal abscissas is that abscissa
+            assert x == {"right-edge": 1.0, "tip": m.x_tip}[kind]
     kept = np.setdiff1d(np.arange(len(dofs)), sorted(snapped))
     assert np.array_equal(fine.vertices[kept], dofs[kept])
     assert len(fine.boundary_edges) == 2 * len(m.boundary_edges)
+    assert fine.x_tip == m.x_tip
 
 
 @pytest.mark.parametrize("alpha,h,x_tip", [

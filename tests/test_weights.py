@@ -471,7 +471,7 @@ def test_golden_ball_plan():
 
 def test_build_ball_plan_refines_each_centre_once(monkeypatch):
     # one refinement per centre, at most one distance call per generation of
-    # it, then one per ball for its node distances
+    # it, then one for the node distances of all its balls
     sampling = GOLDEN_PLAN_SAMPLING
     centres = (len(sampling["boundary_centers"])
                + len(sampling["interior_centers"]))
@@ -479,7 +479,7 @@ def test_build_ball_plan_refines_each_centre_once(monkeypatch):
     # the largest box, of side 2 r, splits until its cells reach the floor
     generations = 1 + math.ceil(math.log2(2.0 * max(sampling["radii"])
                                           * sampling["resolution"]))
-    calls = {"distance": 0, "refine": 0, "classify": 0}
+    calls = {"distance": 0, "refine": 0, "classify": 0, "refining": 0}
     distance, refine = geometry.distance, whitney.refine
 
     def counted_distance(*args):
@@ -491,7 +491,10 @@ def test_build_ball_plan_refines_each_centre_once(monkeypatch):
 
         def counted_classify(*args):
             calls["classify"] += 1
-            return classify(*args)
+            before = calls["distance"]
+            out = classify(*args)
+            calls["refining"] += calls["distance"] - before
+            return out
 
         return refine(roots, counted_classify)
 
@@ -501,7 +504,8 @@ def test_build_ball_plan_refines_each_centre_once(monkeypatch):
     assert len(plan["balls"]) == balls
     assert calls["refine"] == centres
     assert calls["classify"] <= centres * generations
-    assert calls["distance"] <= calls["classify"] + balls
+    assert calls["refining"] <= calls["classify"]
+    assert calls["distance"] - calls["refining"] == centres
 
 
 def test_estimate_ap_constant_rejects_a_plan_of_another_domain():
