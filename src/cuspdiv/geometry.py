@@ -77,6 +77,17 @@ def contains(domain: CuspDomain, p) -> np.ndarray | bool:
 
 _TINY = np.finfo(float).tiny
 _NEWTON_STEPS = 100   # step cap of every `_newton` solve
+_EXPONENT_BITS = 0x7FF0000000000000
+
+
+def _ulp8(v):
+    """8 * np.spacing(np.abs(v)), bit for bit, for float64 arrays of finite
+    values: 2**(e - 49) from the exponent bits 2**e of v, and 8 times the
+    least subnormal where v is zero or subnormal.  Only at +-max float,
+    where np.spacing overflows to inf, it gives 8 * 2**971; inf and NaN
+    give inf."""
+    e = (v.view(np.int64) & _EXPONENT_BITS).view(np.float64)
+    return np.maximum(e * 2.0**-49, 8.0 * 5e-324)
 
 
 def _newton(fdf, t, lo, hi, x, y):
@@ -89,7 +100,8 @@ def _newton(fdf, t, lo, hi, x, y):
     is at most 8 ulp of t, or hi - lo is at most 8 ulp of hi (a relative
     step test can cycle between floats a few ulp apart; next to 0, 8 ulp is
     a few subnormals, and a downhill step that short is no sign of a root);
-    RuntimeError if any is left after _NEWTON_STEPS steps.
+    RuntimeError if any is left after _NEWTON_STEPS steps.  8 ulp is read
+    off the exponent bits (`_ulp8`), which costs less than np.spacing.
     """
     out = np.empty_like(t)
     idx = np.arange(t.size)
@@ -102,12 +114,12 @@ def _newton(fdf, t, lo, hi, x, y):
             hi = np.where(f > 0.0, t, hi)
             step = f / df
             tn = t - step
-            done = ((f == 0.0) | (hi - lo <= 8.0 * np.spacing(np.abs(hi)))
-                    | ((np.abs(step) <= 8.0 * np.spacing(np.abs(t)))
-                       & (df > 0.0)))
-            if done.any():
-                out[idx[done]] = np.clip(tn[done], lo[done], hi[done])
-                keep = ~done
+            done = ((f == 0.0) | (hi - lo <= _ulp8(hi))
+                    | ((np.abs(step) <= _ulp8(t)) & (df > 0.0)))
+            fin = np.flatnonzero(done)
+            if fin.size:
+                out[idx[fin]] = np.clip(tn[fin], lo[fin], hi[fin])
+                keep = np.flatnonzero(~done)
                 idx, x, y, lo, hi, tn = (v[keep]
                                          for v in (idx, x, y, lo, hi, tn))
             stray = np.flatnonzero(~((tn > lo) & (tn < hi)))
@@ -256,15 +268,17 @@ def _edge_distance(x, y):
 
 # Points per kernel pass of `distance`.  The kernel is pointwise, so blocks
 # change no value; they bound its temporaries to a few MB.  Measured on a
-# 2-core x86-64 Xeon VM (4 MiB L2), one 2^20-point call (half uniform over
-# [0, 1] x [-1, 1], half within 1e-3 of the upper arc), medians of 5, in s,
+# 2-core x86-64 Xeon VM (4 MiB L2), one 2^20-point call (seed 0: 2^19
+# uniform over [0, 1] x [-1, 1], 2^19 at (t, t**g + U(-1e-3, 1e-3)), t
+# uniform in [0, 1]), medians of 5, block sizes interleaved, in s,
 # unblocked / 2^13 / 2^14 / 2^15 / 2^16 points per block:
-#   alpha 0.3   0.95 / 0.81 / 0.64 / 0.60 / 0.63
-#   alpha 0.5   0.72 / 0.40 / 0.43 / 0.47 / 0.44
-#   alpha 0.75  0.68 / 0.40 / 0.39 / 0.44 / 0.48
-#   alpha 1     0.071 / 0.036 / 0.038 / 0.040 / 0.041
-# and a tracemalloc peak on 164k of those points of 36.6 / 3.1 / 4.8 / 8.4
-# / 15.4 MB (alpha 0.75).
+#   alpha 0.3   0.58 / 0.52 / 0.40 / 0.37 / 0.36
+#   alpha 0.5   0.39 / 0.22 / 0.21 / 0.21 / 0.24
+#   alpha 0.75  0.41 / 0.26 / 0.26 / 0.24 / 0.26
+#   alpha 1     0.043 / 0.024 / 0.023 / 0.024 / 0.025
+# (a repeat run read up to 35% more; the host is noisy) and a tracemalloc
+# peak on 164k of those points of 36.6 / 3.1 / 5.0 / 8.6 / 15.9 MB
+# (alpha 0.75).
 _BLOCK = 1 << 14
 
 

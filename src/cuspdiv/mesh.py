@@ -344,7 +344,7 @@ def save_mesh(mesh: TriangulatedMesh, path) -> None:
 
 def load_mesh(path) -> TriangulatedMesh:
     """Read the `save_mesh` file at path.  ValueError if the header gives no
-    alpha, a block header is not a name and a count, a block name is
+    alpha or no h, a block header is not a name and a count, a block name is
     unknown, the vertices or triangles block is missing, a block appears
     twice or has fewer lines than its count, a line has other than 3
     fields, a vertices line's index is not its position in the block, a
@@ -355,7 +355,7 @@ def load_mesh(path) -> TriangulatedMesh:
     abscissa, else the curve on the side of both heights."""
     with open(path) as fh:
         lines = fh.read().splitlines()
-    meta = {"alpha": None, "h": 0.0}
+    meta = {"alpha": None, "h": None}
     it = iter(lines)
     blocks = {}
     for line in it:
@@ -387,8 +387,10 @@ def load_mesh(path) -> TriangulatedMesh:
         else:
             blocks[block] = _table(block, rows,
                                    float if block == "vertices" else int)
-    if meta["alpha"] is None:
-        raise ValueError("mesh file: no alpha in its '# cuspdiv mesh' header")
+    for key, value in meta.items():
+        if value is None:
+            raise ValueError(f"mesh file: no {key} in its '# cuspdiv mesh' "
+                             f"header")
     for block in ("vertices", "triangles"):
         if block not in blocks:
             raise ValueError(f"mesh file: no {block!r} block")

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 import warnings
 
@@ -145,30 +146,37 @@ def test_distance_exact_where_two_minima_compete(alpha, x, y, ref):
     assert abs(d - ref) <= 1e-12 * ref
 
 
+_ULP_STOP_X = np.array([0.01874710903341914, 0.03286508136968913,
+                        0.00833256286982248, 0.03331044399207797,
+                        0.002148437499999989])
+_ULP_STOP_Y = np.array([0.45974386697338576, 0.39721889060820104,
+                        0.24521083984716924, 0.24934252903057527,
+                        0.2463671875])
+
+
 def test_curve_distance_ulp_stop_regression():
     # points whose last Newton iterates straddle the root a few ulp apart, so
     # a relative step test |dt| <= 2e-16 t can cycle forever: a drawn point of
     # test_coverage_of_points_away_from_the_set, a box point of the oracle
     # test above and three A_p ball-plan nodes
     dom = CuspDomain(0.5)
-    x = np.array([0.01874710903341914, 0.03286508136968913,
-                  0.00833256286982248, 0.03331044399207797,
-                  0.002148437499999989])
-    y = np.array([0.45974386697338576, 0.39721889060820104,
-                  0.24521083984716924, 0.24934252903057527, 0.2463671875])
+    x, y = _ULP_STOP_X, _ULP_STOP_Y
     d = geometry._curve_distance(dom, x, y)
     ref = grid_curve_distance(dom, x, y)
     assert np.all(np.abs(d - ref) <= 1e-12 * ref)
 
 
-@pytest.mark.parametrize("alpha, x, y", [
+_TIP_SCALES = [
     (0.75, 0.0, 5.106951417907298e-120),
     (0.5001, -0.9350067186428942, 0.4145121838496162),
     (0.501, 0.0, 0.03015642490409442),
     (0.55, 4.454832257153636e-297, 9.741336651305726e-41),
     (0.49, 3.986772022958827e-157, 9.048454679893847),
     (0.5, 5e-324, 1.0),
-])
+]
+
+
+@pytest.mark.parametrize("alpha, x, y", _TIP_SCALES)
 def test_curve_distance_at_tip_scales(alpha, x, y):
     # foot points and extrema of F near (k y)**(1/(2-g)), up to hundreds of
     # binary orders below the bracket [a, b]: Newton from its ends, or
@@ -177,6 +185,41 @@ def test_curve_distance_at_tip_scales(alpha, x, y):
     dom = CuspDomain(alpha)
     d = geometry._curve_distance(dom, np.array([x]), np.array([y]))[0]
     assert 0.0 < d <= dense_curve_distance(dom, x, y) * (1.0 + 1e-12)
+
+
+@settings(max_examples=500, deadline=None)
+@given(v=st.floats(allow_nan=False, allow_infinity=False))
+@example(v=0.0)
+@example(v=-0.0)
+@example(v=5e-324)
+@example(v=-5e-324)
+@example(v=2.2250738585072014e-308)
+@example(v=-2.2250738585072014e-308)
+@example(v=1.7976931348623157e308)
+@example(v=-1.7976931348623157e308)
+def test_ulp8_is_eight_spacings_bitwise(v):
+    # zeros and subnormals included: the exponent bits give 2**(e - 49),
+    # subnormal itself for e < -1022 + 49, and 8 * 5e-324 where e is 0
+    a = np.array([v])
+    assert geometry._ulp8(a).tobytes() == _eight_spacings(a).tobytes()
+
+
+def _eight_spacings(a):
+    """8 * np.spacing(|a|), but 8 * 2**971 at the largest float: no float
+    lies above it, so np.spacing overflows to inf there; `_ulp8` gives the
+    spacing of its binade."""
+    with np.errstate(over="ignore"):
+        ref = 8.0 * np.spacing(np.abs(a))
+    return np.where(np.abs(a) == np.finfo(float).max, 8.0 * 2.0**971, ref)
+
+
+def test_ulp8_on_every_exponent():
+    # every biased exponent 0..2046, five mantissas each, both signs
+    bits = ((np.arange(2047, dtype=np.int64) << 52)[:, None]
+            | np.array([0, 1, 12345678901, 1 << 51, (1 << 52) - 1]))
+    v = np.concatenate([bits.ravel(), bits.ravel() | -(1 << 63)])
+    v = v.view(np.float64)
+    assert geometry._ulp8(v).tobytes() == _eight_spacings(v).tobytes()
 
 
 def test_curve_distance_raises_when_unconverged(monkeypatch):
@@ -229,6 +272,43 @@ def test_blocked_distance_is_bitwise_unblocked(alpha):
     assert d == unblocked_distance(dom, p[None, :])[0]
     empty = geometry.distance(dom, np.empty((0, 2)))
     assert empty.shape == (0,) and empty.dtype == float
+
+
+# sha256 of `geometry.distance` on the blocked test's points at each alpha,
+# on the ulp-stop points (alpha 0.5) and on the tip-scale points, each at
+# its own alpha: a change to the bookkeeping of `_newton` (its stop test,
+# its compaction) may change the kernel's cost, never one output bit
+GOLDEN_DISTANCE = {
+    0.3: "6cf44722e1aaa270684c7d48e615b0d9c62b38be144c99cfab0fc06aac48c097",
+    0.5: "db01bf9386334942de6043eb6ac5ed3802bb8a1e362edd302457a5b114f847c7",
+    0.75: "5f09de68594048428cafff6fd681e3edacd6b27ba65defc8e8647e711a940940",
+    1.0: "54f2b785b1ef2c93e79eb93710fb0bcc2503a39893532b69038ef92b832c6059",
+    "ulp-stop":
+        "c3db46f9792dd008f2ddc92f5a36de073253724f63d4f4232a38a33fe6df5cf1",
+    "tip-scales":
+        "187de47be987d90e47255103dff99287eb372c966c6d8cc42bf8db61ae497ae9",
+}
+
+
+def _distance_digests():
+    def sha(d):
+        return hashlib.sha256(np.asarray(d, dtype=float).tobytes()).hexdigest()
+
+    got = {}
+    for alpha in (0.3, 0.5, 0.75, 1.0):
+        dom = CuspDomain(alpha)
+        pts = _mixed_points(dom, 2 * geometry._BLOCK + 1,
+                            seed=int(100 * alpha))
+        got[alpha] = sha(geometry.distance(dom, pts))
+    got["ulp-stop"] = sha(geometry.distance(
+        CuspDomain(0.5), np.column_stack([_ULP_STOP_X, _ULP_STOP_Y])))
+    got["tip-scales"] = sha([geometry.distance(CuspDomain(a), np.array([x, y]))
+                             for a, x, y in _TIP_SCALES])
+    return got
+
+
+def test_golden_distance_bytes():
+    assert _distance_digests() == GOLDEN_DISTANCE
 
 
 def test_blocked_distance_memory_peak():

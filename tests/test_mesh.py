@@ -102,6 +102,12 @@ def _without_header(text):
     return text.split("\n", 1)[1]
 
 
+def _without_h(text):
+    header, rest = text.split("\n", 1)
+    kept = [t for t in header.split() if not t.startswith("h=")]
+    return " ".join(kept) + "\n" + rest
+
+
 def _truncated(text):
     lines = text.splitlines(keepends=True)
     return "".join(lines[:len(lines) - 3])
@@ -172,6 +178,7 @@ def _first_row(block, row):
 
 @pytest.mark.parametrize("edit, message", [
     (_without_header, "no alpha"),
+    (_without_h, "no h in its '# cuspdiv mesh' header"),
     (_truncated, "block 'boundary' ends after"),
     (_renamed_block, "unknown block 'edges'"),
     (_negative_count, "'boundary -.*' is not a block header"),
@@ -214,11 +221,12 @@ def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
 @pytest.mark.parametrize("header", ["# cuspdiv mesh alpha=0.75",
                                     "# cuspdiv mesh alpha=0.75 x_tip=0.3"])
 def test_refine_of_a_loaded_mesh_ignores_the_header_x_tip(header, tmp_path):
-    # x_tip is the smallest vertex abscissa, whatever the header says
+    # x_tip is the smallest vertex abscissa, whatever the header says; the
+    # header also gives the h it requires
     m = generate_graded_mesh(CuspDomain(0.75), 0.2)
     path = tmp_path / "mesh.txt"
     save_mesh(m, path)
-    path.write_text(header + "\n" + path.read_text().split("\n", 1)[1])
+    path.write_text(header + " h=0.2\n" + path.read_text().split("\n", 1)[1])
     back = load_mesh(path)
     assert back.x_tip == m.x_tip
     assert np.array_equal(refine(back).vertices, refine(m).vertices)
