@@ -261,9 +261,15 @@ def _curve_distance(domain: CuspDomain, x, y):
 
 
 def _edge_distance(x, y):
-    """Distance to the right edge {x = 1, -1 <= y <= 1}."""
-    yc = np.clip(y, -1.0, 1.0)
-    return np.hypot(x - 1.0, y - yc)
+    """Distance to the right edge {x = 1, -1 <= y <= 1}: hypot(x - 1,
+    y - clip(y, -1, 1)), bit for bit, with the hypot taken only where
+    |y| > 1 (or y is NaN); elsewhere it is hypot(x - 1, 0) = |x - 1|."""
+    d = np.abs(x - 1.0)
+    far = np.flatnonzero(~(np.abs(y) <= 1.0))
+    if far.size:
+        yf = y[far]
+        d[far] = np.hypot(x[far] - 1.0, yf - np.clip(yf, -1.0, 1.0))
+    return d
 
 
 # Points per kernel pass of `distance`.  The kernel is pointwise, so blocks

@@ -242,20 +242,14 @@ def _build(domain, h, xs):
 def _min_angles(pa, pb, pc):
     """Smallest angle (radians) of triangles (pa, pb, pc), broadcast over the
     leading axes of the (..., 2) corner arrays; 0 for degenerate ones."""
-    pts = (pa, pb, pc)
-    best = None
-    degenerate = False
-    for k in range(3):
-        u = pts[(k + 1) % 3] - pts[k]
-        v = pts[(k + 2) % 3] - pts[k]
-        nu = np.hypot(u[..., 0], u[..., 1])
-        nv = np.hypot(v[..., 0], v[..., 1])
-        degenerate = degenerate | (nu == 0.0) | (nv == 0.0)
-        dot = np.vecdot(u, v)     # the kernel of np.dot, so same rounding
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ang = np.arccos(np.clip(dot / (nu * nv), -1, 1))
-        best = ang if best is None else np.minimum(best, ang)
-    return np.where(degenerate, 0.0, best)
+    # edges e_k = p_{k+1} - p_k; the angle at p_k lies between e_k and
+    # -e_{k-1} = p_{k-1} - p_k, and negation is exact
+    e = np.stack(np.broadcast_arrays(pb - pa, pc - pb, pa - pc))
+    n = np.hypot(e[..., 0], e[..., 1])
+    dot = -np.vecdot(e, e[[2, 0, 1]])   # the kernel of np.dot: same rounding
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ang = np.arccos(np.clip(dot / (n * n[[2, 0, 1]]), -1, 1))
+    return np.where((n == 0.0).any(axis=0), 0.0, ang.min(axis=0))
 
 
 def _zip_strips(vertices, start):

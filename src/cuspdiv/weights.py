@@ -312,6 +312,7 @@ _G2 = 0.5 / np.sqrt(3.0)   # 2x2 Gauss offsets on a unit cell
 _OPEN_FRAC = 0.25          # ball cells split while larger than this * d
 _RIM_FRAC = 1.0 / 128.0    # rim cells split while larger than this * r
 _FLAT = 2.0                # admissible_flat: trend and 1/trend below this
+_MARGIN = 1e-9             # relative margin of ball_grid's squared ball tests
 
 
 def ball_grid(distance_fn, center, r, delta_min) -> QuadratureGrid:
@@ -325,30 +326,45 @@ def ball_grid(distance_fn, center, r, delta_min) -> QuadratureGrid:
     control the staircase error of the ball indicator.  Each final cell
     carries a 2x2 Gauss rule restricted to its ball.  The distance is only
     evaluated where it decides a split: at kept cells above delta_min,
-    except rim cells above _RIM_FRAC * r, which split anyway; one call per
-    generation serves every ball.  The grid holds the balls' nodes and
-    weights concatenated in the order of r, and counts, their node count
-    per ball; each ball's part is the grid of that radius alone.
+    except rim cells above _RIM_FRAC * r, which split anyway, and cells
+    whose split `whitney._decide` settles from the parent's distance (so
+    distance_fn must be 1-Lipschitz); one call per generation serves every
+    ball.  The ball tests compare squared distances and take the hypot only
+    within a relative margin _MARGIN, so the grid is that of evaluating
+    every distance and hypot, bit for bit.  The grid holds the balls' nodes
+    and weights concatenated in the order of r, and counts, their node
+    count per ball; each ball's part is the grid of that radius alone.
     """
     cx, cy = float(center[0]), float(center[1])
     radii = np.atleast_1d(np.asarray(r, dtype=float))
 
-    def classify(k, b, mx, my, s):
+    def classify(k, b, mx, my, s, dp):
         r, s = radii[b], s[b]
-        rad = np.hypot(mx - cx, my - cy)
+        dx, dy = mx - cx, my - cy
         half_diag = s * (whitney._SQRT2 / 2.0)
-        keep = rad - half_diag <= r              # discard cells outside B
-        rim = np.abs(rad - r) <= half_diag
+        # keep: rad - half_diag <= r; rim: |rad - r| <= half_diag, for rad
+        # the hypot of (dx, dy); away from their thresholds, as squares
+        q2 = dx * dx + dy * dy
+        out2 = (r + half_diag) ** 2
+        in2 = np.maximum(r - half_diag, 0.0) ** 2
+        keep = q2 <= out2
+        rim = keep & (q2 >= in2)
+        tol = _MARGIN * out2
+        near = np.flatnonzero((np.abs(q2 - out2) <= tol)
+                               | (np.abs(q2 - in2) <= tol))
+        if near.size:
+            rad, hd = np.hypot(dx[near], dy[near]), half_diag[near]
+            keep[near] = rad - hd <= r[near]       # discard cells outside B
+            rim[near] = np.abs(rad - r[near]) <= hd
         # kept cells split while s > max(delta_min, _OPEN_FRAC d), rim cells
         # also while s > max(delta_min, _RIM_FRAC r): d decides only the rest
         big = keep & (s > delta_min)
         split = big & rim & (s > _RIM_FRAC * r)
         ask = big & ~split
-        if ask.any():
-            d = np.asarray(distance_fn(np.column_stack([mx[ask], my[ask]])),
-                           dtype=float)
-            split[ask] = s[ask] > d * _OPEN_FRAC
-        return keep & ~split, split
+        (coarse,), d = whitney._decide(lambda d: (s > d * _OPEN_FRAC,),
+                                       distance_fn, mx, my, dp, s, ask)
+        split |= ask & coarse
+        return keep & ~split, split, d
 
     roots = [whitney.Box(cx - q, cy - q, 2.0 * q) for q in radii]
     rows = whitney.refine(roots, classify)
@@ -361,9 +377,16 @@ def ball_grid(distance_fn, center, r, delta_min) -> QuadratureGrid:
     for b, q in enumerate(radii):
         x0, y0, s = roots[b].cells(*rows[rows[:, 0] == b, 1:].T)
         w = s * s / 4.0
+        # a cell whose farthest corner is inside the ball by the margin
+        # keeps its four nodes; the others test each node
+        fx = np.maximum(np.abs(x0 - cx), np.abs(x0 + s - cx))
+        fy = np.maximum(np.abs(y0 - cy), np.abs(y0 + s - cy))
+        whole = fx * fx + fy * fy <= (1.0 - _MARGIN) * q * q
+        part = np.flatnonzero(~whole)
         for ox, oy in offs:
             x, y = x0 + (0.5 + ox) * s, y0 + (0.5 + oy) * s
-            inside = np.hypot(x - cx, y - cy) <= q
+            inside = whole.copy()
+            inside[part] = np.hypot(x[part] - cx, y[part] - cy) <= q
             n = np.count_nonzero(inside)
             nodes[end:end + n, 0], nodes[end:end + n, 1] = x[inside], y[inside]
             weights[end:end + n] = w[inside]
@@ -431,7 +454,10 @@ def build_ball_plan(domain, sampling):
     values at the nodes, making each subsequent ratio a pair of vector
     powers.  The grids of all radii about one centre come from one
     `ball_grid` call, whose refinement rows are freed before one distance
-    call takes the nodes of all its balls.  The plan records domain.
+    call takes the nodes of all its balls.  The distance is 1-Lipschitz, as
+    `ball_grid` requires: it skips the distance at the cells whose split
+    its bounds decide, while every node's distance is evaluated exactly.
+    The plan records domain.
     Raises ValueError for a resolution below 1, radii that are not finite,
     positive and two distinct values (_check_radii) or no centres.
     """

@@ -32,6 +32,7 @@ __all__ = [
 
 _SQRT2 = float(np.sqrt(2.0))
 _SAMPLE = 5    # cube_set_distance's sample points per cube side
+_SLACK = 1e-12  # relative and absolute rounding slack of `_bounds`
 
 
 @dataclass(frozen=True)
@@ -126,19 +127,22 @@ class WhitneyDecomposition:
 
 def refine(roots, classify) -> np.ndarray:
     """Accepted (b, k, i, j) rows, generation by generation, of the boxes
-    roots[b] refined in lockstep by classify(k, b, cx, cy, s): it gets the
-    root indices and centres of the active generation-k cells and the side
-    s[b] of the generation-k cells of each root b, and returns the masks
-    (accept, split).  A split (b, k, i, j) passes on its children
-    (b, k+1, 2i+di, 2j+dj) in the order (di, dj) = (0,0), (1,0), (0,1),
-    (1,1); the other cells end.  So one classify call per generation serves
-    every root, and the rows of root b, in order, are those of refining
-    roots[b] alone.
+    roots[b] refined in lockstep by classify(k, b, cx, cy, s, dp): it gets the
+    root indices and centres of the active generation-k cells, the side
+    s[b] of the generation-k cells of each root b and dp, the distance that
+    classify evaluated at each cell's parent centre (NaN at the roots and
+    where it evaluated none), and returns the masks (accept, split) and d,
+    the distance at each centre it evaluated and NaN elsewhere.  A split
+    (b, k, i, j) passes on its children (b, k+1, 2i+di, 2j+dj) in the order
+    (di, dj) = (0,0), (1,0), (0,1), (1,1), with its d; the other cells end.
+    So one classify call per generation serves every root, and the rows of
+    root b, in order, are those of refining roots[b] alone.
     """
     x0, y0, sides = np.array([(q.x0, q.y0, q.side) for q in roots]).T
     accepted = []
     k, b = 0, np.arange(len(roots))
     i = j = np.zeros(len(roots), dtype=np.int64)
+    dp = np.full(len(roots), np.nan)
     while len(i):
         # a centre is the (1, 1) child's corner, rounded as `Box.cells`
         # rounds x0 + (i + 0.5) * s; the sums are formed in place, so that
@@ -148,15 +152,52 @@ def refine(roots, classify) -> np.ndarray:
         del half
         cx += x0[b]
         cy += y0[b]
-        accept, split = classify(k, b, cx, cy, np.ldexp(sides, -k))
+        accept, split, d = classify(k, b, cx, cy, np.ldexp(sides, -k), dp)
         accepted.append(np.column_stack(
             [b[accept], np.full(np.count_nonzero(accept), k), i[accept],
              j[accept]]))
         b, i, j = np.tile(b[split], 4), 2 * i[split], 2 * j[split]
         i = np.concatenate([i, i + 1, i, i + 1])
         j = np.concatenate([j, j, j + 1, j + 1])
+        dp = np.tile(d[split], 4)
         k += 1
     return np.concatenate(accepted)
+
+
+def _bounds(dp, s):
+    """Bounds (lo, hi) on the distance at the centres of the side-s children
+    of cells with centre distance dp; NaN where dp is NaN.
+
+    A child centre lies off = s sqrt(2)/2 from its parent's, and a
+    1-Lipschitz distance moves at most off.  _SLACK, relative to dp + off
+    and absolute, covers rounding: a few ulps of the coordinates and of d
+    in the centres and in `geometry.distance` (a foot point to an 8-ulp stop
+    at a minimum of the squared distance, then one hypot); 1e-12 is over
+    500 ulps of any coordinate below 8 in magnitude.
+    """
+    off = s * (_SQRT2 / 2.0)
+    off = off + _SLACK * (dp + off) + _SLACK
+    return dp - off, dp + off
+
+
+def _decide(tests, distance_fn, cx, cy, dp, s, ask):
+    """(tests(d), d) at the centres (cx, cy) of side-s cells where ask.
+
+    tests maps distances to a tuple of masks, each monotone in d.  Where
+    every test reads the same at both `_bounds` from the parents' dp, it is
+    read at the lower bound; the distance is evaluated (d, NaN elsewhere)
+    only at the other centres where ask, in one call or none.  Where ask is
+    False, the tests read at a bound or NaN, and the caller drops them.
+    """
+    lo, hi = _bounds(dp, s)
+    need = np.isnan(dp)
+    for at_lo, at_hi in zip(tests(lo), tests(hi)):
+        need |= at_lo != at_hi
+    need &= ask
+    d = np.full(len(cx), np.nan)
+    if need.any():
+        d[need] = distance_fn(np.column_stack([cx[need], cy[need]]))
+    return tests(np.where(need, d, lo)), d
 
 
 def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
@@ -165,25 +206,35 @@ def decompose(distance_fn, box: Box, kmax: int) -> WhitneyDecomposition:
     distance_fn must be 1-Lipschitz, vanish exactly on F and accept an
     (n, 2) array of points.  Cubes still touching F at generation kmax are
     discarded (never accepted), preserving the lower bound of the band.
+    Each test of a cube is monotone in its centre distance, so `_decide`
+    evaluates the distance only where the bounds from the parent's leave a
+    test open, and the cubes are those of evaluating it at every centre,
+    bit for bit.  Raises ValueError unless 2 <= kmax <= 29 (the sort key
+    packs k, i and j into one int64).
     """
-    if kmax < 2:
-        raise ValueError("kmax must be >= 2")
+    if not 2 <= kmax <= 29:
+        raise ValueError(f"kmax must lie in [2, 29], got {kmax}")
 
-    def classify(k, b, cx, cy, s):
+    def classify(k, b, cx, cy, s, dp):
         ell = s * _SQRT2
-        d = np.asarray(distance_fn(np.column_stack([cx, cy])), dtype=float)
-        # d(Q,F) in [d_center - l/2, d_center + l/2]; accept when the
-        # bracket certifies l <= d(Q,F) <= 4l.
-        accept = (d >= 1.5 * ell) & (d <= 3.5 * ell)
-        # cubes certified farther than 4l can never yield accepted children
-        # (children need d <= 1.75*l but inherit d >= d_parent - l/4)
-        hopeless = d - 0.5 * ell > 4.0 * ell
-        return accept, ~accept & ~hopeless & (k < kmax)
+
+        def tests(d):
+            # d(Q,F) in [d_center - l/2, d_center + l/2]; accept when the
+            # bracket certifies l <= d(Q,F) <= 4l.  Cubes certified farther
+            # than 4l can never yield accepted children (children need
+            # d <= 1.75*l but inherit d >= d_parent - l/4)
+            return d >= 1.5 * ell, d <= 3.5 * ell, d - 0.5 * ell > 4.0 * ell
+
+        (near, close, hopeless), d = _decide(tests, distance_fn, cx, cy, dp,
+                                             s, True)
+        accept = near & close
+        return accept, ~accept & ~hopeless & (k < kmax), d
 
     cubes = refine([box], classify)[:, 1:]
     if len(cubes) == 0:
         raise RuntimeError("kmax too small: no cube was accepted")
-    cubes = cubes[np.lexsort(cubes.T[::-1])]
+    k, i, j = cubes.T
+    cubes = cubes[np.argsort((k << 58) | (i << 29) | j)]
     return WhitneyDecomposition(box, kmax, cubes, distance_fn)
 
 

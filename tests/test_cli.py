@@ -200,6 +200,9 @@ def test_stokes_takes_the_mesh_keys(tmp_path):
     (["ap-check", "--alpha", "0.3", "--mu", "1.5", "--resolution", "256"],
      "resolution 256 resolves 1 of the plan's radii (r >= 64 / resolution), "
      "and the trend needs two: resolution 512 resolves two"),
+    # the sort key of decompose packs k, i and j into one int64
+    (["whitney", "--alpha", "0.75", "--kmax", "30"],
+     "kmax must lie in [2, 29], got 30"),
 ])
 def test_invalid_values_are_numerical_errors(tmp_path, capsys, args,
                                              message):

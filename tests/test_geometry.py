@@ -222,6 +222,25 @@ def test_ulp8_on_every_exponent():
     assert geometry._ulp8(v).tobytes() == _eight_spacings(v).tobytes()
 
 
+_EDGE_YS = [1.0, -1.0, np.nextafter(1.0, 2.0), -np.nextafter(1.0, 2.0), 0.0,
+            -0.0, 5e-324, 1e308, -1e308]
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(finite, finite), min_size=1, max_size=40))
+@example([(0.5, y) for y in _EDGE_YS])
+@example([(1.0, y) for y in _EDGE_YS])
+@example([(-1e308, y) for y in _EDGE_YS] + [(1e308, y) for y in _EDGE_YS])
+def test_edge_distance_is_the_clipped_hypot(pairs):
+    # the hypot is skipped where |y| <= 1, bit for bit
+    x, y = np.array(pairs).T
+    with np.errstate(over="ignore"):
+        ref = np.hypot(x - 1.0, y - np.clip(y, -1.0, 1.0))
+        got = geometry._edge_distance(x, y)
+    assert got.tobytes() == ref.tobytes()
+
+
 def test_curve_distance_raises_when_unconverged(monkeypatch):
     dom = CuspDomain(0.5)
     monkeypatch.setattr(geometry, "_NEWTON_STEPS", 1)

@@ -372,6 +372,80 @@ def ball_grid_oracle(distance_fn, center, r, delta_min, open_frac=0.25,
     return nodes[inside], wts[inside]
 
 
+def exhaustive_ball_grid(distance_fn, center, r, delta_min):
+    """ball_grid with the distance at every cell centre, the hypot of every
+    centre and a hypot test at every node (test oracle)."""
+    cx, cy = float(center[0]), float(center[1])
+    radii = np.atleast_1d(np.asarray(r, dtype=float))
+
+    def classify(k, b, mx, my, s, dp):
+        r, s = radii[b], s[b]
+        rad = np.hypot(mx - cx, my - cy)
+        half_diag = s * (math.sqrt(2.0) / 2.0)
+        keep = rad - half_diag <= r
+        rim = np.abs(rad - r) <= half_diag
+        d = np.asarray(distance_fn(np.column_stack([mx, my])), dtype=float)
+        split = keep & (s > delta_min) & (
+            (rim & (s > weights._RIM_FRAC * r)) | (s > d * weights._OPEN_FRAC))
+        return keep & ~split, split, d
+
+    roots = [whitney.Box(cx - q, cy - q, 2.0 * q) for q in radii]
+    rows = whitney.refine(roots, classify)
+    nodes, wts, counts = [], [], []
+    for b, q in enumerate(radii):
+        x0, y0, s = roots[b].cells(*rows[rows[:, 0] == b, 1:].T)
+        n = 0
+        for ox, oy in ((-1, -1), (1, -1), (-1, 1), (1, 1)):
+            x = x0 + (0.5 + ox * weights._G2) * s
+            y = y0 + (0.5 + oy * weights._G2) * s
+            inside = np.hypot(x - cx, y - cy) <= q
+            nodes.append(np.column_stack([x[inside], y[inside]]))
+            wts.append((s * s / 4.0)[inside])
+            n += np.count_nonzero(inside)
+        counts.append(n)
+    return np.concatenate(nodes), np.concatenate(wts), counts
+
+
+@st.composite
+def ball_case(draw):
+    """alpha, a centre (the tip, on an arc, on the edge or anywhere near
+    Omega), 1-4 radii (powers of two or not) and a resolution."""
+    alpha = draw(st.sampled_from([0.3, 0.5, 0.75, 1.0]))
+    t = draw(st.floats(0.0, 1.0))
+    centre = draw(st.sampled_from([
+        (0.0, 0.0), (t, t ** (1.0 / alpha)), (t, -t ** (1.0 / alpha)),
+        (1.0, 2.0 * t - 1.0),
+        (draw(st.floats(-0.2, 1.2)), draw(st.floats(-1.2, 1.2)))]))
+    radii = draw(st.lists(st.one_of(
+        st.sampled_from([2.0 ** -k for k in range(2, 11)]),
+        st.floats(1e-3, 0.3)), min_size=1, max_size=4))
+    return alpha, centre, radii, draw(st.sampled_from([64, 256, 1024, 2048]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(ball_case())
+def test_ball_grid_matches_exhaustive_oracle(case):
+    # the certified distance and hypot skips change no node, weight or count
+    alpha, centre, radii, resolution = case
+    dom = CuspDomain(alpha)
+    every, points = [], []
+
+    def counting(calls):
+        def fn(pts):
+            assert len(pts) > 0
+            calls.append(len(pts))
+            return geometry.distance(dom, pts)
+        return fn
+
+    nodes, wts, counts = exhaustive_ball_grid(counting(every), centre, radii,
+                                              1.0 / resolution)
+    g = ball_grid(counting(points), centre, radii, 1.0 / resolution)
+    assert g.nodes.tobytes() == nodes.tobytes()
+    assert g.weights.tobytes() == wts.tobytes()
+    assert g.counts.tolist() == counts
+    assert sum(points) <= sum(every)
+
+
 @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.75])
 def test_ball_grid_skips_undeciding_distances(alpha):
     dom = CuspDomain(alpha)

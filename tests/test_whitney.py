@@ -97,13 +97,77 @@ def test_matches_recursive_reference_for_random_point_sets(ox, oy, bx, by,
     assert_matches_reference(decompose(dfn, box, kmax), ref)
 
 
+def exhaustive_cubes(distance_fn, box, kmax):
+    """decompose's cubes with the distance evaluated at every cell centre
+    and the rows sorted by lexsort (test oracle)."""
+    def classify(k, b, cx, cy, s, dp):
+        ell = s * SQRT2
+        d = np.asarray(distance_fn(np.column_stack([cx, cy])), dtype=float)
+        accept = (d >= 1.5 * ell) & (d <= 3.5 * ell)
+        hopeless = d - 0.5 * ell > 4.0 * ell
+        return accept, ~accept & ~hopeless & (k < kmax), d
+
+    cubes = whitney.refine([box], classify)[:, 1:]
+    return cubes[np.lexsort(cubes.T[::-1])]
+
+
+def counting(distance_fn, points):
+    """distance_fn, recording the size of each call in points; no call may
+    be empty."""
+    def fn(pts):
+        assert len(pts) > 0
+        points.append(len(pts))
+        return distance_fn(pts)
+    return fn
+
+
+@settings(max_examples=40, deadline=None)
+@given(bx=st.floats(-1.5, 0.5), by=st.floats(-1.5, 0.5),
+       side=st.floats(0.5, 3.0), kmax=st.integers(2, 9),
+       alpha=st.sampled_from([0.3, 0.5, 0.75, 1.0, None]),
+       ox=st.floats(-1.5, 1.5), oy=st.floats(-1.5, 1.5))
+@example(bx=-0.75, by=-1.25, side=2.5, kmax=9, alpha=0.3, ox=0.0, oy=0.0)
+@example(bx=-0.75, by=-1.25, side=2.5, kmax=9, alpha=0.5, ox=0.0, oy=0.0)
+@example(bx=-1.0, by=-1.0, side=2.0, kmax=9, alpha=None, ox=0.0, oy=0.0)
+def test_decompose_matches_exhaustive_refinement(bx, by, side, kmax, alpha,
+                                                 ox, oy):
+    # the bounds from the parent's distance decide cubes without changing
+    # one; alpha None is the point set {(ox, oy)}, and alpha 0.3 takes the
+    # concave/convex split of the kernel
+    box = Box(bx, by, side)
+    if alpha is None:
+        dfn = point_distance_fn((ox, oy))
+    else:
+        dom = CuspDomain(alpha)
+        dfn = lambda p: geometry.distance(dom, p)
+    every, points = [], []
+    ref = exhaustive_cubes(counting(dfn, every), box, kmax)
+    if len(ref) == 0:
+        with pytest.raises(RuntimeError):
+            decompose(counting(dfn, points), box, kmax)
+        return
+    dec = decompose(counting(dfn, points), box, kmax)
+    assert np.array_equal(dec.cubes, ref)
+    assert dec.cubes.dtype == np.int64
+    # the same cells, each evaluated at most once
+    assert sum(points) <= sum(every)
+
+
+def test_decompose_kmax_range():
+    dfn = point_distance_fn()
+    for kmax in (1, 30):
+        with pytest.raises(ValueError, match="kmax must lie in"):
+            decompose(dfn, default_box(), kmax)
+
+
 def test_refine_children_order_and_centres():
     box = Box(-1.0, 0.5, 4.0)
     seen = []
 
-    def classify(k, b, cx, cy, s):
+    def classify(k, b, cx, cy, s, dp):
         seen.append((k, b, cx, cy, s))
-        return np.full(len(cx), k == 2), np.full(len(cx), k < 2)
+        return (np.full(len(cx), k == 2), np.full(len(cx), k < 2),
+                np.full(len(cx), np.nan))
 
     rows = whitney.refine([box], classify)
     # one root: every row carries root index 0
@@ -124,17 +188,38 @@ def test_refine_children_order_and_centres():
     assert np.array_equal(cx, x0 + 0.5) and np.array_equal(cy, y0 + 0.5)
 
 
+def test_refine_hands_each_split_cells_d_to_its_children():
+    box = Box(-1.0, 0.5, 4.0)
+    seen = []
+
+    def classify(k, b, cx, cy, s, dp):
+        seen.append((cx, cy, dp))
+        d = cx + 10.0 * cy
+        d[cx > 0.0] = np.nan             # no distance evaluated there
+        return np.zeros(len(cx), bool), np.full(len(cx), k < 3), d
+
+    whitney.refine([box], classify)
+    assert len(seen) == 4 and np.isnan(seen[0][2]).all()
+    for k in range(1, 4):
+        cx, cy, dp = seen[k]
+        side = box.side * 2.0 ** (1 - k)     # the parents' side
+        px = box.x0 + (np.floor((cx - box.x0) / side) + 0.5) * side
+        py = box.y0 + (np.floor((cy - box.y0) / side) + 0.5) * side
+        want = np.where(px > 0.0, np.nan, px + 10.0 * py)
+        assert np.array_equal(dp, want, equal_nan=True)
+
+
 def seeded_classify(seed, kmax):
     """A classify whose masks are a seeded hash of each cell's centre and
     side, so that a cell gets the same answer in whichever refine it is."""
-    def classify(k, b, cx, cy, s):
+    def classify(k, b, cx, cy, s, dp):
         bits = np.stack([cx, cy, s[b]]).view(np.uint64)
         h = np.uint64(seed) + bits[0] * np.uint64(0x9E3779B97F4A7C15)
         h = (h ^ bits[1]) * np.uint64(0xBF58476D1CE4E5B9)
         h = (h ^ bits[2] ^ (h >> np.uint64(29))) * np.uint64(
             0x94D049BB133111EB)
         h = (h ^ (h >> np.uint64(31))) % np.uint64(3)
-        return h == 0, (h == 1) & (k < kmax)
+        return h == 0, (h == 1) & (k < kmax), np.full(len(cx), np.nan)
     return classify
 
 
