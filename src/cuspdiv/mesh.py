@@ -9,7 +9,9 @@ the longest strip's cell count, not the number of strips.
 For alpha < 1 a shape-regular triangulation cannot reach the tip itself
 (the cusp opening angle vanishes), so the mesh stops at a tiny abscissa
 x_tip chosen so the omitted sliver area is below both h^2 and 0.1% of
-|Omega|; the resulting short vertical boundary edge is tagged 'tip'.
+|Omega|; the resulting short vertical boundary side is of kind 'tip'.
+A mesh is its vertices and triangles: the boundary is derived from them
+(`TriangulatedMesh.boundary_edges`).
 """
 
 from __future__ import annotations
@@ -32,10 +34,6 @@ __all__ = [
 ]
 
 
-# the kinds of boundary edge, in the order load_mesh tells them apart
-_KINDS = ("right-edge", "tip", "upper-curve", "lower-curve")
-
-
 class MeshQualityError(RuntimeError):
     """Raised when the generator cannot meet the minimum-angle target."""
 
@@ -44,7 +42,6 @@ class MeshQualityError(RuntimeError):
 class TriangulatedMesh:
     vertices: np.ndarray          # (nv, 2)
     triangles: np.ndarray         # (nt, 3) int
-    boundary_edges: list          # [(v0, v1, kind)]
     alpha: float
     h: float
 
@@ -69,6 +66,18 @@ class TriangulatedMesh:
         p = self.vertices[self.triangles]
         return float(np.degrees(_min_angles(p[:, 0], p[:, 1], p[:, 2]).min()))
 
+    @property
+    def boundary_edges(self) -> list:
+        """The sides of exactly one triangle as (v0, v1, kind), v0 < v1, in
+        edge order.  kind is 'right-edge' if both x are 1, 'tip' if both
+        are the smallest vertex abscissa, else 'upper-curve' or
+        'lower-curve' if both heights are positive or both negative, and
+        'no kind' otherwise (which `load_mesh` refuses)."""
+        edges, sides = self.edge_numbering()
+        ends = edges[_boundary_sides(sides)]
+        kinds = _kinds(self.vertices, ends).tolist()
+        return list(zip(*ends.T.tolist(), kinds))
+
     def edge_numbering(self):
         """Unique undirected edges and the edge number of each triangle side.
 
@@ -77,7 +86,10 @@ class TriangulatedMesh:
         side of every triangle.
         """
         nv = self.num_vertices
-        keys, sides = np.unique(_edge_keys(_sides(self.triangles), nv),
+        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
+                        axis=1)
+        # keys lo * nv + hi order the edges lexicographically by (lo, hi)
+        keys, sides = np.unique(pairs[:, 0] * nv + pairs[:, 1],
                                 return_inverse=True)
         return np.column_stack(np.divmod(keys, nv)), sides.reshape(-1, 3)
 
@@ -96,8 +108,8 @@ class P2Space:
     def __init__(self, mesh: TriangulatedMesh):
         self.mesh = mesh
         nv = mesh.num_vertices
-        self.edges, sides = mesh.edge_numbering()
-        self.tri_dofs = np.hstack([mesh.triangles, nv + sides])
+        self.edges, self.sides = mesh.edge_numbering()
+        self.tri_dofs = np.hstack([mesh.triangles, nv + self.sides])
         self.n_dofs = nv + len(self.edges)
 
     def dof_coords(self):
@@ -106,30 +118,27 @@ class P2Space:
         return np.concatenate([v, mids])
 
     def boundary_dofs(self):
-        ends, mids = _boundary_midpoints(self.mesh, self.edges)
-        return np.unique(np.concatenate([ends.ravel(), mids]))
+        k = _boundary_sides(self.sides)
+        return np.unique(np.concatenate([self.edges[k].ravel(),
+                                         self.mesh.num_vertices + k]))
 
 
-def _sides(triangles):
-    """The (0,1), (1,2), (2,0) vertex pairs of every triangle, (nt, 3, 2)."""
-    return triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 3, 2)
+def _boundary_sides(sides):
+    """The numbers of the edges that are the side of exactly one triangle
+    (the boundary), ascending, from the (nt, 3) edge numbers of the sides."""
+    return np.flatnonzero(np.bincount(sides.ravel()) == 1)
 
 
-def _edge_keys(pairs, nv):
-    """Integer key lo * nv + hi of each undirected vertex pair (..., 2).
-
-    Keys order edges lexicographically by (lo, hi).
-    """
-    p = np.sort(pairs, axis=-1)
-    return (p[..., 0] * nv + p[..., 1]).ravel()
-
-
-def _boundary_midpoints(mesh, edges):
-    """Boundary edge ends (nb, 2), and nv + their rows in mesh's edges."""
-    nv = mesh.num_vertices
-    ends = np.array([(v0, v1) for v0, v1, _ in mesh.boundary_edges])
-    return ends, nv + np.searchsorted(_edge_keys(edges, nv),
-                                      _edge_keys(ends, nv))
+def _kinds(vertices, ends):
+    """The kind (see `TriangulatedMesh.boundary_edges`) of each boundary
+    side of the (nb, 2) vertex pairs ends."""
+    x, y = vertices[ends, 0], vertices[ends, 1]
+    # initial= lets a mesh without vertices pass
+    return np.select([np.all(x == 1.0, axis=1),
+                      np.all(x == vertices[:, 0].min(initial=np.inf), axis=1),
+                      np.all(y > 0.0, axis=1), np.all(y < 0.0, axis=1)],
+                     ["right-edge", "tip", "upper-curve", "lower-curve"],
+                     "no kind")
 
 
 def _tip_abscissa(domain: CuspDomain, h: float) -> float:
@@ -224,19 +233,8 @@ def _build(domain, h, xs):
     t[start[1:] - 1] = 1.0
     heights = np.array([x**domain.gamma for x in xs])
     vertices = np.column_stack([xs[col], heights[col] * t])
-    triangles = _zip_strips(vertices, start)
-
-    # strip k has bottom nodes a, b and top nodes b - 1, c - 1
-    strips = zip(start[:-2].tolist(), start[1:-1].tolist(), start[2:].tolist())
-    boundary = []
-    for a, b, c in strips:
-        boundary.append((a, b, "lower-curve"))
-        boundary.append((b - 1, c - 1, "upper-curve"))
-    boundary += [(a, a + 1, "right-edge")
-                 for a in range(start[-2], start[-1] - 1)]
-    boundary += [(a, a + 1, "tip") for a in range(start[0], start[1] - 1)]
-
-    return TriangulatedMesh(vertices, triangles, boundary, domain.alpha, h=h)
+    return TriangulatedMesh(vertices, _zip_strips(vertices, start),
+                            domain.alpha, h=h)
 
 
 def _min_angles(pa, pb, pc):
@@ -295,58 +293,53 @@ def refine(mesh: TriangulatedMesh) -> TriangulatedMesh:
 
     The refined vertices before the snap are the parent's P2 dof coordinates,
     and triangle t splits into its corner triangles and its midpoint one, all
-    in the P2 dof numbering (the midpoint of edge k is vertex nv + k).
+    in the P2 dof numbering (the midpoint of edge k is vertex nv + k).  The
+    midpoint of a boundary side of kind 'upper-curve' or 'lower-curve' (see
+    `TriangulatedMesh.boundary_edges`) is moved onto its arc.
     """
     gamma = CuspDomain(mesh.alpha).gamma
     space = P2Space(mesh)
     verts = space.dof_coords()
-    bmids = _boundary_midpoints(mesh, space.edges)[1].tolist()
-    boundary = []
+    k = _boundary_sides(space.sides)
+    kinds = _kinds(mesh.vertices, space.edges[k]).tolist()
     # scalar powers: numpy's array power may round differently by an ulp
-    for (v0, v1, kind), mid in zip(mesh.boundary_edges, bmids):
+    for mid, kind in zip((mesh.num_vertices + k).tolist(), kinds):
         if kind == "upper-curve":
             verts[mid, 1] = verts[mid, 0]**gamma
         elif kind == "lower-curve":
             verts[mid, 1] = -(verts[mid, 0]**gamma)
-        boundary.append((v0, mid, kind))
-        boundary.append((mid, v1, kind))
 
     tris = space.tri_dofs[:, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]]
-    return TriangulatedMesh(verts, tris.reshape(-1, 3), boundary, mesh.alpha,
+    return TriangulatedMesh(verts, tris.reshape(-1, 3), mesh.alpha,
                             h=mesh.h / 2.0)
 
 
 def save_mesh(mesh: TriangulatedMesh, path) -> None:
-    """Plain-text mesh export (vertices / triangles / boundary blocks) to the
-    file at path; the header's grading (1/alpha) and x_tip (the smallest
-    vertex abscissa) are not read back by `load_mesh`."""
+    """Plain-text mesh export to the file at path: a header with alpha and
+    h, then the vertices and triangles blocks."""
     with open(path, "w") as fh:
         fh.write("".join([
-            f"# cuspdiv mesh alpha={float(mesh.alpha)!r} h={float(mesh.h)!r} "
-            f"grading={float(mesh.grading)!r} x_tip={float(mesh.x_tip)!r}\n",
+            f"# cuspdiv mesh alpha={float(mesh.alpha)!r} "
+            f"h={float(mesh.h)!r}\n",
             f"vertices {mesh.num_vertices}\n",
             *(f"{i} {x!r} {y!r}\n"
               for i, (x, y) in enumerate(mesh.vertices.tolist())),
             f"triangles {mesh.num_triangles}\n",
             "%d %d %d\n" * mesh.num_triangles
             % tuple(mesh.triangles.ravel().tolist()),
-            f"boundary {len(mesh.boundary_edges)}\n",
-            "%d %d %s\n" * len(mesh.boundary_edges)
-            % tuple(x for edge in mesh.boundary_edges for x in edge),
         ]))
 
 
 def load_mesh(path) -> TriangulatedMesh:
-    """Read the `save_mesh` file at path.  ValueError if the header gives no
-    alpha or no h, a block header is not a name and a count, a block name is
-    unknown, the vertices or triangles block is missing, a block appears
-    twice or has fewer lines than its count, a line has other than 3
-    fields, a vertices line's index is not its position in the block, a
-    vertex index is outside [0, nv), a boundary kind is not one of _KINDS,
-    the boundary pairs are not the sides of exactly one triangle, each
-    listed, or a listed kind is not the one its two vertices give:
-    'right-edge' if both x are 1, 'tip' if both are the smallest vertex
-    abscissa, else the curve on the side of both heights."""
+    """Read the `save_mesh` file at path; other header tokens k=v are
+    ignored.  ValueError if the header gives no alpha or no h, a block
+    header is not a name and a count, a block name is unknown (an older
+    file's 'boundary' block among them), the vertices or triangles block
+    is missing, a block appears twice or has fewer lines than its count, a
+    line has other than 3 fields, a vertices line's index is not its
+    position in the block, a triangle's vertex index is outside [0, nv),
+    or a side of exactly one triangle has no kind (see
+    `TriangulatedMesh.boundary_edges`)."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     meta = {"alpha": None, "h": None}
@@ -368,7 +361,7 @@ def load_mesh(path) -> TriangulatedMesh:
             raise ValueError(f"mesh file: {line!r} is not a block header "
                              f"'<name> <count>'")
         block, count = parts[0], int(parts[1])
-        if block not in ("vertices", "triangles", "boundary"):
+        if block not in ("vertices", "triangles"):
             raise ValueError(f"mesh file: unknown block {block!r}")
         if block in blocks:
             raise ValueError(f"mesh file: block {block!r} appears twice")
@@ -376,11 +369,8 @@ def load_mesh(path) -> TriangulatedMesh:
         if len(rows) < count:
             raise ValueError(f"mesh file: block {block!r} ends after "
                              f"{len(rows)} of its {count} lines")
-        if block == "boundary":
-            blocks[block] = [_boundary_edge(row.split()) for row in rows]
-        else:
-            blocks[block] = _table(block, rows,
-                                   float if block == "vertices" else int)
+        blocks[block] = _table(block, rows,
+                               float if block == "vertices" else int)
     for key, value in meta.items():
         if value is None:
             raise ValueError(f"mesh file: no {key} in its '# cuspdiv mesh' "
@@ -389,62 +379,24 @@ def load_mesh(path) -> TriangulatedMesh:
         if block not in blocks:
             raise ValueError(f"mesh file: no {block!r} block")
     verts, tris = blocks["vertices"], blocks["triangles"]
-    boundary = blocks.get("boundary", [])
     nv = len(verts)
     moved = np.flatnonzero(verts[:, 0] != np.arange(nv))
     if moved.size:
         raise ValueError(f"mesh file: vertices block: line {moved[0]} has "
                          f"index {verts[moved[0], 0]:g}")
-    ends = np.array([e[:2] for e in boundary], dtype=int).reshape(-1, 2)
-    for block, index in (("triangles", tris), ("boundary", ends)):
-        bad = index[(index < 0) | (index >= nv)]
-        if bad.size:
-            raise ValueError(f"mesh file: {block} block: vertex index "
-                             f"{bad[0]} is outside [0, {nv})")
-    # the boundary sides are those of exactly one triangle
-    keys, counts = np.unique(_edge_keys(_sides(tris), nv), return_counts=True)
-    outer, listed = keys[counts == 1], _edge_keys(ends, nv)
-    off = ~np.isin(listed, outer)
-    if off.any():
-        v0, v1 = ends[np.argmax(off)].tolist()
-        raise ValueError(f"mesh file: boundary block: ({v0}, {v1}) is not "
-                         f"the side of exactly one triangle")
-    unlisted = np.setdiff1d(outer, listed)
-    if unlisted.size:
-        v0, v1 = divmod(int(unlisted[0]), nv)
-        raise ValueError(f"mesh file: boundary block: the boundary side "
-                         f"({v0}, {v1}) is not listed")
-    # each listed kind is the one its two vertices give (x_tip is the
-    # smallest vertex abscissa; initial= lets a mesh without vertices pass)
-    x, y = verts[ends, 1], verts[ends, 2]
-    given = np.select([np.all(x == 1.0, axis=1),
-                       np.all(x == verts[:, 1].min(initial=np.inf), axis=1),
-                       np.all(y > 0.0, axis=1), np.all(y < 0.0, axis=1)],
-                      _KINDS, "no kind")
-    wrong = given != [kind for _, _, kind in boundary]
-    if wrong.any():
-        i = np.argmax(wrong)
-        v0, v1, kind = boundary[i]
-        raise ValueError(f"mesh file: boundary block: ({v0}, {v1}) is "
-                         f"listed as {kind!r}, but its vertices give "
-                         f"{str(given[i])!r}")
-    return TriangulatedMesh(verts[:, 1:].copy(), tris, boundary,
-                            meta["alpha"], h=meta["h"])
-
-
-def _boundary_edge(parts):
-    """(v0, v1, kind) of the fields of one boundary line."""
-    _check_fields("boundary", parts)
-    if parts[2] not in _KINDS:
-        raise ValueError(f"mesh file: boundary kind {parts[2]!r} is not one "
-                         f"of {', '.join(_KINDS)}")
-    return int(parts[0]), int(parts[1]), parts[2]
-
-
-def _check_fields(block, parts):
-    if len(parts) != 3:
-        raise ValueError(f"mesh file: {block} line {parts} does not "
-                         f"have 3 fields")
+    bad = tris[(tris < 0) | (tris >= nv)]
+    if bad.size:
+        raise ValueError(f"mesh file: triangles block: vertex index "
+                         f"{bad[0]} is outside [0, {nv})")
+    mesh = TriangulatedMesh(verts[:, 1:].copy(), tris, meta["alpha"],
+                            h=meta["h"])
+    for v0, v1, kind in mesh.boundary_edges:
+        if kind == "no kind":
+            raise ValueError(f"mesh file: the boundary side ({v0}, {v1}) has "
+                             f"no kind: its vertices are not both at x = 1, "
+                             f"both at the smallest abscissa, or both above "
+                             f"or both below y = 0")
+    return mesh
 
 
 def _table(block, rows, dtype):
@@ -461,5 +413,7 @@ def _table(block, rows, dtype):
             return table
         reason = f"{table.shape[0]} rows of {table.shape[1]} fields"
     for parts in map(str.split, rows):    # name a line that is short or long
-        _check_fields(block, parts)
+        if len(parts) != 3:
+            raise ValueError(f"mesh file: {block} line {parts} does not "
+                             f"have 3 fields")
     raise ValueError(f"mesh file: {block} block: {reason}")

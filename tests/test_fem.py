@@ -60,12 +60,6 @@ def test_p2_dof_map_indexes_edges(mesh075):
     for col, (a, b) in enumerate([(0, 1), (1, 2), (2, 0)]):
         e = sp.edges[sp.tri_dofs[:, 3 + col] - nv]
         assert np.array_equal(e, np.sort(t[:, [a, b]], axis=1))
-    # boundary dofs: the boundary vertices and the dofs of boundary edges
-    edge_dof = {tuple(e): nv + k for k, e in enumerate(sp.edges.tolist())}
-    ref = set()
-    for v0, v1, _ in mesh075.boundary_edges:
-        ref |= {v0, v1, edge_dof[min(v0, v1), max(v0, v1)]}
-    assert sp.boundary_dofs().tolist() == sorted(ref)
 
 
 def test_assemble_rejects_small_alpha(mesh075):

@@ -114,11 +114,11 @@ def _truncated(text):
 
 
 def _renamed_block(text):
-    return text.replace("\nboundary ", "\nedges ")
+    return text.replace("\ntriangles ", "\nedges ")
 
 
 def _negative_count(text):
-    return text.replace("\nboundary ", "\nboundary -")
+    return text.replace("\ntriangles ", "\ntriangles -")
 
 
 def _short_row(text):
@@ -142,28 +142,23 @@ def _without_block(block):
     return edit
 
 
-def _repeated_boundary(text):
-    """The boundary block written twice."""
-    return text + text[text.index("boundary "):]
+def _repeated_triangles(text):
+    """The triangles block written twice."""
+    return text + text[text.index("triangles "):]
 
 
-def _unlisted_side(text):
-    """The first boundary line deleted and the block's count lowered."""
-    head, rest = text.split("\nboundary ", 1)
-    count, _, tail = rest.split("\n", 2)
-    return f"{head}\nboundary {int(count) - 1}\n{tail}"
+def _old_boundary_block(text):
+    """A file with the boundary block that older files carried."""
+    return text + "boundary 1\n0 1 tip\n"
 
 
-def _renamed_kind(text):
-    return text.replace(" lower-curve\n", " lower\n", 1)
-
-
-def _relabelled(kind, as_kind):
-    """An edit that lists the first `kind` boundary line as `as_kind`."""
-    def edit(text):
-        return text.replace(f" {kind}\n", f" {as_kind}\n", 1)
-    edit.__name__ = f"{kind}_as_{as_kind}"
-    return edit
+def _side_without_kind(text):
+    """Two triangles whose outline has sides (0, 1) and (0, 3) that are
+    neither on x = 1, nor on the smallest abscissa, nor off y = 0 at both
+    ends."""
+    return ("# cuspdiv mesh alpha=0.5 h=0.1\n"
+            "vertices 4\n0 0.5 0.0\n1 1.0 -0.5\n2 1.0 0.5\n3 0.25 0.1\n"
+            "triangles 2\n0 1 2\n0 2 3\n")
 
 
 def _first_row(block, row):
@@ -179,9 +174,9 @@ def _first_row(block, row):
 @pytest.mark.parametrize("edit, message", [
     (_without_header, "no alpha"),
     (_without_h, "no h in its '# cuspdiv mesh' header"),
-    (_truncated, "block 'boundary' ends after"),
+    (_truncated, "block 'triangles' ends after"),
     (_renamed_block, "unknown block 'edges'"),
-    (_negative_count, "'boundary -.*' is not a block header"),
+    (_negative_count, "'triangles -.*' is not a block header"),
     (_short_row, "does not have 3 fields"),
     (_first_row("triangles", ""), "does not have 3 fields"),
     (_first_row("vertices", "0 0.5 0.1 0.2"), "does not have 3 fields"),
@@ -189,26 +184,16 @@ def _first_row(block, row):
      "triangles block: vertex index -3 is outside"),
     (_first_row("triangles", "0 9 99999"),
      "triangles block: vertex index 99999 is outside"),
-    (_first_row("boundary", "99999 0 tip"),
-     "boundary block: vertex index 99999 is outside"),
     (_swapped_vertices, "vertices block: line 0 has index 1"),
     (_without_block("vertices"), "no 'vertices' block"),
     (_without_block("triangles"), "no 'triangles' block"),
-    (_repeated_boundary, "block 'boundary' appears twice"),
-    # (0, 37) lies in [0, nv) but is no side of any triangle, and (0, 22)
-    # is the side of two
-    (_first_row("boundary", "0 37 lower-curve"),
-     r"boundary block: \(0, 37\) is not the side of exactly one triangle"),
-    (_first_row("boundary", "0 22 lower-curve"),
-     r"boundary block: \(0, 22\) is not the side of exactly one triangle"),
-    (_unlisted_side, r"the boundary side \(0, 21\) is not listed"),
-    (_renamed_kind, "boundary kind 'lower' is not one of"),
-    # refine snaps a midpoint by its kind, so a wrong kind is refused
-    (_relabelled("upper-curve", "lower-curve"),
-     "is listed as 'lower-curve', but its vertices give 'upper-curve'"),
-    (_relabelled("tip", "upper-curve"),
-     r"\(0, 1\) is listed as 'upper-curve', but its vertices give 'tip'"),
-    (_relabelled("right-edge", "tip"), "but its vertices give 'right-edge'"),
+    (_repeated_triangles, "block 'triangles' appears twice"),
+    # the boundary is derived from the triangles; a file that still lists
+    # it is refused
+    (_old_boundary_block, "unknown block 'boundary'"),
+    # refine snaps a curve midpoint by its side's kind, so a side without
+    # one is refused
+    (_side_without_kind, r"the boundary side \(0, 1\) has no kind"),
 ])
 def test_load_mesh_rejects_malformed_files(mesh05, tmp_path, edit, message):
     path = tmp_path / "mesh.txt"
@@ -248,12 +233,11 @@ def test_grading_is_one_over_alpha_for_every_mesh(alpha, tmp_path):
     m = generate_graded_mesh(CuspDomain(alpha), 0.2)
     path = tmp_path / "mesh.txt"
     save_mesh(m, path)
-    text = path.read_text()
-    assert f" grading={1.0 / alpha!r} " in text
-    # the header's grading is not read back
-    path.write_text(text.replace(f"grading={1.0 / alpha!r}", "grading=7.0"))
-    built = meshmod.TriangulatedMesh(m.vertices, m.triangles,
-                                     m.boundary_edges, alpha, m.h)
+    header, rest = path.read_text().split("\n", 1)
+    assert header == f"# cuspdiv mesh alpha={alpha!r} h={m.h!r}"
+    # the header carries no grading, and one it carries is not read back
+    path.write_text(f"{header} grading=7.0\n{rest}")
+    built = meshmod.TriangulatedMesh(m.vertices, m.triangles, alpha, m.h)
     for other in (m, refine(m), load_mesh(path), built):
         assert other.grading == 1.0 / alpha
 
@@ -279,22 +263,26 @@ def test_edges_unique_and_sorted(mesh05):
 
 
 # sha256 of the save_mesh text, recorded from the loop implementation of the
-# generator (scalar zipper quality per step, midpoint dict in refine)
+# generator (scalar zipper quality per step, midpoint dict in refine), and
+# re-recorded when the file lost its boundary block and its header's
+# grading= and x_tip= tokens: each is the sha256 of the earlier text with
+# those cut, so the vertices and triangles blocks did not move
 GOLDEN = {
     (0.5, 0.1, None):
-        "311bb38e22eec4ac842ba43504c4f8df6d0a5a2d32c02da19033cc2a21e2766e",
+        "a09b9ec75ece9eabc5858346d7137bc6fe412b81dc8fc94ab9442a020f142036",
     (0.75, 0.05, None):
-        "cf67030f56c2357f745461d34a1192c7b5d05758748b0bd0abf0c6434cedef39",
+        "3c6abe85a32460ed827d0eef4cf48e6689af38e35bef788c8d7c1b0702d25eca",
     (1.0, 0.05, None):
-        "41627df5d4a86d6c6d01d9c9f8cce0e936d27c7d1d3904758913a3e7db59d13a",
+        "bea4371bd3e65ace93822c4f647cbdb8f42b6ad9c9947988b42bfef3510e17c5",
     (0.5, 0.2, 0.00625):
-        "a20e92813a7534b9d51e4fd4b98dc4a6b7226260ec211ff985159428fbdf9514",
+        "a35e2462f543cf5c801b022443e28bd4de3879a8ec9da0a60d92af331e56e82b",
 }
 # the refinement of the (0.5, 0.1) mesh, recorded when refine took its
-# midpoint numbering from edge_numbering: the same coordinates, triangles
-# and boundary edges as the midpoint-dict mesh, midpoints permuted
+# midpoint numbering from edge_numbering: the same coordinates and
+# triangles as the midpoint-dict mesh, midpoints permuted (re-recorded
+# with GOLDEN)
 GOLDEN_REFINED = \
-    "aab550069215b21b678afb5872dc2e6d8141f0b0a2db4c50d671d0fe66bf12c1"
+    "a3a1ee38c7dd08dcbd106cc376ff5b15418e90f96fd3f23ea099c0da97ec2325"
 
 
 def mesh_sha256(m, path):
@@ -467,15 +455,16 @@ def test_refine_numbers_midpoints_as_the_parent_p2_dofs(alpha, h, tip):
     # triangle t splits into its corner triangles and the midpoint one
     assert np.array_equal(fine.triangles, space.tri_dofs[
         :, [0, 3, 5, 3, 1, 4, 5, 4, 2, 3, 4, 5]].reshape(-1, 3))
-    # boundary edge (v0, v1) of edge number k splits at vertex nv + k, which
-    # is snapped onto its arc if the edge is curved; every other vertex is
-    # the P2 dof itself
+    # boundary side (v0, v1) of edge number k splits at vertex nv + k into
+    # the sides {v0, nv + k} and {nv + k, v1} of its kind; nv + k is snapped
+    # onto its arc if the side is curved, and every other vertex is the P2
+    # dof itself
     number = {tuple(e): nv + k for k, e in enumerate(space.edges.tolist())}
-    snapped = set()
-    for i, (v0, v1, kind) in enumerate(m.boundary_edges):
-        mid = number[min(v0, v1), max(v0, v1)]
-        assert fine.boundary_edges[2 * i:2 * i + 2] == [(v0, mid, kind),
-                                                        (mid, v1, kind)]
+    snapped, children = set(), set()
+    for v0, v1, kind in m.boundary_edges:
+        mid = number[v0, v1]
+        children |= {(frozenset([v0, mid]), kind),
+                     (frozenset([mid, v1]), kind)}
         (x, y), dx = fine.vertices[mid], dofs[mid, 0]
         if kind in ("upper-curve", "lower-curve"):
             sign = 1.0 if kind == "upper-curve" else -1.0
@@ -486,8 +475,44 @@ def test_refine_numbers_midpoints_as_the_parent_p2_dofs(alpha, h, tip):
             assert x == {"right-edge": 1.0, "tip": m.x_tip}[kind]
     kept = np.setdiff1d(np.arange(len(dofs)), sorted(snapped))
     assert np.array_equal(fine.vertices[kept], dofs[kept])
+    assert {(frozenset([v0, v1]), kind)
+            for v0, v1, kind in fine.boundary_edges} == children
     assert len(fine.boundary_edges) == 2 * len(m.boundary_edges)
     assert fine.x_tip == m.x_tip
+
+
+@settings(max_examples=25, deadline=None)
+@given(alpha=st.floats(0.45, 1.0), h=st.floats(0.1, 0.3),
+       refinements=st.integers(0, 1))
+@example(0.45, 0.1, 1)
+def test_derived_boundary_is_one_closed_loop_on_the_arcs(alpha, h,
+                                                         refinements):
+    dom = CuspDomain(alpha)
+    m = generate_graded_mesh(dom, h, min_angle_deg=0.0)
+    for _ in range(refinements):
+        m = refine(m)
+    # the sides of exactly one triangle form one closed loop
+    sides = [(v0, v1) for v0, v1, _ in m.boundary_edges]
+    nbrs = {}
+    for v0, v1 in sides:
+        nbrs.setdefault(v0, []).append(v1)
+        nbrs.setdefault(v1, []).append(v0)
+    assert all(len(n) == 2 for n in nbrs.values())
+    assert len(sides) == len(nbrs)
+    prev, v, loop = None, sides[0][0], 0
+    while True:
+        prev, v = v, next(w for w in nbrs[v] if w != prev)
+        loop += 1
+        if v == sides[0][0]:
+            break
+    assert loop == len(sides)
+    # the boundary dofs are the dofs on the boundary by geometry: refine
+    # numbers its vertices as the P2 dofs, with curve midpoints on the arcs
+    x, y = refine(m).vertices.T
+    on = (x == 1.0) | (x == m.x_tip) | (np.abs(np.abs(y) - x**dom.gamma)
+                                         <= 1e-12)
+    assert np.array_equal(meshmod.P2Space(m).boundary_dofs(),
+                          np.flatnonzero(on))
 
 
 @pytest.mark.parametrize("alpha,h,x_tip", [
