@@ -171,13 +171,14 @@ def _cmd_stokes(outdir, manifest_name, alpha, r, **mesh_keys):
 
     system = fem.assemble(mesh, alpha)
     u, q, info = fem.solve_stokes(mesh, alpha, f, system=system)
-    infsup = fem.discrete_infsup(mesh, alpha, system=system)
+    infsup, infsup_residual = fem._infsup(system)
     lr = fem.pressure_lr_norm(mesh, alpha, q.coeffs, r)
     summary = {"alpha": alpha, "h": mesh.h, "vertices": mesh.num_vertices,
                "energy": info["energy"],
                "energy_identity_defect": info["energy_identity_defect"],
                "div_residual": info["div_residual"],
-               "infsup": infsup, "pressure_r": r,
+               "infsup": infsup, "infsup_residual": infsup_residual,
+               "pressure_r": r,
                "pressure_lr_norm": lr["norm"],
                "pressure_lr_bound": lr["bound"],
                "q_unweighted_mean": info["q_unweighted_mean"]}

@@ -102,9 +102,12 @@ class MeshQuadrature:
     """The 7-point quadrature of a mesh, shared by every form assembled on it.
 
     pts (nt, 7, 2) and wq (nt, 7) are the physical nodes and scaled weights.
-    The P2 space, the physical P2 gradients (nt, 7, 6, 2), the exact
-    distance d at pts and the elimination order of the P2 dofs are built on
-    first use; weight(e) is d**e.
+    The P2 space, the physical P2 gradients, the exact distance d at pts
+    and the elimination order of the P2 dofs are built on first use;
+    weight(e) is d**e.  grads[t, q, m, i] is the i-th derivative of basis
+    function m at node q of triangle t: an (nt, 7, 6, 2) view of an array
+    stored (q, i, m, t), contiguous in t, the layout _weighted_products
+    reads.
     """
 
     def __init__(self, mesh: TriangulatedMesh):
@@ -119,8 +122,8 @@ class MeshQuadrature:
         invJT[:, 1, 1] = J[:, 0, 0]
         invJT /= detJ[:, None, None]
         self._invJT = invJT
-        # x_q = p0 + J (xi, eta)
-        self.pts = p[:, None, 0, :] + _apply(J, _QL[:, 1:])
+        # x_q = p0 + J (xi, eta), as a C-ordered (nt, 7, 2) array
+        self.pts = np.add(p[:, None, 0, :], _apply(J, _QL[:, 1:]), order="C")
         self.wq = 0.5 * np.abs(detJ)[:, None] * _QW[None, :]
 
     @cached_property
@@ -175,26 +178,33 @@ def _quadrature(mesh):
 
 
 def _apply(J, X):
-    """sum_j J[t, i, j] X[..., j]: (nt,) + X.shape from J (nt, 2, 2).
+    """sum_j J[t, i, j] X[q, ..., j] for J (nt, 2, 2) and X (nq, ..., 2),
+    as the (nt, nq, ..., 2) view of an array stored (nq, 2, ..., nt), so
+    that the values of one q and one i are contiguous in t.
 
     Summed as (0 + J_i0 X_0) + J_i1 X_1, np.einsum's order, with its +0
     where both products are -0; built in place, one i at a time.
     """
-    out = np.empty((len(J),) + X.shape)
-    J = J.reshape(J.shape + (1,) * (X.ndim - 1))
+    X = np.moveaxis(X, -1, 0)[..., None]        # (2, nq, ..., 1)
+    out = np.empty((len(X[0]), 2) + X.shape[2:-1] + (len(J),))
     for i in range(2):
-        oi = out[..., i]
-        np.multiply(J[:, i, 0], X[..., 0], out=oi)
+        oi = out[:, i]
+        np.multiply(J[:, i, 0], X[0], out=oi)
         oi += 0.0
-        oi += J[:, i, 1] * X[..., 1]
-    return out
+        oi += J[:, i, 1] * X[1]
+    return np.moveaxis(out, (1, -1), (-1, 0))
 
 
 def _scatter(rdofs, cdofs, local, shape):
-    """CSR sum of local blocks (nt, m, n) at rows rdofs (nt, m), cols cdofs."""
+    """CSR sum of local blocks (nt, m, n) at rows rdofs (nt, m), cols cdofs.
+
+    The indices are built in the dtype scipy stores them in, int32 when
+    both dimensions fit in it, so that the COO matrix casts none of them.
+    """
     m, n = local.shape[1:]
-    rows = np.repeat(rdofs, n, axis=1)
-    cols = np.tile(cdofs, (1, m))
+    idx = np.int32 if max(shape) <= np.iinfo(np.int32).max else np.int64
+    rows = np.repeat(rdofs.astype(idx), n, axis=1)
+    cols = np.tile(cdofs.astype(idx), (1, m))
     return sparse.coo_matrix((local.ravel(), (rows.ravel(), cols.ravel())),
                              shape=shape).tocsr()
 
@@ -212,14 +222,16 @@ def _weighted_products(w, a, b):
     added first, so the blocks equal einsum's to the bit.  It is formed in
     an (m, n, nt) layout, so that every product is one long loop over the
     triangles, and returned as that array's (nt, m, n) view; no temporary
-    exceeds (m, n, nt).
+    exceeds (m, n, nt).  Each q reads its operands as (ni, m, nt) arrays,
+    a[:, q].T; for the gradients (MeshQuadrature.grads, stored contiguous
+    in t) and their slices in i, that is a view, and nothing is copied.
     """
     out = np.zeros((a.shape[2], b.shape[2], len(w)))
     s = np.empty_like(out)
     for q in range(w.shape[1]):
         # this q's operands as (ni, m, nt) and (ni, n, nt), contiguous in t
         aq = np.ascontiguousarray(a[:, q].T)
-        bq = np.ascontiguousarray(b[:, q].T)
+        bq = aq if b is a else np.ascontiguousarray(b[:, q].T)
         np.multiply((w[:, q] * aq[0])[:, None], bq[0], out=s)
         for i in range(1, a.shape[3]):
             s += (w[:, q] * aq[i])[:, None] * bq[i]
@@ -553,8 +565,10 @@ def field_h1_norm(quad, coeffs) -> float:
     ux, uy = coeffs[:n], coeffs[n:]
     vals = np.stack([np.einsum("qm,tm->tq", _P2_N, ux[d]),
                      np.einsum("qm,tm->tq", _P2_N, uy[d])], axis=-1)
-    grads = np.stack([np.einsum("tqmi,tm->tqi", quad.grads, ux[d]),
-                      np.einsum("tqmi,tm->tqi", quad.grads, uy[d])], axis=-2)
+    # einsum sums a C-ordered operand in the order the norm was recorded in
+    G = np.ascontiguousarray(quad.grads)
+    grads = np.stack([np.einsum("tqmi,tm->tqi", G, ux[d]),
+                      np.einsum("tqmi,tm->tqi", G, uy[d])], axis=-2)
     dens = np.sum(vals**2, axis=-1) + np.sum(grads**2, axis=(-1, -2))
     return float(np.sqrt(np.sum(quad.wq * dens)))
 
@@ -615,10 +629,16 @@ def discrete_infsup(mesh, alpha, system):
     _min_eig applies.  system must come from assemble(mesh, alpha).
     """
     _check_system(mesh, alpha, system)
+    return _infsup(system)[0]
+
+
+def _infsup(system):
+    """The discrete inf-sup constant of system (see discrete_infsup) and
+    the relative residual of its eigenpair (_min_eig)."""
     zero_u = np.zeros(len(system.free))
-    mu, _ = _min_eig(lambda y: system.bordered_solve(zero_u, -y)[1],
-                     system.Mw)
-    return float(np.sqrt(mu))
+    mu, resid = _min_eig(lambda y: system.bordered_solve(zero_u, -y)[1],
+                         system.Mw)
+    return float(np.sqrt(mu)), resid
 
 
 def solve_stokes(mesh, alpha, f, system):

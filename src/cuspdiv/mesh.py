@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -40,6 +41,15 @@ class MeshQualityError(RuntimeError):
 
 @dataclass
 class TriangulatedMesh:
+    """A triangulation: vertices (nv, 2), CCW triangles (nt, 3) of vertex
+    indices, the cusp exponent alpha and the mesh size h.
+
+    A mesh is immutable once built: nothing may write to its arrays.  Its
+    edge numbering is computed once per mesh object, on first use, and
+    shared by every later reader (P2Space, boundary_edges, edges, refine);
+    fem keys its quadratures by the mesh object's id on the same premise.
+    """
+
     vertices: np.ndarray          # (nv, 2)
     triangles: np.ndarray         # (nt, 3) int
     alpha: float
@@ -83,15 +93,14 @@ class TriangulatedMesh:
 
         Returns the (ne, 2) edges (lower index first, in lexicographic
         order) and an (nt, 3) array numbering the (0,1), (1,2) and (2,0)
-        side of every triangle.
+        side of every triangle.  Both are read-only, and the same arrays
+        on every call: the mesh numbers its edges once.
         """
-        nv = self.num_vertices
-        pairs = np.sort(self.triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2),
-                        axis=1)
-        # keys lo * nv + hi order the edges lexicographically by (lo, hi)
-        keys, sides = np.unique(pairs[:, 0] * nv + pairs[:, 1],
-                                return_inverse=True)
-        return np.column_stack(np.divmod(keys, nv)), sides.reshape(-1, 3)
+        return self._numbered
+
+    @cached_property
+    def _numbered(self):
+        return _numbering(self.triangles, self.num_vertices)
 
     def edges(self) -> np.ndarray:
         """Unique undirected edges as an (ne, 2) index array."""
@@ -121,6 +130,18 @@ class P2Space:
         k = _boundary_sides(self.sides)
         return np.unique(np.concatenate([self.edges[k].ravel(),
                                          self.mesh.num_vertices + k]))
+
+
+def _numbering(triangles, nv):
+    """The edge numbering of `TriangulatedMesh.edge_numbering` of the (nt, 3)
+    triangles on nv vertices, as read-only arrays."""
+    pairs = np.sort(triangles[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2), axis=1)
+    # keys lo * nv + hi order the edges lexicographically by (lo, hi)
+    keys, sides = np.unique(pairs[:, 0] * nv + pairs[:, 1],
+                            return_inverse=True)
+    edges, sides = np.column_stack(np.divmod(keys, nv)), sides.reshape(-1, 3)
+    edges.flags.writeable = sides.flags.writeable = False
+    return edges, sides
 
 
 def _boundary_sides(sides):

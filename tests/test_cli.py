@@ -167,6 +167,8 @@ def test_stokes_takes_the_mesh_keys(tmp_path):
     mesh = generate_graded_mesh(CuspDomain(0.75), 0.2, x_tip=0.06,
                                 min_angle_deg=14.0)
     assert summary["vertices"] == mesh.num_vertices
+    # the inf-sup constant comes with the residual of its eigenpair
+    assert 0.0 <= summary["infsup_residual"] <= 1e-8
     assert run_cli(["stokes", "--alpha", "0.75", "--h", "0.2", "--x_tip",
                     "0.06", "--outdir", str(tmp_path)]) == 0
     assert json.loads(read(tmp_path / "stokes_summary.json")) == summary

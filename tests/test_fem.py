@@ -158,6 +158,45 @@ def test_quadrature_kernels_match_einsum(alpha, h, refined, monkeypatch):
                 "tq,qm,tqni->tmni", w, fem._P1_N, gi)[..., 0])
 
 
+def test_gradient_operands_are_views_contiguous_in_the_triangle_index():
+    # _weighted_products reads grads[:, q].T and its i-slices without a copy
+    mesh = generate_graded_mesh(CuspDomain(0.75), 0.25)
+    grads = fem.MeshQuadrature(mesh).grads
+    assert grads.shape == (mesh.num_triangles, 7, 6, 2)
+    for g in (grads, grads[..., :1], grads[..., 1:]):
+        for q in range(7):
+            assert g[:, q].T.flags.c_contiguous
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_scatter_matches_the_coo_sum_of_int64_indices(data):
+    # repeated dofs and +-0.0 entries: the CSR bytes, the signs of zeros and
+    # the index dtype equal those of the COO -> CSR conversion of the same
+    # entries at int64 indices
+    nt, m, n = (data.draw(st.integers(1, k)) for k in (12, 6, 6))
+    nr, nc = data.draw(st.integers(1, 8)), data.draw(st.integers(1, 8))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    rdofs = rng.integers(0, nr, (nt, m))
+    cdofs = rng.integers(0, nc, (nt, n))
+    local = rng.choice([-0.0, 0.0, 1.0, -1.0], (nt, m, n)) \
+        * rng.standard_normal((nt, m, n)) ** data.draw(st.sampled_from([0, 1]))
+    if data.draw(st.booleans()):
+        # the (nt, m, n) view of an (m, n, nt) array, as _weighted_products
+        # returns it
+        local = np.ascontiguousarray(local.transpose(1, 2, 0)).transpose(
+            2, 0, 1)
+    got = fem._scatter(rdofs, cdofs, local, (nr, nc))
+    ref = sparse.coo_matrix(
+        (local.ravel(), (np.repeat(rdofs, n, axis=1).ravel(),
+                         np.tile(cdofs, (1, m)).ravel())),
+        shape=(nr, nc)).tocsr()
+    for a, b in ((got.indptr, ref.indptr), (got.indices, ref.indices)):
+        assert a.dtype == b.dtype == np.int32
+        assert a.tobytes() == b.tobytes()
+    assert got.data.tobytes() == ref.data.tobytes()
+
+
 def count_distance_calls(monkeypatch):
     calls = []
     distance = geometry.distance
@@ -472,6 +511,10 @@ def test_discrete_infsup_matches_dense_oracle(mesh075, system075):
     ref = dense_infsup_oracle(system075)
     assert got == pytest.approx(ref, rel=1e-8)
     assert 0.0 < got < 1.5
+    # the CLI's helper: the same constant, and the residual of its eigenpair
+    value, resid = fem._infsup(system075)
+    assert value == got
+    assert 0.0 <= resid <= fem._EIG_TOL
 
 
 def test_stokes_identities(mesh075, system075):

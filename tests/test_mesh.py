@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from collections import Counter
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cuspdiv import geometry, mesh as meshmod
+from cuspdiv import fem, geometry, mesh as meshmod
 from cuspdiv.geometry import CuspDomain
 from cuspdiv.mesh import (MeshQualityError, generate_graded_mesh, load_mesh,
                           refine, save_mesh)
@@ -62,14 +63,6 @@ def test_boundary_tags_lie_on_their_arcs(mesh05):
                 assert abs(x - mesh05.x_tip) < 1e-12
             else:
                 raise AssertionError(f"unknown boundary kind {kind}")
-
-
-def test_boundary_edges_form_closed_loop(mesh05):
-    degree = {}
-    for v0, v1, _ in mesh05.boundary_edges:
-        degree[v0] = degree.get(v0, 0) + 1
-        degree[v1] = degree.get(v1, 0) + 1
-    assert all(d == 2 for d in degree.values())
 
 
 def test_refine_quadruples_and_snaps(mesh05):
@@ -252,6 +245,35 @@ def test_bad_parameters_rejected():
     # x_tip and min_angle_deg are keyword-only: no third positional argument
     with pytest.raises(TypeError):
         generate_graded_mesh(dom, 0.1, 2.0)
+
+
+def test_edges_are_numbered_once_per_mesh(monkeypatch, tmp_path):
+    m = generate_graded_mesh(CuspDomain(0.75), 0.25)
+    calls = []
+    numbering = meshmod._numbering
+    monkeypatch.setattr(meshmod, "_numbering", lambda triangles, nv: (
+        calls.append(nv) or numbering(triangles, nv)))
+    space = meshmod.P2Space(m)
+    m.boundary_edges
+    m.edges()
+    fine = refine(m)
+    fem.assemble(m, 0.75)
+    assert len(calls) == 1
+    # every reader holds the one read-only numbering
+    edges, sides = m.edge_numbering()
+    assert space.edges is edges and space.sides is sides
+    assert not edges.flags.writeable and not sides.flags.writeable
+    # a copy of the mesh and a refined mesh each number their own edges
+    copy = dataclasses.replace(m)
+    assert copy.edges() is not edges
+    assert np.array_equal(copy.edges(), edges)
+    meshmod.P2Space(fine)
+    fine.boundary_edges
+    assert calls == [m.num_vertices] * 2 + [fine.num_vertices]
+    # a loaded mesh: load_mesh's kind check numbers it, and P2Space reuses
+    save_mesh(m, tmp_path / "mesh.txt")
+    meshmod.P2Space(load_mesh(tmp_path / "mesh.txt"))
+    assert len(calls) == 4
 
 
 def test_edges_unique_and_sorted(mesh05):
@@ -485,6 +507,7 @@ def test_refine_numbers_midpoints_as_the_parent_p2_dofs(alpha, h, tip):
 @given(alpha=st.floats(0.45, 1.0), h=st.floats(0.1, 0.3),
        refinements=st.integers(0, 1))
 @example(0.45, 0.1, 1)
+@example(0.5, 0.15, 0)    # the mesh05 fixture
 def test_derived_boundary_is_one_closed_loop_on_the_arcs(alpha, h,
                                                          refinements):
     dom = CuspDomain(alpha)
