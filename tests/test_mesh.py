@@ -65,6 +65,14 @@ def test_boundary_tags_lie_on_their_arcs(mesh05):
                 raise AssertionError(f"unknown boundary kind {kind}")
 
 
+def test_boundary_edges_form_closed_loop(mesh05):
+    degree = {}
+    for v0, v1, _ in mesh05.boundary_edges:
+        degree[v0] = degree.get(v0, 0) + 1
+        degree[v1] = degree.get(v1, 0) + 1
+    assert all(d == 2 for d in degree.values())
+
+
 def test_refine_quadruples_and_snaps(mesh05):
     dom = CuspDomain(0.5)
     fine = refine(mesh05)
